@@ -1,9 +1,9 @@
 """Steady state of a thermally driven XY chain, start to finish.
 
 A 40-site chain with anisotropy 0.5 and field 0.9 couples to Ohmic
-Redfield baths at its two ends (hot left, cold right).  We assemble the
-4n x 4n structure matrix, diagonalize it into normal master modes, read
-off the steady-state two-point matrix, and print the derived physics.
+Redfield baths at its two ends (hot left, cold right).  One real
+2n x 2n Schur-Lyapunov solve gives the rapidities and the steady-state
+two-point matrix; we print the derived physics.
 """
 
 import numpy as np
@@ -12,28 +12,23 @@ from openquad import (
     ChainParams,
     heat_current_profile,
     magnetization_profile,
-    ness_two_point,
-    normal_modes,
     observable_report,
     spectral_gap,
-    structure_matrix,
+    steady_state,
     xy_redfield_model,
 )
 
 params = ChainParams(n=40, gamma=0.5, h=0.9)
 model = xy_redfield_model(params, beta_L=0.3, beta_R=5.2, lam=0.1)
 
-struct = structure_matrix(model)
-print(f"structure matrix: {struct.A.shape[0]} x {struct.A.shape[1]}, "
-      f"A0 = {struct.A0.real:.6f}")
+state = steady_state(model)
+gap = spectral_gap(state)
+print(f"rapidities: min Re = {state.rapidities.real.min():.3e}, "
+      f"max |beta| = {np.abs(state.rapidities).max():.3f}")
+print(f"spectral gap (relaxation rate) = {gap:.3e}, "
+      f"Lyapunov residual = {state.residual:.1e}\n")
 
-modes = normal_modes(struct)
-gap = spectral_gap(modes)
-print(f"rapidities: min Re = {modes.rapidities.real.min():.3e}, "
-      f"max |beta| = {np.abs(modes.rapidities).max():.3f}")
-print(f"spectral gap (relaxation rate) = {gap:.3e}\n")
-
-T = ness_two_point(modes)
+T = state.two_point
 s_z = magnetization_profile(T)
 print("magnetization profile (every 5th site):")
 for m in range(0, params.n, 5):

@@ -14,11 +14,9 @@ from openquad import (
     ChainParams,
     correlation_matrix,
     dispersion,
-    ness_two_point,
-    normal_modes,
     residual_correlator,
     stationary_wavenumber,
-    structure_matrix,
+    steady_state,
     xy_redfield_model,
 )
 from openquad.cli import fit_exponential, fit_power_law
@@ -26,7 +24,7 @@ from openquad.cli import fit_exponential, fit_power_law
 
 def c_res(n, h):
     model = xy_redfield_model(ChainParams(n, 0.5, h))
-    T = ness_two_point(normal_modes(structure_matrix(model)))
+    T = steady_state(model).two_point
     return residual_correlator(correlation_matrix(T), n)
 
 

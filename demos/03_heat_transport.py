@@ -10,9 +10,7 @@ import numpy as np
 from openquad import (
     ChainParams,
     heat_current_profile,
-    ness_two_point,
-    normal_modes,
-    structure_matrix,
+    steady_state,
     xy_redfield_model,
 )
 from openquad.cli import fit_karevski
@@ -21,7 +19,7 @@ from openquad.cli import fit_karevski
 def bulk_q(n, h, beta_L=0.3, beta_R=5.2, lam=0.1):
     model = xy_redfield_model(ChainParams(n, 0.5, h), beta_L=beta_L,
                               beta_R=beta_R, lam=lam)
-    T = ness_two_point(normal_modes(structure_matrix(model)), uniqueness_tol=0.0)
+    T = steady_state(model, uniqueness_tol=0.0).two_point
     return heat_current_profile(T, model.params)[2:-2].mean()
 
 

@@ -13,18 +13,16 @@ from openquad import (
     ChainParams,
     block_entropy,
     correlation_spectrum,
-    ness_two_point,
-    normal_modes,
     positivity_excess,
     quantum_mutual_information,
-    structure_matrix,
+    steady_state,
     xy_redfield_model,
 )
 
 
 def steady(n, h, **kw):
     model = xy_redfield_model(ChainParams(n, 0.5, h), **kw)
-    return ness_two_point(normal_modes(structure_matrix(model)))
+    return steady_state(model).two_point
 
 
 T = steady(40, 0.9)

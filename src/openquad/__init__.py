@@ -1,10 +1,12 @@
 """Exact solver for Markovian master equations of open quadratic fermi systems.
 
-The library diagonalizes the quadratic Liouvillean of n fermionic modes
-coupled linearly to thermal (Redfield) or memoryless (Lindblad) baths by
-working with a 4n x 4n antisymmetric structure matrix, and evaluates
-steady states, observables, relaxation spectra and driven dynamics of
-the open XY spin-1/2 chain.
+The library solves the quadratic Liouvillean of n fermionic modes
+coupled linearly to thermal (Redfield) or memoryless (Lindblad) baths.
+Steady states and relaxation spectra come from one real 2n x 2n
+Schur-Lyapunov solve (``steady_state``); the normal modes of the 4n x 4n
+antisymmetric structure matrix serve the dynamics and cross-checks.  It
+evaluates steady states, observables, relaxation spectra and driven
+dynamics of the open XY spin-1/2 chain.
 """
 
 from .model import (
@@ -24,6 +26,7 @@ from .model import (
 )
 from .spectra import (
     HamiltonianEigensystem,
+    LyapunovForm,
     NonDiagonalizableError,
     NormalModes,
     StructureMatrix,
@@ -37,6 +40,7 @@ from .spectra import (
     full_liouvillean_spectrum,
     hamiltonian_eigensystem,
     liouvillean_eigenvalues,
+    lyapunov_form,
     normal_modes,
     spectral_gap,
     structure_matrix,
@@ -46,6 +50,7 @@ from .ness import (
     NonUniqueNESSError,
     ObservableReport,
     PositivityWarning,
+    SteadyState,
     TwoPointMatrix,
     block_entropy,
     commutator_quadratic,
@@ -65,6 +70,7 @@ from .ness import (
     quantum_mutual_information,
     residual_correlator,
     spin_spin_correlator,
+    steady_state,
     wick_four_point,
 )
 from .dynamics import (
@@ -78,9 +84,3 @@ from .dynamics import (
 )
 
 __version__ = "0.1.0"
-
-
-def steady_state(model):
-    """Normal modes, spectral gap and two-point matrix of one model."""
-    modes = normal_modes(structure_matrix(model))
-    return modes, ness_two_point(modes)

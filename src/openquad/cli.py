@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
@@ -39,14 +38,19 @@ from .model import (
 )
 from .ness import (
     NonUniqueNESSError,
-    ness_two_point,
+    block_entropy,
+    correlation_matrix,
+    heat_current_profile,
+    magnetization_profile,
     observable_report,
     positivity_excess,
     quantum_mutual_information,
+    residual_correlator,
+    steady_state,
 )
 from .spectra import (
     NonDiagonalizableError,
-    ZeroRapidityWarning,
+    lyapunov_form,
     normal_modes,
     spectral_gap,
     structure_matrix,
@@ -346,15 +350,10 @@ def write_metadata(path: Path, raw_config: dict, wall_time: float) -> None:
 # tasks
 
 
-def _steady_state(model, uniqueness_tol=1e-10):
-    modes = normal_modes(structure_matrix(model))
-    return modes, ness_two_point(modes, uniqueness_tol=uniqueness_tol)
-
-
 def _task_ness(cfg: ExperimentConfig):
     model = build_model(cfg)
-    modes, T = _steady_state(model)
-    rep = observable_report(T, model.params, gap=spectral_gap(modes))
+    state = steady_state(model)
+    rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
     rows = []
     for m, v in enumerate(rep.s_z, start=1):
         rows.append(["s_z", m, "", v])
@@ -396,36 +395,27 @@ def _sweep_point(args):
     cfg_dict, overrides = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ZeroRapidityWarning)
-            model = build_model(cfg, **overrides)
-            modes, T = _steady_state(model)
-            from .ness import (
-                correlation_matrix,
-                heat_current_profile,
-                magnetization_profile,
-                residual_correlator,
-                block_entropy,
-            )
-
-            n = model.params.n
-            C = correlation_matrix(T)
-            out = {
-                "C_res": residual_correlator(C, n) if n >= 4 else float("nan"),
-                "Q_mean": (
-                    float(heat_current_profile(T, model.params)[2:-2].mean())
-                    if n >= 7
-                    else float("nan")
-                ),
-                "s_z_center": float(magnetization_profile(T)[n // 2 - 1]),
-                "qmi": (
-                    quantum_mutual_information(T) if n % 2 == 0 else float("nan")
-                ),
-                "entropy_total": block_entropy(T, range(1, n + 1)),
-                "gap": spectral_gap(modes),
-                "positivity_excess": positivity_excess(T),
-            }
-            return out
+        model = build_model(cfg, **overrides)
+        state = steady_state(model)
+        T = state.two_point
+        n = model.params.n
+        C = correlation_matrix(T)
+        out = {
+            "C_res": residual_correlator(C, n) if n >= 4 else float("nan"),
+            "Q_mean": (
+                float(heat_current_profile(T, model.params)[2:-2].mean())
+                if n >= 7
+                else float("nan")
+            ),
+            "s_z_center": float(magnetization_profile(T)[n // 2 - 1]),
+            "qmi": (
+                quantum_mutual_information(T) if n % 2 == 0 else float("nan")
+            ),
+            "entropy_total": block_entropy(T, range(1, n + 1)),
+            "gap": spectral_gap(state),
+            "positivity_excess": positivity_excess(T),
+        }
+        return out
     except Exception as exc:  # error rows keep the sweep going
         return f"{type(exc).__name__}: {exc}"
 
@@ -457,12 +447,9 @@ def _task_sweep(cfg: ExperimentConfig, raw_config: dict, workers: int):
 
 def _task_gap_scaling(cfg: ExperimentConfig):
     sizes = sorted(cfg.sizes)
-    gaps = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ZeroRapidityWarning)
-        for n in sizes:
-            model = build_model(cfg, n=n)
-            gaps.append(spectral_gap(normal_modes(structure_matrix(model))))
+    # the gap needs only the rapidities, so no Lyapunov solve and no
+    # uniqueness refusal
+    gaps = [spectral_gap(lyapunov_form(build_model(cfg, n=n))) for n in sizes]
     expo, pref, resid = fit_power_law(sizes, gaps)
     rows = [[n, g, expo, pref, resid] for n, g in zip(sizes, gaps)]
     return ["n", "gap", "fit_exponent", "fit_prefactor", "fit_residual"], rows

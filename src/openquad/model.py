@@ -241,29 +241,22 @@ def build_xy_couplings(
 def ohmic_spectral_function(omega, beta: float, lam: float):
     """Ohmic bath spectral function lam^2 * omega / (exp(beta*omega) - 1).
 
-    The removable singularity at omega = 0 evaluates to lam^2 / beta.
-    Both signs of omega are computed through expm1 so that no Boltzmann
-    factor is exponentiated before being combined with its prefactor:
-    for omega > 0 the value is lam^2 * omega * e^{-b w} / (1 - e^{-b w}),
-    for omega < 0 it is lam^2 * |omega| / (1 - e^{-b |w|}), which grows
-    only linearly.  Satisfies G(-w) = exp(beta*w) G(w) (KMS) exactly.
+    Evaluated as (lam^2 / beta) * x / expm1(x) in x = beta * omega, with
+    the x = 0 limit lam^2 / beta.  No Boltzmann factor is exponentiated
+    before being combined with its prefactor, and a subnormal omega never
+    underflows lam^2 * omega: for omega > 0 the value decays like
+    x e^{-x}, for omega < 0 it grows only linearly in |omega|.  Satisfies
+    G(-w) = exp(beta*w) G(w) (KMS) exactly.
     """
     if beta <= 0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.empty_like(w)
-    zero = w == 0.0
-    pos = w > 0.0
-    neg = ~zero & ~pos
-    out[zero] = lam**2 / beta
-    # 1 - e^{-b|w|} = -expm1(-b|w|) keeps every intermediate in range
-    wp = w[pos]
-    out[pos] = lam**2 * wp * np.exp(-beta * wp) / (-np.expm1(-beta * wp))
-    wn = w[neg]
-    out[neg] = lam**2 * (-wn) / (-np.expm1(beta * wn))
-    return float(out[0]) if scalar else out
+    x = beta * np.atleast_1d(np.asarray(omega, dtype=float))
+    ratio = np.ones_like(x)  # x / (e^x - 1) -> 1 as x -> 0
+    nz = x != 0.0
+    with np.errstate(over="ignore"):  # expm1 = inf gives the 0 limit
+        ratio[nz] = x[nz] / np.expm1(x[nz])
+    out = lam**2 / beta * ratio
+    return float(out[0]) if np.ndim(omega) == 0 else out
 
 
 # Paper-standard bath parameter defaults for the thermally driven chain.

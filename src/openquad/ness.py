@@ -2,11 +2,12 @@
 
 The non-equilibrium steady state of a quadratic Liouvillean is Gaussian:
 it is fully described by T_jk = <w_j w_k> = delta_jk + i B_jk with a real
-antisymmetric B.  This module computes T two independent ways (from the
-normal-mode eigenvectors, and by quadrature of the resolvent Green's
-function), and evaluates magnetization, spin-spin correlators, heat
-currents, energy densities, block entropies, and mutual information via
-Wick's theorem.
+antisymmetric B.  This module solves for T from the real 2n x 2n
+Lyapunov form (``steady_state``, the route every run takes), computes it
+two independent ways for cross-checks (from the normal-mode
+eigenvectors, and by quadrature of the resolvent Green's function), and
+evaluates magnetization, spin-spin correlators, heat currents, energy
+densities, block entropies, and mutual information via Wick's theorem.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .model import ChainParams
-from .spectra import NormalModes, StructureMatrix
+from .model import ChainParams, QuadraticModel
+from .spectra import NormalModes, StructureMatrix, lyapunov_form
 
 __all__ = [
     "NonUniqueNESSError",
     "PositivityWarning",
     "TwoPointMatrix",
+    "SteadyState",
     "ObservableReport",
+    "steady_state",
     "ness_two_point",
     "ness_two_point_green",
     "quadratic_expectation",
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 UNIQUENESS_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 
 
 class NonUniqueNESSError(Exception):
@@ -77,7 +82,22 @@ class TwoPointMatrix:
         return (-1j * (self.T - np.eye(self.T.shape[0]))).real
 
 
-def _check_unique(modes: NormalModes, tol: float = UNIQUENESS_TOL) -> None:
+@dataclass(frozen=True)
+class SteadyState:
+    """Steady state of one model from the real Lyapunov form.
+
+    ``rapidities`` are the 2n numbers beta_j = eig(X)/2, as in
+    ``NormalModes``, so ``spectral_gap`` and ``liouvillean_eigenvalues``
+    accept this object.  ``residual`` is the relative residual of the
+    Lyapunov solve that produced ``two_point``.
+    """
+
+    rapidities: np.ndarray
+    two_point: TwoPointMatrix
+    residual: float
+
+
+def _check_unique(modes, tol: float = UNIQUENESS_TOL) -> None:
     if modes.rapidities.real.min() <= tol:
         raise NonUniqueNESSError(
             f"min Re beta <= {tol:g}: steady state is not unique; "
@@ -103,6 +123,41 @@ def ness_two_point(
     Vplus_odd = V[0::2, 0::2]  # rows of +beta eigenvectors, odd columns
     T = 2.0 * Vmin_odd.T @ Vplus_odd
     return TwoPointMatrix(T)
+
+
+def steady_state(
+    model: QuadraticModel, uniqueness_tol: float = UNIQUENESS_TOL
+) -> SteadyState:
+    """Rapidities and steady-state two-point matrix of one model.
+
+    T = 1 + iB with B the real antisymmetric solution of the 2n x 2n
+    Lyapunov equation X B + B X^T = Y (``spectra.lyapunov_form``), solved
+    by Bartels-Stewart on the real Schur form X = U R U^T that also gives
+    the rapidities.  The 4n x 4n structure matrix is never built.
+
+    Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
+    ``ness_two_point`` does, and numpy.linalg.LinAlgError when the
+    relative residual |X B + B X^T - Y| / (2 |X| |B| + |Y|) (Frobenius
+    norms) exceeds 1e-10.
+    """
+    form = lyapunov_form(model)
+    _check_unique(form, uniqueness_tol)
+    X, Y, R, U = form.X, form.Y, form.R, form.U
+    # R Z + Z R^T = scale * U^T Y U, with B = U Z U^T / scale
+    Z, scale, info = lapack.dtrsyl(R, R, U.T @ Y @ U, tranb="T")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
+    B = U @ (Z / scale) @ U.T
+    B = 0.5 * (B - B.T)
+    XB = X @ B  # B X^T = -(X B)^T for antisymmetric B
+    denom = 2.0 * np.linalg.norm(X) * np.linalg.norm(B) + np.linalg.norm(Y)
+    residual = float(np.linalg.norm(XB - XB.T - Y) / denom) if denom > 0 else 0.0
+    if not residual <= RESIDUAL_TOL:
+        raise np.linalg.LinAlgError(
+            f"steady-state Lyapunov residual {residual:.3g} exceeds {RESIDUAL_TOL:g}"
+        )
+    T = TwoPointMatrix(np.eye(len(B)) + 1j * B)
+    return SteadyState(form.rapidities, T, residual)
 
 
 def _matrix_panel_quad(f, a: float, b: float, tol: float, depth: int = 0):

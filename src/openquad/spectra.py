@@ -5,13 +5,19 @@ Pipeline:
     H  --eigh-->  (eps_m, u_m)          Hamiltonian eigensystem
     couplings + baths  -->  z_nu        bath vectors
     M = sum_nu x_nu (x) z_nu            bath matrix
+    (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
+    X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     (H, M)  -->  (A, A0)                4n x 4n structure matrix
     A  --eig-->  (beta_j, V)            normal master modes, V V^T = J
 
-The eigenvector matrix V is row-based: row 2j-1 (1-based) is the
+The steady state and the relaxation spectrum come from the real Lyapunov
+form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
+steady state solves X B + B X^T = Y on the same Schur form (see
+``ness.steady_state``).  The normal modes are needed only where
+eigenvectors are: the dynamics, and the cross-checks of the Lyapunov
+route.  The eigenvector matrix V is row-based: row 2j-1 (1-based) is the
 eigenvector of A with rapidity +beta_j, row 2j the one with -beta_j, and
-V is normalized so that V V^T equals J = diag(sx, sx, ...).  Everything
-downstream (steady state, spectrum, relaxation) reads off (beta, V).
+V is normalized so that V V^T equals J = diag(sx, sx, ...).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .model import QuadraticModel
 __all__ = [
     "HamiltonianEigensystem",
     "StructureMatrix",
+    "LyapunovForm",
     "NormalModes",
     "NonDiagonalizableError",
     "ZeroRapidityWarning",
@@ -37,6 +44,7 @@ __all__ = [
     "bath_matrix_from_jumps",
     "assemble_structure_matrix",
     "structure_matrix",
+    "lyapunov_form",
     "normal_modes",
     "spectral_gap",
     "liouvillean_eigenvalues",
@@ -83,6 +91,25 @@ class StructureMatrix:
     @property
     def n(self) -> int:
         return self.A.shape[0] // 4
+
+
+@dataclass(frozen=True)
+class LyapunovForm:
+    """Real 2n x 2n form of the steady-state problem.
+
+    The steady-state B of T = 1 + iB solves X B + B X^T = Y with
+    X = 4iH + 2(M + conj M) and Y = -i(4(M + M^dag) - X - X^T), both
+    real.  X = U R U^T is its real Schur form.  The eigenvalues of X are
+    exactly 2 beta_j, so ``rapidities`` holds the same 2n numbers as
+    ``NormalModes.rapidities`` (in another order) and ``spectral_gap``
+    accepts this object.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    R: np.ndarray
+    U: np.ndarray
+    rapidities: np.ndarray  # (2n,)
 
 
 @dataclass(frozen=True)
@@ -285,6 +312,35 @@ def structure_matrix(model: QuadraticModel) -> StructureMatrix:
         eig = hamiltonian_eigensystem(model.H)
         M = bath_matrix(model, eigensystem=eig)
     return assemble_structure_matrix(model.H, M)
+
+
+def _schur_eigenvalues(R: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real quasi-triangular Schur factor, read off its
+    diagonal blocks.
+
+    LAPACK leaves a 2x2 block in the standard form [[a, b], [c, a]] with
+    b c < 0, whose eigenvalues are a +- i sqrt(|b|) sqrt(|c|); every other
+    subdiagonal entry is exactly zero.
+    """
+    evals = np.diag(R).astype(complex)
+    starts = np.flatnonzero(np.diag(R, -1))
+    im = np.sqrt(np.abs(R[starts, starts + 1])) * np.sqrt(np.abs(R[starts + 1, starts]))
+    evals[starts] += 1j * im
+    evals[starts + 1] -= 1j * im
+    return evals
+
+
+def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
+    """Model -> real X, Y, the Schur form of X and the rapidities eig(X)/2.
+
+    Never builds the 4n x 4n structure matrix.  H is purely imaginary, so
+    4iH = -4 Im H, and Y = 4 (Im M - Im M^T).
+    """
+    M = bath_matrix(model)
+    X = 4.0 * (M.real - model.H.imag)
+    Y = 4.0 * (M.imag - M.imag.T)
+    R, U = sla.schur(X, output="real")
+    return LyapunovForm(X, Y, R, U, 0.5 * _schur_eigenvalues(R))
 
 
 def _pair_eigenvalues(evals: np.ndarray, zero_tol: float):

@@ -1,7 +1,9 @@
-"""Cross-checks of the structure-matrix pipeline against the dense oracle.
+"""Cross-checks of the pipeline against the dense oracle.
 
 Each check computes one observable family both ways at small n and
-reports the maximum absolute deviation.  Used by the oracle_check task
+reports the maximum absolute deviation.  The observables come from the
+Lyapunov steady state that every run uses; the two-point matrix of the
+normal-mode route is checked as well.  Used by the oracle_check task
 of the runner and by the acceptance tests.
 """
 
@@ -45,10 +47,11 @@ def oracle_check_table(model: QuadraticModel) -> list[tuple[str, float]]:
         zs = sp.bath_vectors(model, eig)
         liouv = orc.dense_liouvillean(model, zs)
     rho = orc.oracle_ness(liouv)
+    state = ns.steady_state(model)
+    T = state.two_point
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
-        modes = sp.normal_modes(sp.structure_matrix(model))
-        T = ns.ness_two_point(modes)
+        T_modes = ns.ness_two_point(sp.normal_modes(sp.structure_matrix(model)))
 
     checks: list[tuple[str, float]] = []
     ones = orc.vec(np.eye(liouv.dim))
@@ -56,6 +59,9 @@ def oracle_check_table(model: QuadraticModel) -> list[tuple[str, float]]:
 
     T_o = orc.two_point_matrix(rho, ws)
     checks.append(("two_point_matrix", float(np.abs(T.T - T_o).max())))
+    checks.append(
+        ("two_point_matrix_normal_modes", float(np.abs(T_modes.T - T_o).max()))
+    )
 
     # spin-spin correlators via Wick vs exact trace
     sz = [-1j * ws[2 * m] @ ws[2 * m + 1] for m in range(n)]
@@ -119,7 +125,7 @@ def oracle_check_table(model: QuadraticModel) -> list[tuple[str, float]]:
 
     # even-sector Liouvillean spectrum vs binary rapidity combinations
     sel = sp.even_weight_selectors(n)
-    lam_pipe = sp.liouvillean_eigenvalues(modes, sel)
+    lam_pipe = sp.liouvillean_eigenvalues(state, sel)
     lam_orc = np.linalg.eigvals(orc.even_sector_matrix(liouv))
     checks.append(("even_spectrum", spectrum_deviation(lam_pipe, lam_orc)))
     return checks

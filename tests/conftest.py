@@ -1,19 +1,6 @@
-import warnings
-
 import pytest
 
 from openquad import model as mdl
-from openquad import ness as ns
-from openquad import spectra as sp
-
-
-def steady(model, uniqueness_tol=1e-10):
-    """Normal modes + two-point matrix, quieting zero-rapidity chatter."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
-        modes = sp.normal_modes(sp.structure_matrix(model))
-        T = ns.ness_two_point(modes, uniqueness_tol=uniqueness_tol)
-    return modes, T
 
 
 @pytest.fixture

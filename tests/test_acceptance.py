@@ -24,6 +24,7 @@ from openquad import model as mdl
 from openquad import ness as ns
 from openquad import oracle as orc
 from openquad import spectra as sp
+from openquad import steady_state
 from openquad.validation import oracle_check_table, spectrum_deviation
 
 pytestmark = pytest.mark.acceptance
@@ -35,14 +36,6 @@ def report(num, name, ok, detail):
     assert ok, line
 
 
-def quiet_steady(model, uniqueness_tol=1e-10):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
-        modes = sp.normal_modes(sp.structure_matrix(model))
-        T = ns.ness_two_point(modes, uniqueness_tol=uniqueness_tol)
-    return modes, T
-
-
 def redfield(n, gamma, h, **kw):
     return mdl.xy_redfield_model(mdl.ChainParams(n, gamma, h), **kw)
 
@@ -52,7 +45,7 @@ def lindblad(n, gamma, h):
 
 
 def bulk_current(model, uniqueness_tol=1e-10):
-    _, T = quiet_steady(model, uniqueness_tol)
+    T = steady_state(model, uniqueness_tol).two_point
     Q = ns.heat_current_profile(T, model.params)
     return Q[2:-2]
 
@@ -90,7 +83,7 @@ def test_criterion_02_gibbs_fixed_point():
         resid = np.linalg.norm(liouv.L @ orc.vec(rho_g)) / np.linalg.norm(
             orc.vec(rho_g)
         )
-        _, T = quiet_steady(model)
+        T = steady_state(model).two_point
         dev = np.abs(T.T - orc.two_point_matrix(rho_g, ws)).max()
         worst_resid = max(worst_resid, resid)
         worst_dev = max(worst_dev, dev)
@@ -102,7 +95,7 @@ def test_criterion_02_gibbs_fixed_point():
 def test_criterion_03_spectrum_identity():
     """Even-sector dense spectrum equals the binary rapidity combinations."""
     model = redfield(2, 0.5, 0.9)
-    modes, _ = quiet_steady(model)
+    modes = sp.normal_modes(sp.structure_matrix(model))
     eig = sp.hamiltonian_eigensystem(model.H)
     liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
     lam_pipe = sp.liouvillean_eigenvalues(modes, sp.even_weight_selectors(2))
@@ -112,12 +105,12 @@ def test_criterion_03_spectrum_identity():
 
 
 def test_criterion_04_green_function_crosscheck():
-    """Eigenvector formula vs resolvent quadrature at n = 8."""
+    """Lyapunov steady state vs resolvent quadrature at n = 8."""
     model = redfield(8, 0.5, 0.9)
     st = sp.structure_matrix(model)
-    modes, T = quiet_steady(model)
-    Tg = ns.ness_two_point_green(st, rapidity_hint=modes.rapidities)
-    dev = np.abs(T.T - Tg.T).max()
+    state = steady_state(model)
+    Tg = ns.ness_two_point_green(st, rapidity_hint=state.rapidities)
+    dev = np.abs(state.two_point.T - Tg.T).max()
     report(4, "green-function crosscheck", dev <= 1e-6, f"entrywise dev {dev:.2e}")
 
 
@@ -133,7 +126,7 @@ def test_criterion_05_current_flatness_and_ballistic_scaling():
 
 
 def _cres(model):
-    _, T = quiet_steady(model, uniqueness_tol=-np.inf)
+    T = steady_state(model, uniqueness_tol=-np.inf).two_point
     return ns.residual_correlator(ns.correlation_matrix(T), model.params.n)
 
 
@@ -176,7 +169,7 @@ def test_criterion_07_correlation_decay_exponents():
     out = {}
     for kind, make in (("redfield", redfield), ("lindblad", lindblad)):
         model = make(200, 0.2, 1.05)
-        _, T = quiet_steady(model)
+        T = steady_state(model).two_point
         decay = np.abs(ns.correlation_decay(ns.correlation_matrix(T)))
         xi, _, _ = cli.fit_exponential(rs, decay[rs])
         out[kind] = xi
@@ -197,9 +190,7 @@ def test_criterion_08_gap_scaling():
         gaps = []
         for n in sizes:
             model = redfield(int(n), 0.5, h)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
-                gaps.append(sp.spectral_gap(sp.normal_modes(sp.structure_matrix(model))))
+            gaps.append(sp.spectral_gap(sp.lyapunov_form(model)))
         expos[h], _, _ = cli.fit_power_law(sizes, np.array(gaps))
     ok = (
         -3.3 <= expos[0.3] <= -2.7
@@ -278,7 +269,7 @@ def test_criterion_12_qmi_phase_signature():
     even n in [40, 140] (I(n) itself fluctuates on the commensuration
     beat scale); saturation at h = 0.9 is clean and tested directly."""
     def qmi(model):
-        _, T = quiet_steady(model)
+        T = steady_state(model).two_point
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ns.PositivityWarning)
             return ns.quantum_mutual_information(T)
@@ -297,7 +288,7 @@ def test_criterion_13_dynamics():
     """Closed-form dynamical correlator and the driven propagator agree
     with dense-oracle evolution."""
     model = redfield(2, 0.5, 0.9)
-    modes, _ = quiet_steady(model)
+    modes = sp.normal_modes(sp.structure_matrix(model))
     eig = sp.hamiltonian_eigensystem(model.H)
     liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
     rho = orc.oracle_ness(liouv)
@@ -374,12 +365,16 @@ def test_criterion_14_structural_invariants():
     for model in matrix:
         st = sp.structure_matrix(model)
         dev_A = max(dev_A, np.abs(st.A + st.A.T).max())
-        modes, T = quiet_steady(model)
+        modes = sp.normal_modes(st)
         J = sp.symplectic_form(2 * model.n)
         dev_J = max(dev_J, np.abs(modes.V @ modes.V.T - J).max())
-        dev_diag = max(dev_diag, np.abs(np.diag(T.T) - 1).max())
-        dev_sym = max(dev_sym, np.abs(T.T + T.T.T - 2 * np.eye(2 * model.n)).max())
-        excess = max(excess, ns.positivity_excess(T))
+        # the identities hold for the steady state of both routes
+        for T in (steady_state(model).two_point, ns.ness_two_point(modes)):
+            dev_diag = max(dev_diag, np.abs(np.diag(T.T) - 1).max())
+            dev_sym = max(
+                dev_sym, np.abs(T.T + T.T.T - 2 * np.eye(2 * model.n)).max()
+            )
+            excess = max(excess, ns.positivity_excess(T))
     ok = (
         kms_dev <= 1e-12
         and dev_A <= 1e-12

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from conftest import steady
 from openquad import dynamics as dyn
 from openquad import model as mdl
 from openquad import ness as ns
 from openquad import oracle as orc
 from openquad import spectra as sp
+from openquad import steady_state
 
 
 def dense_redfield(model):
@@ -17,19 +17,21 @@ def dense_redfield(model):
 
 
 def test_correlator_t0_is_wick(redfield_n2):
-    modes, T = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    T = steady_state(redfield_n2).two_point
     c0 = dyn.dynamic_correlator(modes, (1, 2), (3, 4), 0.0)
     assert c0 == pytest.approx(ns.wick_four_point(T, 0, 1, 2, 3), abs=1e-12)
 
 
 def test_correlator_factorizes_at_long_times(redfield_n2):
-    modes, T = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    T = steady_state(redfield_n2).two_point
     c_inf = dyn.dynamic_correlator(modes, (1, 2), (3, 4), 500.0)
     assert c_inf == pytest.approx(T.T[0, 1] * T.T[2, 3], abs=1e-12)
 
 
 def test_correlator_matches_oracle(redfield_n2):
-    modes, _ = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
     liouv = dense_redfield(redfield_n2)
     rho = orc.oracle_ness(liouv)
     ws = orc.dense_majoranas(2)
@@ -90,14 +92,15 @@ def test_propagator_guards():
 
 
 def test_propagate_fixed_point(redfield_n2):
-    modes, T = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    T = steady_state(redfield_n2).two_point
     for t in (0.0, 0.5, 3.0):
         Tt = dyn.propagate_two_point(modes, T, t)
         assert np.abs(Tt.T - T.T).max() < 1e-10
 
 
 def test_propagate_matches_oracle(redfield_n2):
-    modes, _ = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
     liouv = dense_redfield(redfield_n2)
     ws = orc.dense_majoranas(2)
     rho0 = orc.gibbs_state(orc.dense_quadratic(redfield_n2.H, ws), 0.7)
@@ -109,7 +112,7 @@ def test_propagate_matches_oracle(redfield_n2):
 
 
 def test_propagate_structure_and_semigroup(redfield_n2):
-    modes, _ = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
     ws = orc.dense_majoranas(2)
     rho0 = orc.gibbs_state(orc.dense_quadratic(redfield_n2.H, ws), 0.4)
     T0 = ns.TwoPointMatrix(orc.two_point_matrix(rho0, ws))
@@ -126,7 +129,8 @@ def test_propagate_structure_and_semigroup(redfield_n2):
 def test_propagate_relaxation_rate(redfield_n2):
     # || T(t) - T_ness || decays asymptotically at the two-excitation rate
     # 2 min Re(beta_r + beta_r'), which equals twice the spectral gap here
-    modes, T_ness = steady(redfield_n2)
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    T_ness = steady_state(redfield_n2).two_point
     beta = modes.rapidities
     pair_rates = (beta.real[:, None] + beta.real[None, :])[
         ~np.eye(len(beta), dtype=bool)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openquad import model as mdl
@@ -90,6 +90,7 @@ def test_ohmic_examples():
     omega=st.floats(-50.0, 50.0, allow_nan=False),
     beta=st.floats(0.01, 100.0, allow_nan=False),
 )
+@example(omega=5e-324, beta=0.01)
 def test_ohmic_kms_identity(omega, beta):
     # G(-w) = e^{beta w} G(w), restricted to representable Boltzmann factors
     if abs(beta * omega) > 500:
@@ -98,6 +99,15 @@ def test_ohmic_kms_identity(omega, beta):
     lhs = mdl.ohmic_spectral_function(-omega, beta, lam)
     rhs = math.exp(beta * omega) * mdl.ohmic_spectral_function(omega, beta, lam)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [5e-324, 1e-320])
+def test_ohmic_subnormal_frequency(omega):
+    # lam^2 * omega underflows here; the limit lam^2 / beta must not
+    lam = 0.7
+    assert mdl.ohmic_spectral_function(omega, 1.0, lam) == pytest.approx(
+        lam**2, rel=1e-12
+    )
 
 
 def test_ohmic_no_overflow_at_extreme_arguments():

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from conftest import random_antisymmetric, steady
+from conftest import random_antisymmetric
 from openquad import model as mdl
 from openquad import ness as ns
 from openquad import oracle as orc
 from openquad import spectra as sp
+from openquad import steady_state
 
 
 def oracle_steady(model):
@@ -21,7 +23,7 @@ def oracle_steady(model):
 
 
 def test_two_point_operator_identities(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     m = T.T.shape[0]
     assert np.abs(np.diag(T.T) - 1.0).max() < 1e-9
     assert np.abs(T.T + T.T.T - 2 * np.eye(m)).max() < 1e-9
@@ -29,7 +31,7 @@ def test_two_point_operator_identities(redfield_n3):
 
 
 def test_two_point_matches_oracle(redfield_n2):
-    _, T = steady(redfield_n2)
+    T = steady_state(redfield_n2).two_point
     _, rho, ws = oracle_steady(redfield_n2)
     assert np.abs(T.T - orc.two_point_matrix(rho, ws)).max() < 1e-9
 
@@ -39,7 +41,7 @@ def test_two_point_equilibrium_is_gibbs():
     model = mdl.xy_redfield_model(
         mdl.ChainParams(3, 0.5, 0.9), beta_L=beta, beta_R=beta
     )
-    _, T = steady(model)
+    T = steady_state(model).two_point
     ws = orc.dense_majoranas(3)
     rho_g = orc.gibbs_state(orc.dense_quadratic(model.H, ws), beta)
     assert np.abs(T.T - orc.two_point_matrix(rho_g, ws)).max() < 1e-8
@@ -55,10 +57,61 @@ def test_two_point_requires_unique_steady_state():
         ns.ness_two_point(modes)
 
 
+def test_steady_state_requires_unique_steady_state():
+    model = mdl.xy_lindblad_model(mdl.ChainParams(2, 0.5, 0.9), (0.0,) * 4)
+    assert np.abs(sp.lyapunov_form(model).rapidities.real).max() < 1e-12
+    with pytest.raises(ns.NonUniqueNESSError):
+        steady_state(model)
+
+
+def test_steady_state_rejects_large_residual(redfield_n2, monkeypatch):
+    solve = lapack.dtrsyl
+
+    def perturbed(*args, **kwargs):
+        Z, scale, info = solve(*args, **kwargs)
+        return 1.001 * Z, scale, info
+
+    monkeypatch.setattr(lapack, "dtrsyl", perturbed)
+    with pytest.raises(np.linalg.LinAlgError):
+        steady_state(redfield_n2)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.9)),
+        mdl.xy_redfield_model(mdl.ChainParams(96, 0.5, 0.75)),
+        mdl.xy_lindblad_model(mdl.ChainParams(200, 0.2, 1.05)),
+    ],
+    ids=["redfield_n53", "redfield_n96_critical", "lindblad_n200"],
+)
+def test_steady_state_matches_normal_modes_route(model):
+    state = steady_state(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
+        modes = sp.normal_modes(sp.structure_matrix(model))
+    T = ns.ness_two_point(modes)
+    assert np.abs(state.two_point.T - T.T).max() <= 1e-9
+    assert sp.spectral_gap(state) == pytest.approx(sp.spectral_gap(modes), rel=1e-8)
+    assert state.residual <= 1e-12
+
+
+def test_steady_state_at_the_critical_field_n253():
+    # min Re beta = 1.6e-10 here: the eigenvector route's +/- pairing
+    # flipped its sign and refused the point; Re eig(X) has no such
+    # ambiguity
+    state = steady_state(mdl.xy_redfield_model(mdl.ChainParams(253, 0.5, 0.75)))
+    T = state.two_point.T
+    assert sp.spectral_gap(state) > 0
+    assert np.abs(T + T.T - 2 * np.eye(len(T))).max() <= 1e-9
+    assert state.residual <= 1e-12
+
+
 def test_green_route_agrees_with_modes(redfield_n2):
     st = sp.structure_matrix(redfield_n2)
-    modes, T = steady(redfield_n2)
-    Tg = ns.ness_two_point_green(st, rapidity_hint=modes.rapidities)
+    state = steady_state(redfield_n2)
+    Tg = ns.ness_two_point_green(st, rapidity_hint=state.rapidities)
+    T = state.two_point
     assert np.abs(T.T - Tg.T).max() < 1e-6
 
 
@@ -66,12 +119,13 @@ def test_green_route_tail_convergence(redfield_n2):
     # truncation error of the regularized resolvent integral falls at least
     # like 1/Omega for the off-diagonal entries
     st = sp.structure_matrix(redfield_n2)
-    modes, T = steady(redfield_n2)
-    scale = np.abs(modes.rapidities).max()
+    state = steady_state(redfield_n2)
+    T = state.two_point
+    scale = np.abs(state.rapidities).max()
     errs = []
     for omega_max in (30 * scale, 300 * scale):
         Tg = ns.ness_two_point_green(
-            st, omega_max=omega_max, rapidity_hint=modes.rapidities
+            st, omega_max=omega_max, rapidity_hint=state.rapidities
         )
         errs.append(np.abs(Tg.T - T.T).max())
     assert errs[1] < errs[0] / 5 or errs[1] < 1e-9
@@ -97,7 +151,7 @@ def test_green_route_residue_identity():
 
 
 def test_quadratic_expectation_examples(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     zero = np.zeros((6, 6))
     assert ns.quadratic_expectation(T, zero) == 0
     # sz_m encoded as -i on the (2m-1, 2m) pair reproduces the profile
@@ -111,7 +165,7 @@ def test_quadratic_expectation_examples(redfield_n3):
 
 
 def test_quadratic_expectation_against_oracle(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     _, rho, ws = oracle_steady(redfield_n3)
     rng = np.random.default_rng(4)
     P = random_antisymmetric(rng, 6)
@@ -176,7 +230,7 @@ def test_energy_current_continuity_in_hilbert_space():
 
 def test_heat_current_profile_against_oracle(redfield_n3):
     params = redfield_n3.params
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     _, rho, ws = oracle_steady(redfield_n3)
     hmats = ns.energy_density_matrices(params)
     Qop = orc.dense_quadratic(1j * ns.commutator_quadratic(hmats[0], hmats[1]), ws)
@@ -187,20 +241,20 @@ def test_heat_current_profile_against_oracle(redfield_n3):
 
 def test_heat_current_vanishes_in_equilibrium():
     model = mdl.xy_redfield_model(mdl.ChainParams(8, 0.5, 0.6), beta_L=1.3, beta_R=1.3)
-    _, T = steady(model)
+    T = steady_state(model).two_point
     assert np.abs(ns.heat_current_profile(T, model.params)).max() < 1e-9
 
 
 def test_heat_current_flat_and_real(redfield_n2):
     model = mdl.xy_redfield_model(mdl.ChainParams(12, 0.5, 0.9))
-    _, T = steady(model)
+    T = steady_state(model).two_point
     Q = ns.heat_current_profile(T, model.params)
     bulk = Q[1:-1]
     assert bulk.std() / abs(bulk.mean()) < 1e-8
 
 
 def test_spin_correlator_against_oracle(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     _, rho, ws = oracle_steady(redfield_n3)
     n = 3
     sz = [-1j * ws[2 * m] @ ws[2 * m + 1] for m in range(n)]
@@ -220,7 +274,7 @@ def test_spin_correlator_against_oracle(redfield_n3):
 
 
 def test_correlation_matrix_consistency(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     C = ns.correlation_matrix(T)
     for l in range(1, 4):
         for m in range(1, 4):
@@ -256,7 +310,7 @@ def test_block_entropy_limits():
 
 
 def test_block_entropy_against_oracle(redfield_n3):
-    _, T = steady(redfield_n3)
+    T = steady_state(redfield_n3).two_point
     _, rho, _ = oracle_steady(redfield_n3)
     s_pipe = ns.block_entropy(T, [1, 2])
     rho_a = orc.oracle_reduced(rho, [0, 1], 3)
@@ -273,7 +327,7 @@ def test_qmi_product_state_and_oracle():
     assert ns.quantum_mutual_information(T) == pytest.approx(0.0, abs=1e-12)
 
     model = mdl.xy_redfield_model(mdl.ChainParams(4, 0.5, 0.9))
-    _, T = steady(model)
+    T = steady_state(model).two_point
     _, rho, _ = oracle_steady(model)
     left = orc.oracle_reduced(rho, [0, 1], 4)
     right = orc.oracle_reduced(rho, [2, 3], 4)
@@ -287,7 +341,7 @@ def test_qmi_product_state_and_oracle():
 
 def test_energy_fluctuation_profile():
     model = mdl.xy_redfield_model(mdl.ChainParams(8, 0.5, 0.9))
-    _, T = steady(model)
+    T = steady_state(model).two_point
     f = ns.energy_fluctuation_profile(T, model.params)
     assert f.shape == (7,)
     assert (f >= 0).all()
@@ -296,7 +350,7 @@ def test_energy_fluctuation_profile():
     model_eq = mdl.xy_redfield_model(
         mdl.ChainParams(12, 0.5, 0.9), beta_L=beta, beta_R=beta
     )
-    _, T_eq = steady(model_eq)
+    T_eq = steady_state(model_eq).two_point
     f_eq = ns.energy_fluctuation_profile(T_eq, model_eq.params)
     assert np.abs(f_eq[3:-3]).max() < 0.05
 
@@ -306,7 +360,7 @@ def test_equilibrium_energy_density_matches_gibbs_at_n5():
     model = mdl.xy_redfield_model(
         mdl.ChainParams(5, 0.5, 0.9), beta_L=beta, beta_R=beta
     )
-    _, T = steady(model)
+    T = steady_state(model).two_point
     ws = orc.dense_majoranas(5)
     rho_g = orc.gibbs_state(orc.dense_quadratic(model.H, ws), beta)
     dens = ns.energy_density_profile(T, model.params)
@@ -317,14 +371,16 @@ def test_equilibrium_energy_density_matches_gibbs_at_n5():
 
 def test_positivity_excess_is_recorded():
     model = mdl.xy_redfield_model(mdl.ChainParams(10, 0.5, 0.9))
-    _, T = steady(model)
+    T = steady_state(model).two_point
     assert 0.0 <= ns.positivity_excess(T) <= 1e-6
 
 
 def test_observable_report_serializes(redfield_n3):
     model = mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))
-    modes, T = steady(model)
-    rep = ns.observable_report(T, model.params, gap=sp.spectral_gap(modes))
+    state = steady_state(model)
+    rep = ns.observable_report(
+        state.two_point, model.params, gap=sp.spectral_gap(state)
+    )
     d = rep.to_dict()
     assert len(d["s_z"]) == 6
     assert len(d["correlations"]) == 6
@@ -342,7 +398,7 @@ def test_hypersensitivity_signature():
         vals = []
         for h in h_grid:
             model = mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, float(h)))
-            _, T = steady(model)
+            T = steady_state(model).two_point
             vals.append(ns.magnetization_profile(T)[n // 2 - 1])
         vals = np.array(vals)
         return np.abs(np.diff(vals)).sum() / (h_grid[-1] - h_grid[0])

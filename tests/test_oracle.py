@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import steady
 from openquad import model as mdl
 from openquad import oracle as orc
 from openquad import spectra as sp
+from openquad import steady_state
 from openquad.validation import oracle_check_table, spectrum_deviation
 
 
@@ -97,10 +97,10 @@ def test_gibbs_fixed_point(beta, gamma, h, theta):
 
 
 def test_even_sector_spectrum_identity(redfield_n2):
-    modes, _ = steady(redfield_n2)
+    state = steady_state(redfield_n2)
     eig = sp.hamiltonian_eigensystem(redfield_n2.H)
     liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2, eig))
-    lam_pipe = sp.liouvillean_eigenvalues(modes, sp.even_weight_selectors(2))
+    lam_pipe = sp.liouvillean_eigenvalues(state, sp.even_weight_selectors(2))
     lam_orc = np.linalg.eigvals(orc.even_sector_matrix(liouv))
     assert spectrum_deviation(lam_pipe, lam_orc) < 1e-8
 

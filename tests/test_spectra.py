@@ -7,6 +7,7 @@ import pytest
 from conftest import random_antisymmetric
 from openquad import model as mdl
 from openquad import spectra as sp
+from openquad.validation import spectrum_deviation
 
 
 def test_eigensystem_n1():
@@ -301,6 +302,19 @@ def test_normal_modes_zero_rapidity_warns():
     # the unitary case still satisfies the J-normalization
     J = sp.symplectic_form(4)
     assert np.abs(modes.V @ modes.V.T - J).max() < 1e-9
+
+
+@pytest.mark.parametrize("make", [mdl.xy_redfield_model, mdl.xy_lindblad_model])
+def test_lyapunov_rapidities_are_the_normal_mode_rapidities(make):
+    # eig(X) = 2 beta, read off the 1x1 and 2x2 blocks of the real Schur form
+    model = make(mdl.ChainParams(6, 0.5, 0.9))
+    form = sp.lyapunov_form(model)
+    assert np.abs(form.rapidities.imag).max() > 0.1  # 2x2 blocks occur
+    assert np.abs(form.U @ form.R @ form.U.T - form.X).max() < 1e-12
+    dev = spectrum_deviation(form.rapidities, 0.5 * np.linalg.eigvals(form.X))
+    assert dev < 1e-12
+    modes = sp.normal_modes(sp.structure_matrix(model))
+    assert spectrum_deviation(form.rapidities, modes.rapidities) < 1e-10
 
 
 def test_spectral_gap_definition():
