@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -36,18 +37,7 @@ from .model import (
     xy_lindblad_model,
     xy_redfield_model,
 )
-from .ness import (
-    NonUniqueNESSError,
-    block_entropy,
-    correlation_matrix,
-    heat_current_profile,
-    magnetization_profile,
-    observable_report,
-    positivity_excess,
-    quantum_mutual_information,
-    residual_correlator,
-    steady_state,
-)
+from .ness import NonUniqueNESSError, observable_report, steady_state
 from .spectra import (
     NonDiagonalizableError,
     lyapunov_form,
@@ -187,36 +177,33 @@ class ExperimentConfig:
         model = raw.get("model")
         if not isinstance(model, dict) or "n" not in model:
             raise ConfigError("model: object with at least field 'n' required")
-        try:
-            n = int(model["n"])
-            gamma = float(model.get("gamma", 0.5))
-            h = float(model.get("h", 0.9))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"model: non-numeric entry ({exc})") from exc
+        n = _number("model.n", model["n"], int)
         if n < 2:
             raise ConfigError("model.n: need n >= 2")
-        bath = raw.get("bath", {})
+        bath = _section(raw, "bath")
         btype = bath.get("type", "redfield")
         if btype not in ("redfield", "lindblad"):
             raise ConfigError(f"bath.type: expected redfield|lindblad, got {btype!r}")
         cfg = cls(
             task=task,
             n=n,
-            gamma=gamma,
-            h=h,
+            gamma=_number("model.gamma", model.get("gamma", 0.5)),
+            h=_number("model.h", model.get("h", 0.9)),
             bath_type=btype,
-            beta_L=float(bath.get("beta_L", DEFAULT_BETA_L)),
-            beta_R=float(bath.get("beta_R", DEFAULT_BETA_R)),
-            lam=float(bath.get("lambda", DEFAULT_LAMBDA)),
-            kappa=tuple(bath.get("kappa", DEFAULT_KAPPAS)),
-            theta=tuple(bath.get("theta", DEFAULT_THETAS)),
-            rates=tuple(bath.get("rates", DEFAULT_LINDBLAD_RATES)),
+            beta_L=_number("bath.beta_L", bath.get("beta_L", DEFAULT_BETA_L)),
+            beta_R=_number("bath.beta_R", bath.get("beta_R", DEFAULT_BETA_R)),
+            lam=_number("bath.lambda", bath.get("lambda", DEFAULT_LAMBDA)),
+            kappa=_numbers("bath.kappa", bath.get("kappa", DEFAULT_KAPPAS)),
+            theta=_numbers("bath.theta", bath.get("theta", DEFAULT_THETAS)),
+            rates=_numbers("bath.rates", bath.get("rates", DEFAULT_LINDBLAD_RATES)),
         )
         if len(cfg.kappa) != 4 or len(cfg.theta) != 4 or len(cfg.rates) != 4:
             raise ConfigError("bath.kappa/theta/rates: expected 4 entries each")
         if cfg.bath_type == "redfield" and (cfg.beta_L <= 0 or cfg.beta_R <= 0):
             raise ConfigError("bath.beta_L/beta_R: inverse temperatures must be > 0")
-        out = raw.get("output", {})
+        if cfg.lam < 0:
+            raise ConfigError(f"bath.lambda: coupling must be >= 0, got {cfg.lam!r}")
+        out = _section(raw, "output")
         cfg.directory = str(out.get("directory", "."))
         cfg.fmt = str(out.get("format", "csv"))
         if cfg.fmt not in ("csv", "json"):
@@ -224,15 +211,11 @@ class ExperimentConfig:
         if task == "sweep":
             cfg.sweep = _parse_sweep(raw.get("sweep"))
         if task == "gap_scaling":
-            sizes = raw.get("sizes", list(range(16, 97, 8)))
-            try:
-                cfg.sizes = tuple(int(s) for s in sizes)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("sizes: expected integers") from exc
+            cfg.sizes = _numbers("sizes", raw.get("sizes", list(range(16, 97, 8))), int)
             if len(cfg.sizes) < 4 or min(cfg.sizes) < 2:
                 raise ConfigError("sizes: need >= 4 sizes, each >= 2")
         if task == "dynamics":
-            dyn = raw.get("dynamics", {})
+            dyn = _section(raw, "dynamics")
             pairs = dyn.get("pairs", [[1, 2], [1, 2]])
             try:
                 cfg.pairs = tuple(tuple(int(i) for i in p) for p in pairs)
@@ -240,11 +223,41 @@ class ExperimentConfig:
                 raise ConfigError("dynamics.pairs: expected two index pairs") from exc
             if len(cfg.pairs) != 2 or any(len(p) != 2 for p in cfg.pairs):
                 raise ConfigError("dynamics.pairs: expected two index pairs")
-            cfg.t_max = float(dyn.get("t_max", 10.0))
-            cfg.num_times = int(dyn.get("num_times", 101))
+            cfg.t_max = _number("dynamics.t_max", dyn.get("t_max", 10.0))
+            num_times = dyn.get("num_times", 101)
+            cfg.num_times = _number("dynamics.num_times", num_times, int)
+            if cfg.num_times < 1:
+                raise ConfigError("dynamics.num_times: need at least 1 time")
         if task == "oracle_check" and n > 3:
             raise ConfigError("oracle_check: n must be <= 3")
         return cfg
+
+
+def _section(raw: dict, key: str) -> dict:
+    """The JSON object under ``key`` of the config root ({} when absent)."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {section!r}")
+    return section
+
+
+def _number(field: str, value, kind=float):
+    """``kind(value)``; a value that does not convert or is not finite is a
+    config error naming ``field``."""
+    try:
+        out = kind(value)
+        finite = math.isfinite(out)  # an int beyond float range overflows here
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
+    if not finite:
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return out
+
+
+def _numbers(field: str, values, kind=float) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{field}: expected a list of numbers, got {values!r}")
+    return tuple(_number(field, v, kind) for v in values)
 
 
 def _parse_sweep(raw) -> dict:
@@ -264,16 +277,16 @@ def _parse_sweep(raw) -> dict:
     if len(pars) == 2 and specs[1] is None:
         raise ConfigError("sweep.axis2: required for 2D sweeps")
     for spec in specs:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"sweep: expected a JSON object per axis, got {spec!r}")
         if "values" in spec:
-            vals = [float(v) for v in spec["values"]]
+            vals = list(_numbers("sweep.values", spec["values"]))
         else:
-            try:
-                start, stop = float(spec["start"]), float(spec["stop"])
-                count = int(spec["count"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    "sweep: give 'values' or 'start'/'stop'/'count'"
-                ) from exc
+            if not {"start", "stop", "count"} <= spec.keys():
+                raise ConfigError("sweep: give 'values' or 'start'/'stop'/'count'")
+            start = _number("sweep.start", spec["start"])
+            stop = _number("sweep.stop", spec["stop"])
+            count = _number("sweep.count", spec["count"], int)
             if count < 2:
                 raise ConfigError("sweep.count: need at least 2 grid points")
             if spec.get("spacing", "linear") == "log":
@@ -354,15 +367,10 @@ def _task_ness(cfg: ExperimentConfig):
     model = build_model(cfg)
     state = steady_state(model)
     rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
-    rows = []
-    for m, v in enumerate(rep.s_z, start=1):
-        rows.append(["s_z", m, "", v])
-    n = cfg.n
-    for l in range(n):
-        for m in range(n):
-            rows.append(["C", l + 1, m + 1, rep.correlations[l, m]])
-    for r, v in enumerate(rep.correlation_decay):
-        rows.append(["C_r", r, "", v])
+    n, C = cfg.n, rep.correlations
+    rows = [["s_z", m, "", v] for m, v in enumerate(rep.s_z, start=1)]
+    rows += [["C", l + 1, m + 1, C[l, m]] for l in range(n) for m in range(n)]
+    rows += [["C_r", r, "", v] for r, v in enumerate(rep.correlation_decay)]
     rows.append(["C_res", "", "", rep.residual_correlator])
     for m, v in enumerate(rep.heat_current, start=1):
         rows.append(["Q", m, "", v])
@@ -392,42 +400,29 @@ _POINT_COLUMNS = [
 
 def _sweep_point(args):
     """One sweep point; returns observable dict or an error string (never raises)."""
-    cfg_dict, overrides = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, overrides = args
     try:
         model = build_model(cfg, **overrides)
         state = steady_state(model)
-        T = state.two_point
-        n = model.params.n
-        C = correlation_matrix(T)
-        out = {
-            "C_res": residual_correlator(C, n) if n >= 4 else float("nan"),
-            "Q_mean": (
-                float(heat_current_profile(T, model.params)[2:-2].mean())
-                if n >= 7
-                else float("nan")
-            ),
-            "s_z_center": float(magnetization_profile(T)[n // 2 - 1]),
-            "qmi": (
-                quantum_mutual_information(T) if n % 2 == 0 else float("nan")
-            ),
-            "entropy_total": block_entropy(T, range(1, n + 1)),
-            "gap": spectral_gap(state),
-            "positivity_excess": positivity_excess(T),
+        rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
+        n, qmi = model.params.n, rep.mutual_information
+        return {
+            "C_res": rep.residual_correlator,
+            "Q_mean": float(rep.heat_current[2:-2].mean()) if n >= 7 else float("nan"),
+            "s_z_center": float(rep.s_z[n // 2 - 1]),
+            "qmi": float("nan") if qmi is None else qmi,
+            "entropy_total": rep.entropy_total,
+            "gap": rep.spectral_gap,
+            "positivity_excess": rep.positivity_excess,
         }
-        return out
     except Exception as exc:  # error rows keep the sweep going
         return f"{type(exc).__name__}: {exc}"
 
 
-def _task_sweep(cfg: ExperimentConfig, raw_config: dict, workers: int):
+def _task_sweep(cfg: ExperimentConfig, workers: int):
     pars = cfg.sweep["parameters"]
-    axes = cfg.sweep["axes"]
-    if len(pars) == 1:
-        points = [(v,) for v in axes[0]]
-    else:
-        points = [(v1, v2) for v1 in axes[0] for v2 in axes[1]]
-    jobs = [(raw_config, dict(zip(pars, pt))) for pt in points]
+    points = list(product(*cfg.sweep["axes"]))
+    jobs = [(cfg, dict(zip(pars, pt))) for pt in points]
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_sweep_point, jobs)
@@ -495,7 +490,7 @@ def run(
     if cfg.task == "ness":
         header, rows = _task_ness(cfg)
     elif cfg.task == "sweep":
-        header, rows = _task_sweep(cfg, raw_config, workers)
+        header, rows = _task_sweep(cfg, workers)
     elif cfg.task == "gap_scaling":
         header, rows = _task_gap_scaling(cfg)
     elif cfg.task == "dynamics":

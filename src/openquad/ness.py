@@ -267,6 +267,33 @@ def wick_four_point(two_point: TwoPointMatrix, j: int, k: int, l: int, m: int) -
     return complex(T[j, k] * T[l, m] - T[j, l] * T[k, m] + T[j, m] * T[k, l])
 
 
+def _energy_density_block(params: ChainParams) -> np.ndarray:
+    """The 4 x 4 coefficient block of H_m on Majoranas w_2m-1..w_2m+2; it
+    is the same for every m."""
+    gamma, h = params.gamma, params.h
+    P = np.zeros((4, 4), dtype=complex)
+    pairs = (
+        (1, 2, -1j * (1 + gamma) / 2),
+        (0, 3, 1j * (1 - gamma) / 2),
+        (0, 1, -1j * h / 2),
+        (2, 3, -1j * h / 2),
+    )
+    for i, j, coeff in pairs:
+        P[i, j] += coeff / 2
+        P[j, i] -= coeff / 2
+    return P
+
+
+def _band_stencil(P: np.ndarray, T: np.ndarray, count: int) -> np.ndarray:
+    """sum_jk P_jk T_jk over the windows T[2m:2m+k, 2m:2m+k], m < count.
+    Each window's product is summed as one row, in the order ``np.sum`` of
+    that window alone uses (an einsum would change the last digits)."""
+    k = len(P)
+    idx = 2 * np.arange(count)[:, None] + np.arange(k)
+    windows = T[idx[:, :, None], idx[:, None, :]]
+    return (P * windows).reshape(count, k * k).sum(axis=1)
+
+
 def energy_density_matrices(params: ChainParams) -> list[np.ndarray]:
     """Coefficient matrices of the two-body energy density H_m, m=1..n-1:
 
@@ -275,25 +302,15 @@ def energy_density_matrices(params: ChainParams) -> list[np.ndarray]:
 
     The sum over m gives the full Hamiltonian matrix minus half the field
     term on the two boundary sites.
+
+    This is the dense reference definition for the oracle checks: n - 1
+    matrices of size 2n x 2n, O(n^3) memory.  Runs never call it; the
+    profiles slide its 4 x 4 block along the band of T instead.
     """
     if params.n < 2:
         raise ValueError("energy densities need n >= 2")
-    n, gamma, h = params.n, params.gamma, params.h
-    out = []
-    for m in range(n - 1):
-        P = np.zeros((2 * n, 2 * n), dtype=complex)
-        a = 2 * m  # w_{2m-1} (1-based) = index 2m (0-based)
-        pairs = (
-            (a + 1, a + 2, -1j * (1 + gamma) / 2),
-            (a, a + 3, 1j * (1 - gamma) / 2),
-            (a, a + 1, -1j * h / 2),
-            (a + 2, a + 3, -1j * h / 2),
-        )
-        for i, j, coeff in pairs:
-            P[i, j] += coeff / 2
-            P[j, i] -= coeff / 2
-        out.append(P)
-    return out
+    n, block = params.n, _energy_density_block(params)
+    return [np.pad(block, (2 * m, 2 * n - 4 - 2 * m)) for m in range(n - 1)]
 
 
 def magnetization_profile(two_point: TwoPointMatrix) -> np.ndarray:
@@ -305,34 +322,33 @@ def magnetization_profile(two_point: TwoPointMatrix) -> np.ndarray:
 def heat_current_profile(two_point: TwoPointMatrix, params: ChainParams) -> np.ndarray:
     """<Q_m> for m = 1..n-2, with Q_m = i [H_m, H_m+1].
 
-    The commutator is evaluated on the six Majorana components the two
-    densities share, which keeps the profile O(n) overall.
+    Q_m lives on the six Majoranas w_2m-1..w_2m+4 that the two densities
+    share, so its 6 x 6 block is built once and slid along the band of T.
     """
     if params.n < 3:
         raise ValueError("heat current needs n >= 3")
-    hmats = energy_density_matrices(params)
-    out = np.empty(params.n - 2)
-    for m in range(params.n - 2):
-        idx = np.arange(2 * m, 2 * m + 6)
-        P = hmats[m][np.ix_(idx, idx)]
-        R = hmats[m + 1][np.ix_(idx, idx)]
-        C = 1j * commutator_quadratic(P, R)
-        val = np.sum(C * two_point.T[np.ix_(idx, idx)])
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-            warnings.warn(f"heat current Q_{m + 1} has imaginary part {val.imag:.2e}")
-        out[m] = val.real
-    return out
+    block = _energy_density_block(params)
+    Q = 1j * commutator_quadratic(np.pad(block, (0, 2)), np.pad(block, (2, 0)))
+    vals = _band_stencil(Q, two_point.T, params.n - 2)
+    for m in np.flatnonzero(np.abs(vals.imag) > 1e-9 * np.maximum(1, np.abs(vals))):
+        warnings.warn(f"heat current Q_{m + 1} has imaginary part {vals[m].imag:.2e}")
+    return vals.real.copy()
 
 
 def energy_density_profile(two_point: TwoPointMatrix, params: ChainParams) -> np.ndarray:
-    """<H_m> for m = 1..n-1."""
-    hmats = energy_density_matrices(params)
-    vals = np.empty(params.n - 1)
-    for m, P in enumerate(hmats):
-        idx = np.arange(2 * m, 2 * m + 4)
-        val = np.sum(P[np.ix_(idx, idx)] * two_point.T[np.ix_(idx, idx)])
-        vals[m] = val.real
-    return vals
+    """<H_m> for m = 1..n-1, the 4 x 4 block of H_m slid along the band of T."""
+    if params.n < 2:
+        raise ValueError("energy densities need n >= 2")
+    vals = _band_stencil(_energy_density_block(params), two_point.T, params.n - 1)
+    return vals.real.copy()
+
+
+def _relative_fluctuation(dens: np.ndarray) -> np.ndarray:
+    hbar = dens[1:-1].mean()  # bulk m = 2 .. n-2 (1-based)
+    if hbar == 0.0:
+        warnings.warn("bulk energy density averages to zero; reporting |<H_m> - 0|")
+        return np.abs(dens)
+    return np.abs(dens - hbar) / abs(hbar)
 
 
 def energy_fluctuation_profile(
@@ -343,13 +359,7 @@ def energy_fluctuation_profile(
     fluctuations (and warns) when the bulk average vanishes."""
     if params.n < 5:
         raise ValueError("fluctuation profile needs n >= 5")
-    dens = energy_density_profile(two_point, params)
-    bulk = dens[1 : params.n - 2]  # m = 2 .. n-2 (1-based)
-    hbar = bulk.mean()
-    if hbar == 0.0:
-        warnings.warn("bulk energy density averages to zero; reporting |<H_m> - 0|")
-        return np.abs(dens)
-    return np.abs(dens - hbar) / abs(hbar)
+    return _relative_fluctuation(energy_density_profile(two_point, params))
 
 
 def spin_spin_correlator(two_point: TwoPointMatrix, l: int, m: int) -> float:
@@ -422,6 +432,16 @@ def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
     return np.sort(nu[nu > -1e-12 * max(1.0, np.abs(nu).max())])[::-1][: len(block)]
 
 
+def _spectrum_excess(nu: np.ndarray) -> float:
+    """max_j |nu_j| - 1, clamped below at 0 (0 for an empty spectrum)."""
+    return float(max(0.0, np.abs(nu).max() - 1.0)) if len(nu) else 0.0
+
+
+def _spectrum_entropy(nu: np.ndarray) -> float:
+    """sum_j H2((1 + nu_j)/2) over the |nu_j| clamped to [0, 1]."""
+    return float(_binary_entropy((1.0 + np.minimum(np.abs(nu), 1.0)) / 2.0).sum())
+
+
 def block_entropy(two_point: TwoPointMatrix, block) -> float:
     """Von Neumann entropy (base 2) of the sites in ``block``:
 
@@ -432,8 +452,8 @@ def block_entropy(two_point: TwoPointMatrix, block) -> float:
     never an error (the Redfield steady state may be slightly
     non-positive).
     """
-    nu = np.abs(correlation_spectrum(two_point, block))
-    excess = max(0.0, nu.max() - 1.0) if len(nu) else 0.0
+    nu = correlation_spectrum(two_point, block)
+    excess = _spectrum_excess(nu)
     if excess > 1e-7:
         warnings.warn(
             f"correlation eigenvalue exceeds 1 by {excess:.2e}; "
@@ -441,13 +461,12 @@ def block_entropy(two_point: TwoPointMatrix, block) -> float:
             PositivityWarning,
             stacklevel=2,
         )
-    return float(_binary_entropy((1.0 + np.minimum(nu, 1.0)) / 2.0).sum())
+    return _spectrum_entropy(nu)
 
 
 def positivity_excess(two_point: TwoPointMatrix) -> float:
     """max_j nu_j - 1 (clamped below at 0) over the whole lattice."""
-    nu = np.abs(correlation_spectrum(two_point, range(1, two_point.n + 1)))
-    return float(max(0.0, nu.max() - 1.0))
+    return _spectrum_excess(correlation_spectrum(two_point, range(1, two_point.n + 1)))
 
 
 def quantum_mutual_information(two_point: TwoPointMatrix, n: int | None = None) -> float:
@@ -456,14 +475,9 @@ def quantum_mutual_information(two_point: TwoPointMatrix, n: int | None = None) 
         n = two_point.n
     if n % 2:
         raise ValueError("mutual information between halves needs even n")
-    left = range(1, n // 2 + 1)
-    right = range(n // 2 + 1, n + 1)
-    whole = range(1, n + 1)
-    return (
-        block_entropy(two_point, left)
-        + block_entropy(two_point, right)
-        - block_entropy(two_point, whole)
-    )
+    left, right = range(1, n // 2 + 1), range(n // 2 + 1, n + 1)
+    s_halves = block_entropy(two_point, left) + block_entropy(two_point, right)
+    return s_halves - block_entropy(two_point, range(1, n + 1))
 
 
 @dataclass
@@ -486,26 +500,17 @@ class ObservableReport:
 
     def to_dict(self) -> dict:
         return {
-            "s_z": self.s_z.tolist(),
-            "correlations": self.correlations.tolist(),
-            "residual_correlator": self.residual_correlator,
-            "correlation_decay": self.correlation_decay.tolist(),
-            "heat_current": self.heat_current.tolist(),
-            "energy_density": self.energy_density.tolist(),
-            "energy_fluctuation": self.energy_fluctuation.tolist(),
-            "entropy_left": self.entropy_left,
-            "entropy_right": self.entropy_right,
-            "entropy_total": self.entropy_total,
-            "mutual_information": self.mutual_information,
-            "positivity_excess": self.positivity_excess,
-            "spectral_gap": self.spectral_gap,
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(self).items()
         }
 
 
 def observable_report(
     two_point: TwoPointMatrix, params: ChainParams, gap: float | None = None
 ) -> ObservableReport:
-    """Evaluate the full observable set of one steady state."""
+    """Evaluate the full observable set of one steady state: the one place
+    a run computes its observables.  The whole-chain correlation spectrum
+    gives the total entropy and the positivity excess."""
     n = params.n
     C = correlation_matrix(two_point)
     half = n // 2
@@ -513,22 +518,22 @@ def observable_report(
         warnings.simplefilter("ignore", PositivityWarning)
         s_left = block_entropy(two_point, range(1, half + 1))
         s_right = block_entropy(two_point, range(half + 1, n + 1))
-        s_total = block_entropy(two_point, range(1, n + 1))
+    nu_whole = correlation_spectrum(two_point, range(1, n + 1))
+    s_total = _spectrum_entropy(nu_whole)
     qmi = s_left + s_right - s_total if n % 2 == 0 else None
+    dens = energy_density_profile(two_point, params)
     return ObservableReport(
         s_z=magnetization_profile(two_point),
         correlations=C,
         residual_correlator=residual_correlator(C, n) if n >= 4 else float("nan"),
         correlation_decay=correlation_decay(C),
         heat_current=heat_current_profile(two_point, params) if n >= 3 else np.array([]),
-        energy_density=energy_density_profile(two_point, params),
-        energy_fluctuation=(
-            energy_fluctuation_profile(two_point, params) if n >= 5 else np.array([])
-        ),
+        energy_density=dens,
+        energy_fluctuation=_relative_fluctuation(dens) if n >= 5 else np.array([]),
         entropy_left=s_left,
         entropy_right=s_right,
         entropy_total=s_total,
         mutual_information=qmi,
-        positivity_excess=positivity_excess(two_point),
+        positivity_excess=_spectrum_excess(nu_whole),
         spectral_gap=gap,
     )

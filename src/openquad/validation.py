@@ -87,12 +87,11 @@ def oracle_check_table(model: QuadraticModel) -> list[tuple[str, float]]:
 
     if params is not None and n >= 3:
         hmats = ns.energy_density_matrices(params)
+        dens = ns.energy_density_profile(T, params)
         dev_h = 0.0
         for m, P in enumerate(hmats):
             val = orc.oracle_expectation(rho, orc.dense_quadratic(P, ws))
-            dev_h = max(
-                dev_h, abs(ns.energy_density_profile(T, params)[m] - val.real)
-            )
+            dev_h = max(dev_h, abs(dens[m] - val.real))
         checks.append(("energy_density", float(dev_h)))
         dev_q = 0.0
         qprof = ns.heat_current_profile(T, params)

@@ -76,6 +76,12 @@ def test_invalid_configs_exit_2(tmp_path):
         {"task": "oracle_check", "model": {"n": 5}},
         {"task": "ness", "model": {"n": 8}, "output": {"format": "parquet"}},
         {"task": "ness", "model": {"n": 8}, "bath": {"beta_L": -2.0}},
+        {"task": "ness", "model": {"n": 8}, "bath": "hot"},
+        {"task": "ness", "model": {"n": 8}, "output": "x"},
+        {"task": "sweep", "model": {"n": 8}, "sweep": {"parameter": "h", "values": ["a", "b"]}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": "x"}},
+        {"task": "ness", "model": {"n": 8, "h": "nan"}},
+        {"task": "ness", "model": {"n": 8}, "bath": {"lambda": -1}},
     ]
     for payload in cases:
         cfg = write_config(tmp_path, payload)
@@ -158,6 +164,28 @@ def test_sweep_ordering_error_rows_and_workers(tmp_path):
     assert (tmp_path / "w1" / "sweep.csv").read_text().splitlines()[1:] == (
         tmp_path / "w4" / "sweep.csv"
     ).read_text().splitlines()[1:]
+
+
+def test_sweep_and_ness_tasks_agree(tmp_path):
+    # both tasks read their values off one observable report, so a sweep
+    # point writes the very bytes of the ness run at the same parameters
+    model = {"n": 12, "gamma": 0.5, "h": 0.9}
+    sweep = cli.run(
+        {"task": "sweep", "model": model, "sweep": {"parameter": "h", "values": [0.5, 0.9]}},
+        output_dir=str(tmp_path / "sweep"),
+    )
+    ness = cli.run({"task": "ness", "model": model}, output_dir=str(tmp_path / "ness"))
+    lines = sweep.read_text().splitlines()
+    point = dict(zip(lines[0].split(","), lines[2].split(",")))
+    assert point["h"] == "0.90000000000000002" and point["error"] == ""
+    rows = {}
+    for line in ness.read_text().splitlines()[1:]:
+        quantity, i, _, value = line.split(",")
+        rows[quantity, i] = value
+    assert point["s_z_center"] == rows["s_z", "6"]
+    assert point["gap"] == rows["spectral_gap", ""]
+    for column in ("C_res", "qmi", "entropy_total", "positivity_excess"):
+        assert point[column] == rows[column, ""], column
 
 
 def test_sweep_2d_grid(tmp_path):

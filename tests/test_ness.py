@@ -253,6 +253,51 @@ def test_heat_current_flat_and_real(redfield_n2):
     assert bulk.std() / abs(bulk.mean()) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        mdl.xy_redfield_model(mdl.ChainParams(40, 0.5, 0.9)),
+        mdl.xy_lindblad_model(mdl.ChainParams(40, 0.2, 1.05)),
+    ],
+    ids=["redfield", "lindblad"],
+)
+def test_band_stencils_match_dense_reference(model):
+    # n = 40 is far beyond the oracle; the reference is the contraction of
+    # the dense 2n x 2n coefficient matrices with all of T, every window
+    # from the first to the last included
+    params = model.params
+    T = steady_state(model).two_point
+    hmats = ns.energy_density_matrices(params)
+    dens = [np.sum(P * T.T).real for P in hmats]
+    cur = [
+        np.sum(1j * ns.commutator_quadratic(P, R) * T.T).real
+        for P, R in zip(hmats[:-1], hmats[1:])
+    ]
+    h_prof = ns.energy_density_profile(T, params)
+    q_prof = ns.heat_current_profile(T, params)
+    assert h_prof.shape == (39,) and q_prof.shape == (38,)
+    assert np.abs(h_prof - dens).max() <= 1e-15
+    assert np.abs(q_prof - cur).max() <= 1e-15
+
+
+def test_observable_report_solves_three_correlation_spectra(monkeypatch):
+    model = mdl.xy_redfield_model(mdl.ChainParams(12, 0.5, 0.9))
+    T = steady_state(model).two_point
+    blocks = []
+    spectrum = ns.correlation_spectrum
+
+    def counted(two_point, block):
+        blocks.append(list(block))
+        return spectrum(two_point, block)
+
+    monkeypatch.setattr(ns, "correlation_spectrum", counted)
+    rep = ns.observable_report(T, model.params)
+    whole = list(range(1, 13))
+    assert sorted(blocks) == sorted([whole[:6], whole[6:], whole])
+    assert rep.positivity_excess == ns.positivity_excess(T)
+    assert rep.entropy_total == ns.block_entropy(T, whole)
+
+
 def test_spin_correlator_against_oracle(redfield_n3):
     T = steady_state(redfield_n3).two_point
     _, rho, ws = oracle_steady(redfield_n3)
