@@ -2,8 +2,9 @@
 
 For a static Liouvillean the normal-master-mode representation gives the
 propagator in closed form; an explicitly time-dependent drive is handled
-by collapsing the time-ordered product of midpoint exponentials into a
-single effective generator.
+by carrying the initial correlations through the time-ordered product of
+midpoint exponentials.  The effective generator log(U)/2 is not formed,
+so any horizon works, including those where its branch is ambiguous.
 """
 
 import numpy as np

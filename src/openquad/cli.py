@@ -38,6 +38,7 @@ from .model import (
     xy_redfield_model,
 )
 from .ness import NonUniqueNESSError, observable_report, steady_state
+from .oracle import DegenerateKernelError
 from .spectra import (
     NonDiagonalizableError,
     lyapunov_form,
@@ -217,12 +218,15 @@ class ExperimentConfig:
         if task == "dynamics":
             dyn = _section(raw, "dynamics")
             pairs = dyn.get("pairs", [[1, 2], [1, 2]])
-            try:
-                cfg.pairs = tuple(tuple(int(i) for i in p) for p in pairs)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("dynamics.pairs: expected two index pairs") from exc
+            if not isinstance(pairs, (list, tuple)):
+                raise ConfigError("dynamics.pairs: expected two index pairs")
+            cfg.pairs = tuple(_numbers("dynamics.pairs", p, int) for p in pairs)
             if len(cfg.pairs) != 2 or any(len(p) != 2 for p in cfg.pairs):
                 raise ConfigError("dynamics.pairs: expected two index pairs")
+            if not all(1 <= i <= 2 * n for p in cfg.pairs for i in p):
+                raise ConfigError(
+                    f"dynamics.pairs: Majorana indices must lie in 1..{2 * n}"
+                )
             cfg.t_max = _number("dynamics.t_max", dyn.get("t_max", 10.0))
             num_times = dyn.get("num_times", 101)
             cfg.num_times = _number("dynamics.num_times", num_times, int)
@@ -539,6 +543,7 @@ def main(argv=None) -> int:
     except (
         NonUniqueNESSError,
         NonDiagonalizableError,
+        DegenerateKernelError,
         np.linalg.LinAlgError,
         RuntimeError,
         ValueError,

@@ -345,14 +345,14 @@ def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
 
 def _pair_eigenvalues(evals: np.ndarray, zero_tol: float):
     """Greedy (+beta, -beta) pairing, nearest -lambda match, largest first."""
-    order = np.argsort(-np.abs(evals), kind="stable")
-    unused = list(order)
+    unused = np.argsort(-np.abs(evals), kind="stable")
     pairs = []
-    while unused:
-        i = unused.pop(0)
+    while len(unused):
+        i, unused = unused[0], unused[1:]
         target = -evals[i]
-        jbest = min(unused, key=lambda j: abs(evals[j] - target))
-        unused.remove(jbest)
+        k = int(np.argmin(np.abs(evals[unused] - target)))  # first minimum wins ties
+        jbest = unused[k]
+        unused = np.delete(unused, k)
         a, b = evals[i], evals[jbest]
         if abs(a.real) <= zero_tol and abs(b.real) <= zero_tol:
             plus, minus = (i, jbest) if a.imag >= b.imag else (jbest, i)
@@ -360,6 +360,29 @@ def _pair_eigenvalues(evals: np.ndarray, zero_tol: float):
             plus, minus = (i, jbest) if a.real >= b.real else (jbest, i)
         pairs.append((plus, minus))
     return pairs
+
+
+def _cluster_rapidities(betas: np.ndarray) -> np.ndarray:
+    """Cluster label of each rapidity.
+
+    Rapidities are visited by ascending real part; each joins the first
+    cluster whose representative, its lowest member index so far, lies
+    within 1e-8 max|beta|, or opens a new cluster.
+    """
+    cluster_tol = 1e-8 * max(np.abs(betas).max(), 1e-300)
+    order = np.argsort(betas.real + 1e-9 * np.abs(betas.imag), kind="stable")
+    assigned = np.full(len(betas), -1, dtype=int)
+    reps = np.empty(0, dtype=int)
+    for j in order:
+        hits = np.flatnonzero(np.abs(betas[j] - betas[reps]) <= cluster_tol)
+        if len(hits):
+            c = hits[0]
+            assigned[j] = c
+            reps[c] = min(reps[c], j)
+        else:
+            assigned[j] = len(reps)
+            reps = np.append(reps, j)
+    return assigned
 
 
 def _hyperbolic_basis(rows: np.ndarray) -> np.ndarray:
@@ -407,7 +430,6 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     """
     A = struct.A if isinstance(struct, StructureMatrix) else np.asarray(struct)
     four_n = A.shape[0]
-    two_n = four_n // 2
     evals, evecs = np.linalg.eig(A)
     if np.linalg.cond(evecs) > COND_LIMIT:
         raise NonDiagonalizableError(
@@ -429,24 +451,10 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
         V[2 * j] = evecs[:, p]
         V[2 * j + 1] = evecs[:, m]
 
-    # cluster rapidities; within a cluster enforce V V^T = J by solving
-    # plus . minus' = identity on the cluster block
-    cluster_tol = 1e-8 * max(np.abs(betas).max(), 1e-300)
-    order = np.argsort(betas.real + 1e-9 * np.abs(betas.imag), kind="stable")
-    assigned = np.full(two_n, -1, dtype=int)
-    n_clusters = 0
-    for j in order:
-        placed = False
-        for c in range(n_clusters):
-            rep = np.flatnonzero(assigned == c)[0]
-            if abs(betas[j] - betas[rep]) <= cluster_tol:
-                assigned[j] = c
-                placed = True
-                break
-        if not placed:
-            assigned[j] = n_clusters
-            n_clusters += 1
-    for c in range(n_clusters):
+    # within a cluster enforce V V^T = J by solving plus . minus' =
+    # identity on the cluster block
+    assigned = _cluster_rapidities(betas)
+    for c in range(assigned.max() + 1):
         members = np.flatnonzero(assigned == c)
         rows_plus = V[2 * members]
         rows_minus = V[2 * members + 1]

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from openquad import cli
 
@@ -82,6 +88,9 @@ def test_invalid_configs_exit_2(tmp_path):
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": "x"}},
         {"task": "ness", "model": {"n": 8, "h": "nan"}},
         {"task": "ness", "model": {"n": 8}, "bath": {"lambda": -1}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[1, 2], [3, 40]]}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[0, 2], [3, 4]]}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[1, 2], [3, 1e999]]}},
     ]
     for payload in cases:
         cfg = write_config(tmp_path, payload)
@@ -109,6 +118,122 @@ def test_numerical_failure_exit_3(tmp_path):
     proc = run_cli("run", str(cfg))
     assert proc.returncode == 3, proc.stderr
     assert "NonUniqueNESS" in proc.stderr
+
+
+# Config fuzzing.  Numbers stay within [-3, 6] and time counts at most 20,
+# so that every model a run can build has n <= 6 and no example is
+# expensive; the one huge size, 1e300, fails before any array is built.
+JUNK = st.sampled_from(
+    [None, True, "x", "4", [], [1], {}, {"a": 1}, float("nan"), float("inf"), -1, 0]
+)
+
+
+def mostly(valid, junk=JUNK):
+    """``valid`` nine times in ten, else ``junk``, so that most examples
+    get past the first field."""
+    return st.integers(0, 9).flatmap(lambda k: junk if k == 0 else valid)
+
+
+NUMBER = mostly(st.one_of(st.floats(-3.0, 6.0), st.integers(-3, 6)))
+SIZE = mostly(
+    st.integers(2, 6),
+    st.one_of(JUNK, st.sampled_from([-1, 1, 2.5, "3", 1e300, float("-inf")])),
+)
+NUMBERS = mostly(
+    st.lists(NUMBER, min_size=4, max_size=4),
+    st.one_of(JUNK, st.lists(NUMBER, max_size=5)),
+)
+AXIS = st.fixed_dictionaries(
+    {},
+    optional={
+        "values": mostly(st.lists(NUMBER, max_size=3)),
+        "start": NUMBER,
+        "stop": NUMBER,
+        "count": mostly(st.integers(-1, 3)),
+        "spacing": st.sampled_from(["linear", "log", 3]),
+    },
+)
+CONFIGS = st.fixed_dictionaries(
+    {
+        "task": mostly(st.sampled_from(cli.TASKS)),
+        "model": mostly(
+            st.fixed_dictionaries({"n": SIZE}, optional={"gamma": NUMBER, "h": NUMBER})
+        ),
+        # always present: the default gap_scaling sizes reach n = 96
+        "sizes": mostly(st.lists(SIZE, min_size=3, max_size=6)),
+        "sweep": mostly(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {
+                        "parameter": mostly(st.sampled_from(cli.SWEEPABLE)),
+                        "values": mostly(st.lists(NUMBER, max_size=3)),
+                    }
+                ),
+                st.fixed_dictionaries(
+                    {
+                        "parameter": mostly(
+                            st.lists(st.sampled_from(cli.SWEEPABLE), max_size=3)
+                        ),
+                        "axis1": AXIS,
+                        "axis2": AXIS,
+                    }
+                ),
+            )
+        ),
+        "dynamics": mostly(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "pairs": mostly(st.lists(st.lists(SIZE, max_size=3), max_size=3)),
+                    "t_max": NUMBER,
+                    "num_times": mostly(st.integers(-1, 20)),
+                },
+            )
+        ),
+    },
+    optional={
+        "bath": mostly(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "type": mostly(st.sampled_from(["redfield", "lindblad"])),
+                    "beta_L": NUMBER,
+                    "beta_R": NUMBER,
+                    "lambda": NUMBER,
+                    "kappa": NUMBERS,
+                    "theta": NUMBERS,
+                    "rates": NUMBERS,
+                },
+            )
+        ),
+        "output": mostly(
+            st.fixed_dictionaries(
+                {}, optional={"format": mostly(st.sampled_from(["csv", "json"]))}
+            )
+        ),
+    },
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(raw=CONFIGS)
+def test_fuzzed_configs_never_crash(raw):
+    # any config exits 0, 2 (config error) or 3 (numerical failure) with a
+    # message, never with an uncaught exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3), (raw, code, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+    if code:
+        assert err.getvalue().strip()
 
 
 # ------------------------------------------------------------------ tasks

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.linalg as sla
 
 from openquad import dynamics as dyn
 from openquad import model as mdl
@@ -48,6 +51,59 @@ def test_correlator_matches_oracle(redfield_n2):
             assert abs(vals[i] - exact) < 1e-8
 
 
+def test_correlator_rejects_out_of_range_indices(redfield_n2):
+    # index 0 would wrap to the last Majorana; 5 exceeds 2n = 4
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    for pairs in (((0, 2), (3, 4)), ((1, 2), (3, 5))):
+        with pytest.raises(ValueError, match="Majorana indices"):
+            dyn.dynamic_correlator(modes, *pairs, 0.0)
+
+
+def correlator_pair_sum(modes, pair_jk, pair_lm, times):
+    """Reference: the triangular sum over mode pairs r < r', one complex
+    exponential per (time, pair)."""
+    j, k = pair_jk
+    l, m = pair_lm
+    V, beta = modes.V, modes.rapidities
+    cols = [2 * (idx - 1) for idx in (j, k, l, m)]
+    Ve, Vo = V[1::2], V[0::2]
+    uj, uk = Ve[:, cols[0]], Ve[:, cols[1]]
+    vl, vm = Vo[:, cols[2]], Vo[:, cols[3]]
+    static = 4.0 * (uj @ Vo[:, cols[1]]) * (Ve[:, cols[2]] @ vm)
+    F = np.outer(uk, uj) - np.outer(uj, uk)
+    G = np.outer(vm, vl) - np.outer(vl, vm)
+    iu = np.triu_indices(len(beta), k=1)
+    rates = (beta[:, None] + beta[None, :])[iu]
+    return static - 4.0 * np.exp(-2.0 * np.outer(times, rates)) @ (F * G)[iu]
+
+
+@pytest.mark.parametrize(
+    "pairs", [((1, 2), (3, 4)), ((3, 4), (1, 2)), ((1, 3), (2, 4)), ((2, 4), (1, 3))]
+)
+def test_correlator_matches_pair_sum(pairs):
+    modes = sp.normal_modes(
+        sp.structure_matrix(mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9)))
+    )
+    times = np.linspace(0.0, 20.0, 201)
+    vals = dyn.dynamic_correlator(modes, *pairs, times)
+    assert np.abs(vals - correlator_pair_sum(modes, *pairs, times)).max() < 1e-14
+
+
+def test_correlator_memory_is_linear_in_times():
+    # the pair sum held a (times x pairs) complex array: 611 MB here
+    modes = sp.normal_modes(
+        sp.structure_matrix(mdl.xy_redfield_model(mdl.ChainParams(100, 0.5, 0.9)))
+    )
+    times = np.linspace(0.0, 20.0, 1001)
+    tracemalloc.start()
+    try:
+        dyn.dynamic_correlator(modes, (1, 2), (3, 4), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 def static_schedule(A, A0, t_final, dt):
     return dyn.DriveSchedule(lambda t: (A, A0), t_final, dt)
 
@@ -58,8 +114,6 @@ def test_propagator_static_limit(redfield_n2):
     U, C, C0 = dyn.time_ordered_propagator(
         static_schedule(st.A, st.A0, t_final, 1e-3)
     )
-    import scipy.linalg as sla
-
     exact = sla.expm(2 * t_final * st.A)
     assert np.abs(U - exact).max() < 1e-8
     assert np.abs(C - t_final * st.A).max() < 1e-8
@@ -89,6 +143,70 @@ def test_propagator_guards():
     Aim = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(dyn.BranchAmbiguityError):
         dyn.time_ordered_propagator(static_schedule(Aim, 0.0, 1.5708, 1e-4))
+
+
+@pytest.mark.parametrize(
+    "t_final, dt", [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan), (1.0, np.inf)]
+)
+def test_schedule_rejects_non_finite_horizon_or_step(t_final, dt):
+    with pytest.raises(ValueError, match="finite"):
+        dyn.DriveSchedule(lambda t: (np.zeros((4, 4)), 0.0), t_final, dt)
+
+
+def complex_ordered_product(sampler, t_final, dt):
+    """Reference: the midpoint product of complex step exponentials."""
+    U = np.eye(sampler(0.0)[0].shape[0], dtype=complex)
+    for i in range(int(round(t_final / dt))):
+        U = sla.expm(2.0 * dt * np.asarray(sampler((i + 0.5) * dt)[0], dtype=complex)) @ U
+    return U
+
+
+def lindblad_drive(n):
+    """Sampler of a Lindblad XY chain with h(t) = 0.9 + 0.4 sin 1.3t."""
+    M = sp.bath_matrix_from_jumps(mdl.lindblad_jump_vectors(n, (0.5, 0.3, 0.5, 0.1)))
+
+    def sampler(t):
+        H = mdl.build_xy_hamiltonian(mdl.ChainParams(n, 0.5, 0.9 + 0.4 * np.sin(1.3 * t)))
+        st = sp.assemble_structure_matrix(H, M)
+        return st.A, st.A0
+
+    return sampler
+
+
+def test_real_step_matches_complex_step():
+    sampler = lindblad_drive(4)
+    U, _, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(sampler, 0.5, 5e-3))
+    assert np.abs(U - complex_ordered_product(sampler, 0.5, 5e-3)).max() < 1e-12
+
+
+def test_product_turns_complex_at_an_unsymmetric_sample():
+    # a sample without the conjugation symmetry (still antisymmetric) makes
+    # the rest of the product complex; the real part before it carries over
+    physical = lindblad_drive(3)
+    rng = np.random.default_rng(7)
+    kick = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    kick = 0.05 * (kick - kick.T)
+
+    def sampler(t):
+        A, A0 = physical(t)
+        return (A + kick if t > 0.2 else A), A0
+
+    assert dyn._real_form(physical(0.1)[0], 1.0) is not None
+    assert dyn._real_form(sampler(0.3)[0], 1.0) is None
+    U, _, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(sampler, 0.4, 5e-3))
+    assert np.abs(U - complex_ordered_product(sampler, 0.4, 5e-3)).max() < 1e-12
+
+
+def test_schedule_matches_the_generator_route():
+    # T(t) from U S0 U^T against the paper's route: C = log(U)/2 taken as
+    # a static Liouvillean for unit time
+    n = 6
+    schedule = dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3)
+    T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    Tt = dyn.propagate_schedule(schedule, T0)
+    _, C, _ = dyn.time_ordered_propagator(schedule)
+    ref = dyn.propagate_two_point(sp.normal_modes(sp.StructureMatrix(C, 0.0)), T0, 1.0)
+    assert np.abs(Tt.T - ref.T).max() < 1e-10
 
 
 def test_propagate_fixed_point(redfield_n2):
@@ -148,31 +266,23 @@ def test_propagate_relaxation_rate(redfield_n2):
     assert measured == pytest.approx(rate, rel=0.05)
 
 
-def test_driven_propagation_matches_dense_integration():
-    # sinusoidally driven field on a Lindblad chain: collapse the ordered
-    # product to a generator and compare against brute-force integration
+def driven_n2_dense(t_final):
+    """Schedule, T0 and the two-point matrix at t_final of brute-force
+    integration on the dense 4^n Liouvillean, for a sinusoidally driven
+    field on an n = 2 Lindblad chain."""
     rates = (0.5, 0.3, 0.5, 0.1)
     ls = mdl.lindblad_jump_vectors(2, rates)
-    M = sp.bath_matrix_from_jumps(ls)
 
     def h_of_t(t):
         return 0.9 + 0.4 * np.sin(1.3 * t)
 
-    def sampler(t):
-        st = sp.assemble_structure_matrix(
-            mdl.build_xy_hamiltonian(mdl.ChainParams(2, 0.5, h_of_t(t))), M
-        )
-        return st.A, st.A0
-
-    t_final = 2.0
-    schedule = dyn.DriveSchedule(sampler, t_final, 1e-3)
+    schedule = dyn.DriveSchedule(lindblad_drive(2), t_final, 1e-3)
     ws = orc.dense_majoranas(2)
     rho0 = orc.gibbs_state(
         orc.dense_quadratic(mdl.build_xy_hamiltonian(mdl.ChainParams(2, 0.5, 0.9)), ws),
         0.7,
     )
     T0 = ns.TwoPointMatrix(orc.two_point_matrix(rho0, ws))
-    Tt = dyn.propagate_schedule(schedule, T0)
 
     jump_ops = [orc.dense_linear(l, ws) for l in ls]
 
@@ -188,5 +298,22 @@ def test_driven_propagation_matches_dense_integration():
         return orc.vec(out)
 
     sol = si.solve_ivp(rhs, (0, t_final), orc.vec(rho0), rtol=1e-11, atol=1e-13)
-    T_exact = orc.two_point_matrix(orc.unvec(sol.y[:, -1]), ws)
+    return schedule, T0, orc.two_point_matrix(orc.unvec(sol.y[:, -1]), ws)
+
+
+def test_driven_propagation_matches_dense_integration():
+    # sinusoidally driven field on a Lindblad chain: propagate through the
+    # ordered product and compare against brute-force integration
+    schedule, T0, T_exact = driven_n2_dense(2.0)
+    Tt = dyn.propagate_schedule(schedule, T0)
+    assert np.abs(Tt.T - T_exact).max() < 1e-6
+
+
+def test_driven_propagation_past_the_branch_cut():
+    # at t = 2.25 an eigenvalue of U sits on the negative real axis: the
+    # generator is refused, the propagation is not
+    schedule, T0, T_exact = driven_n2_dense(2.25)
+    with pytest.raises(dyn.BranchAmbiguityError):
+        dyn.time_ordered_propagator(schedule)
+    Tt = dyn.propagate_schedule(schedule, T0)
     assert np.abs(Tt.T - T_exact).max() < 1e-6
