@@ -61,6 +61,9 @@ TASKS = ("ness", "sweep", "gap_scaling", "dynamics", "oracle_check")
 # delta_beta sweeps the two temperatures symmetrically about their
 # configured mean: beta_{L,R} = mean -+ value/2
 SWEEPABLE = ("n", "gamma", "h", "beta_L", "beta_R", "lambda", "delta_beta")
+# largest chain a config may ask for: 10x the n = 1000 laptop target, whose
+# dense 2n x 2n real matrices take 3.2 GB each
+MAX_SITES = 10_000
 
 
 class ConfigError(Exception):
@@ -179,8 +182,10 @@ class ExperimentConfig:
         if not isinstance(model, dict) or "n" not in model:
             raise ConfigError("model: object with at least field 'n' required")
         n = _number("model.n", model["n"], int)
-        if n < 2:
-            raise ConfigError("model.n: need n >= 2")
+        if not 2 <= n <= MAX_SITES:
+            raise ConfigError(
+                f"model.n: need 2 <= n <= {MAX_SITES}, got {model['n']!r}"
+            )
         bath = _section(raw, "bath")
         btype = bath.get("type", "redfield")
         if btype not in ("redfield", "lindblad"):
@@ -213,8 +218,8 @@ class ExperimentConfig:
             cfg.sweep = _parse_sweep(raw.get("sweep"))
         if task == "gap_scaling":
             cfg.sizes = _numbers("sizes", raw.get("sizes", list(range(16, 97, 8))), int)
-            if len(cfg.sizes) < 4 or min(cfg.sizes) < 2:
-                raise ConfigError("sizes: need >= 4 sizes, each >= 2")
+            if len(cfg.sizes) < 4 or not all(2 <= s <= MAX_SITES for s in cfg.sizes):
+                raise ConfigError(f"sizes: need >= 4 sizes, each in 2..{MAX_SITES}")
         if task == "dynamics":
             dyn = _section(raw, "dynamics")
             pairs = dyn.get("pairs", [[1, 2], [1, 2]])
@@ -246,15 +251,19 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def _number(field: str, value, kind=float):
-    """``kind(value)``; a value that does not convert or is not finite is a
-    config error naming ``field``."""
+    """``kind(value)``; a value that does not convert, is not finite or
+    that ``kind`` would change (4.7 for an int) is a config error naming
+    ``field``."""
     try:
         out = kind(value)
         finite = math.isfinite(out)  # an int beyond float range overflows here
+        exact = out == float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
     if not finite:
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    if not exact:
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .ness import NonUniqueNESSError, TwoPointMatrix, ness_two_point
+from .ness import TwoPointMatrix, _check_unique, ness_two_point
 from .spectra import NormalModes
 
 __all__ = [
@@ -76,7 +76,7 @@ def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarra
     anticommute past each other when contracted).  Majorana indices are
     1-based; t >= 0.
     """
-    _require_unique(modes)
+    _check_unique(modes)
     j, k = pair_jk
     l, m = pair_lm
     if not all(1 <= idx <= 2 * modes.n for idx in (j, k, l, m)):
@@ -98,11 +98,6 @@ def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarra
     E = np.exp(-2.0 * np.outer(times, beta))
     out = static - 2.0 * ((E @ (F * G)) * E).sum(axis=1)
     return complex(out[0]) if scalar else out
-
-
-def _require_unique(modes: NormalModes) -> None:
-    if modes.rapidities.real.min() <= 1e-10:
-        raise NonUniqueNESSError("dynamics formulas need all Re beta > 0")
 
 
 def _real_form(A: np.ndarray, scale: float):
@@ -224,7 +219,7 @@ def propagate_two_point(
     E_rs(t) = exp(-2t(beta_r + beta_s)).  T(t) -> T_ness at the rate set
     by the spectral gap.
     """
-    _require_unique(modes)
+    _check_unique(modes)
     beta = modes.rapidities
     V = modes.V
     T_ness = ness_two_point(modes).T

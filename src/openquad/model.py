@@ -102,9 +102,6 @@ class RedfieldOhmic:
         if self.lam < 0:
             raise ValueError(f"coupling strength must be nonnegative, got {self.lam}")
 
-    def spectral_function(self, omega):
-        return ohmic_spectral_function(omega, self.beta, self.lam)
-
 
 @dataclass(frozen=True)
 class LindbladRates:

@@ -23,7 +23,6 @@ __all__ = [
     "dense_pauli_couplings",
     "string_operator",
     "dense_liouvillean",
-    "dense_liouvillean_from_jumps",
     "oracle_ness",
     "oracle_expectation",
     "oracle_reduced",
@@ -211,22 +210,6 @@ def dense_liouvillean(model: QuadraticModel, z_vectors=None) -> DenseLiouvillean
             # [(z.w) rho, X] + [X, rho (z*.w)]
             L += lmul(Z) @ rmul(X) - lmul(X @ Z)
             L += lmul(X) @ rmul(Zt) - rmul(Zt @ X)
-    return DenseLiouvillean(L, n)
-
-
-def dense_liouvillean_from_jumps(H: np.ndarray, jump_vectors) -> DenseLiouvillean:
-    """Lindblad generator with jump operators L_mu = l_mu . w,
-    D rho = sum_mu (2 L rho L+ - {L+ L, rho})."""
-    n = H.shape[0] // 2
-    if n > MAX_LIOUVILLE_SITES:
-        raise ValueError(f"dense Liouvillean limited to n <= {MAX_LIOUVILLE_SITES}")
-    ws = dense_majoranas(n)
-    Hs = dense_quadratic(H, ws)
-    L = -1j * (lmul(Hs) - rmul(Hs))
-    for l in jump_vectors:
-        Lop = dense_linear(l, ws)
-        Ld = Lop.conj().T
-        L += 2 * lmul(Lop) @ rmul(Ld) - lmul(Ld @ Lop) - rmul(Ld @ Lop)
     return DenseLiouvillean(L, n)
 
 

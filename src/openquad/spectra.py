@@ -8,7 +8,9 @@ Pipeline:
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     (H, M)  -->  (A, A0)                4n x 4n structure matrix
-    A  --eig-->  (beta_j, V)            normal master modes, V V^T = J
+    A  --eig-->  (beta_j, V)            normal master modes: eigenvalues split
+                                        by sign into +beta / -beta halves,
+                                        one solve makes V V^T = J
 
 The steady state and the relaxation spectrum come from the real Lyapunov
 form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
@@ -17,7 +19,8 @@ steady state solves X B + B X^T = Y on the same Schur form (see
 eigenvectors are: the dynamics, and the cross-checks of the Lyapunov
 route.  The eigenvector matrix V is row-based: row 2j-1 (1-based) is the
 eigenvector of A with rapidity +beta_j, row 2j the one with -beta_j, and
-V is normalized so that V V^T equals J = diag(sx, sx, ...).
+V is normalized so that V V^T equals J = diag(sx, sx, ...).  The
+rapidities come in descending order of (Re beta, Im beta).
 """
 
 from __future__ import annotations
@@ -343,48 +346,6 @@ def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
     return LyapunovForm(X, Y, R, U, 0.5 * _schur_eigenvalues(R))
 
 
-def _pair_eigenvalues(evals: np.ndarray, zero_tol: float):
-    """Greedy (+beta, -beta) pairing, nearest -lambda match, largest first."""
-    unused = np.argsort(-np.abs(evals), kind="stable")
-    pairs = []
-    while len(unused):
-        i, unused = unused[0], unused[1:]
-        target = -evals[i]
-        k = int(np.argmin(np.abs(evals[unused] - target)))  # first minimum wins ties
-        jbest = unused[k]
-        unused = np.delete(unused, k)
-        a, b = evals[i], evals[jbest]
-        if abs(a.real) <= zero_tol and abs(b.real) <= zero_tol:
-            plus, minus = (i, jbest) if a.imag >= b.imag else (jbest, i)
-        else:
-            plus, minus = (i, jbest) if a.real >= b.real else (jbest, i)
-        pairs.append((plus, minus))
-    return pairs
-
-
-def _cluster_rapidities(betas: np.ndarray) -> np.ndarray:
-    """Cluster label of each rapidity.
-
-    Rapidities are visited by ascending real part; each joins the first
-    cluster whose representative, its lowest member index so far, lies
-    within 1e-8 max|beta|, or opens a new cluster.
-    """
-    cluster_tol = 1e-8 * max(np.abs(betas).max(), 1e-300)
-    order = np.argsort(betas.real + 1e-9 * np.abs(betas.imag), kind="stable")
-    assigned = np.full(len(betas), -1, dtype=int)
-    reps = np.empty(0, dtype=int)
-    for j in order:
-        hits = np.flatnonzero(np.abs(betas[j] - betas[reps]) <= cluster_tol)
-        if len(hits):
-            c = hits[0]
-            assigned[j] = c
-            reps[c] = min(reps[c], j)
-        else:
-            assigned[j] = len(reps)
-            reps = np.append(reps, j)
-    return assigned
-
-
 def _hyperbolic_basis(rows: np.ndarray) -> np.ndarray:
     """Rework ``rows`` (2d vectors spanning one eigenspace) into hyperbolic
     pairs (p_1, q_1, ..., p_d, q_d) with p_i . q_j = delta_ij and all other
@@ -421,12 +382,19 @@ def _hyperbolic_basis(rows: np.ndarray) -> np.ndarray:
 def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     """Diagonalize the structure matrix into normal master modes.
 
-    Eigenvalues are paired into (beta_j, -beta_j) with Re beta_j >= 0 and
-    the eigenvector rows are rescaled (within rapidity-degenerate
-    clusters: re-mixed through a small linear solve) so that V V^T = J.
-    Raises NonDiagonalizableError when the eigenvector matrix condition
-    number exceeds 1e12; warns ZeroRapidityWarning when min Re beta falls
-    below 1e-10.
+    For antisymmetric A, eigenvectors v, w with eigenvalues lambda, mu
+    satisfy v . w = 0 unless lambda + mu = 0.  The eigenvalues are split
+    once by the key (Re lambda, Im lambda), with |Re lambda| <= zero_tol
+    counted as 0: the 2n largest keys are the rapidities beta_j (Re >= 0),
+    in descending key order, with eigenvector rows P; the other 2n have
+    rows Q.  Then P P^T = Q Q^T = 0 in exact arithmetic, and the solve
+    Q <- (Q P^T)^{-1} Q makes P Q^T = 1, which pairs each -beta_j row with
+    its +beta_j row and re-mixes degenerate eigenspaces, so V V^T = J.
+    Exact zero eigenvalues (|lambda| <= zero_tol), whose +/- eigenspaces
+    coincide, are first reworked into hyperbolic pairs.  Raises
+    NonDiagonalizableError when the eigenvector matrix condition number
+    exceeds 1e12 or Q P^T is singular; warns ZeroRapidityWarning when
+    min Re beta falls below 1e-10.
     """
     A = struct.A if isinstance(struct, StructureMatrix) else np.asarray(struct)
     four_n = A.shape[0]
@@ -438,42 +406,35 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
         )
     scale = max(np.abs(evals).max(), 1e-300)
     zero_tol = ZERO_RAPIDITY_TOL * max(1.0, scale)
-    pairs = _pair_eigenvalues(evals, zero_tol)
-    betas = np.array([0.5 * (evals[p] - evals[m]) for p, m in pairs])
+    re = np.where(np.abs(evals.real) > zero_tol, evals.real, 0.0)
+    order = np.lexsort((evals.imag, re))[::-1]  # descending split key
+    plus, minus = order[: four_n // 2], order[four_n // 2 :]
+    betas = evals[plus]
     if betas.real.min() < ZERO_RAPIDITY_TOL:
         warnings.warn(
             "rapidity with vanishing real part: steady state may be non-unique",
             ZeroRapidityWarning,
             stacklevel=2,
         )
+    P = np.asarray(evecs[:, plus].T, dtype=complex)
+    Q = np.asarray(evecs[:, minus].T, dtype=complex)
+    zp = np.flatnonzero(np.abs(evals[plus]) <= zero_tol)
+    zm = np.flatnonzero(np.abs(evals[minus]) <= zero_tol)
+    if len(zp):
+        hyp = _hyperbolic_basis(np.vstack([P[zp], Q[zm]]))
+        P[zp], Q[zm] = hyp[0::2], hyp[1::2]
+    try:
+        Q = np.linalg.solve(Q @ P.T, Q)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError("singular +/- rapidity pairing") from exc
+    # P P^T and Q Q^T vanish only to about eps |A| / |beta_j + beta_k|, which
+    # reaches 1e-9 when two rapidities nearly cancel (Re beta ~ 1e-6); one
+    # first-order step removes that and keeps P Q^T = 1 to second order
+    P = P - 0.5 * (P @ P.T) @ Q
+    Q = Q - 0.5 * (Q @ Q.T) @ P
     V = np.empty((four_n, four_n), dtype=complex)
-    for j, (p, m) in enumerate(pairs):
-        V[2 * j] = evecs[:, p]
-        V[2 * j + 1] = evecs[:, m]
-
-    # within a cluster enforce V V^T = J by solving plus . minus' =
-    # identity on the cluster block
-    assigned = _cluster_rapidities(betas)
-    for c in range(assigned.max() + 1):
-        members = np.flatnonzero(assigned == c)
-        rows_plus = V[2 * members]
-        rows_minus = V[2 * members + 1]
-        if abs(betas[members[0]]) <= zero_tol:
-            # exact zero cluster: +/- eigenspaces coincide, build hyperbolic
-            # pairs from scratch
-            basis = np.vstack([rows_plus, rows_minus])
-            hyp = _hyperbolic_basis(basis)
-            V[2 * members] = hyp[0::2]
-            V[2 * members + 1] = hyp[1::2]
-            continue
-        G = rows_plus @ rows_minus.T
-        try:
-            X = np.linalg.solve(G.T, np.eye(len(members)))
-        except np.linalg.LinAlgError as exc:
-            raise NonDiagonalizableError(
-                "singular pairing within a degenerate rapidity cluster"
-            ) from exc
-        V[2 * members + 1] = X @ rows_minus
+    V[0::2] = P
+    V[1::2] = Q
     return NormalModes(betas, V)
 
 

@@ -91,6 +91,10 @@ def test_invalid_configs_exit_2(tmp_path):
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[1, 2], [3, 40]]}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[0, 2], [3, 4]]}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"pairs": [[1, 2], [3, 1e999]]}},
+        {"task": "ness", "model": {"n": 4.7}},
+        {"task": "ness", "model": {"n": 1e300}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": 1.5}},
+        {"task": "gap_scaling", "model": {"n": 8}, "sizes": [16, 24.5, 32, 40]},
     ]
     for payload in cases:
         cfg = write_config(tmp_path, payload)

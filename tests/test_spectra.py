@@ -304,81 +304,51 @@ def test_normal_modes_zero_rapidity_warns():
     assert np.abs(modes.V @ modes.V.T - J).max() < 1e-9
 
 
-def _pair_eigenvalues_loop(evals, zero_tol):
-    """Reference: the pure-Python greedy pairing that _pair_eigenvalues
-    vectorizes."""
-    order = np.argsort(-np.abs(evals), kind="stable")
-    unused = list(order)
-    pairs = []
-    while unused:
-        i = unused.pop(0)
-        target = -evals[i]
-        jbest = min(unused, key=lambda j: abs(evals[j] - target))
-        unused.remove(jbest)
-        a, b = evals[i], evals[jbest]
-        if abs(a.real) <= zero_tol and abs(b.real) <= zero_tol:
-            plus, minus = (i, jbest) if a.imag >= b.imag else (jbest, i)
-        else:
-            plus, minus = (i, jbest) if a.real >= b.real else (jbest, i)
-        pairs.append((plus, minus))
-    return pairs
+def _reconstruct(modes):
+    """V^T D J V with D = diag(beta_1, -beta_1, beta_2, -beta_2, ...)."""
+    D = np.diag(np.stack([modes.rapidities, -modes.rapidities], axis=1).ravel())
+    return modes.V.T @ D @ sp.symplectic_form(len(modes.rapidities)) @ modes.V
 
 
-def _cluster_rapidities_loop(betas):
-    """Reference: the double loop that _cluster_rapidities replaces; the
-    representative of a cluster is its lowest member index."""
-    cluster_tol = 1e-8 * max(np.abs(betas).max(), 1e-300)
-    order = np.argsort(betas.real + 1e-9 * np.abs(betas.imag), kind="stable")
-    assigned = np.full(len(betas), -1, dtype=int)
-    n_clusters = 0
-    for j in order:
-        placed = False
-        for c in range(n_clusters):
-            rep = np.flatnonzero(assigned == c)[0]
-            if abs(betas[j] - betas[rep]) <= cluster_tol:
-                assigned[j] = c
-                placed = True
-                break
-        if not placed:
-            assigned[j] = n_clusters
-            n_clusters += 1
-    return assigned
+def test_normal_modes_exact_zero_block():
+    # free Ising chain at h = 0: the edge Majoranas decouple, so A has an
+    # exact zero eigenvalue of multiplicity 4, handled by _hyperbolic_basis
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(4, 1.0, 0.0))
+    st = sp.assemble_structure_matrix(H, np.zeros((8, 8), dtype=complex))
+    assert np.sum(np.abs(np.linalg.eigvals(st.A)) < 1e-12) == 4
+    with pytest.warns(sp.ZeroRapidityWarning):
+        modes = sp.normal_modes(st)
+    J = sp.symplectic_form(8)
+    assert np.abs(modes.V @ modes.V.T - J).max() < 1e-12
+    assert np.abs(_reconstruct(modes) - st.A).max() < 1e-12
 
 
 def _degenerate_blocks():
     rng = np.random.default_rng(2)
     blk = random_antisymmetric(rng, 4)
-    return np.kron(np.eye(3), blk)  # three identical blocks: 3-member clusters
-
-
-def test_cluster_rapidities_matches_the_loop_reference():
-    # rapidities spaced at about the cluster tolerance chain into clusters
-    # whose membership depends on which member is the representative
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        betas = 1.0 + 0.7e-8 * (rng.integers(0, 6, 30) + 1j * rng.integers(0, 3, 30))
-        assert np.array_equal(
-            sp._cluster_rapidities(betas), _cluster_rapidities_loop(betas)
-        )
+    return np.kron(np.eye(3), blk)  # three identical blocks: threefold rapidities
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: sp.structure_matrix(mdl.xy_redfield_model(mdl.ChainParams(100, 0.5, 0.9))),
-        lambda: sp.structure_matrix(mdl.xy_lindblad_model(mdl.ChainParams(24, 0.5, 0.9))),
+        lambda: mdl.xy_redfield_model(mdl.ChainParams(100, 0.5, 0.9)),
+        lambda: mdl.xy_lindblad_model(mdl.ChainParams(24, 0.5, 0.9)),
         _degenerate_blocks,
     ],
     ids=["redfield_n100", "lindblad_n24", "degenerate_blocks"],
 )
-def test_normal_modes_match_the_loop_reference(make, monkeypatch):
-    struct = make()
-    fast = sp.normal_modes(struct)
-    monkeypatch.setattr(sp, "_pair_eigenvalues", _pair_eigenvalues_loop)
-    monkeypatch.setattr(sp, "_cluster_rapidities", _cluster_rapidities_loop)
-    ref = sp.normal_modes(struct)
-    assert np.array_equal(fast.rapidities, ref.rapidities)
-    assert np.array_equal(fast.V, ref.V)
+def test_normal_modes_normalization_and_reconstruction(make):
+    built = make()
+    physical = isinstance(built, mdl.QuadraticModel)
+    A = sp.structure_matrix(built).A if physical else built
+    modes = sp.normal_modes(A)
+    J = sp.symplectic_form(len(modes.rapidities))
+    assert np.abs(modes.V @ modes.V.T - J).max() < 1e-9
+    assert np.abs(_reconstruct(modes) - A).max() < 1e-9 * np.abs(A).max()
+    if physical:
+        rapidities = sp.lyapunov_form(built).rapidities
+        assert spectrum_deviation(modes.rapidities, rapidities) < 1e-10
 
 
 @pytest.mark.parametrize("make", [mdl.xy_redfield_model, mdl.xy_lindblad_model])
