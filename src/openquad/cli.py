@@ -64,6 +64,9 @@ SWEEPABLE = ("n", "gamma", "h", "beta_L", "beta_R", "lambda", "delta_beta")
 # largest chain a config may ask for: 10x the n = 1000 laptop target, whose
 # dense 2n x 2n real matrices take 3.2 GB each
 MAX_SITES = 10_000
+# most times a dynamics config may ask for: each times x 2n complex array
+# of the correlator then takes 3.2 GB at n = 100
+MAX_TIMES = 1_000_000
 
 
 class ConfigError(Exception):
@@ -235,8 +238,10 @@ class ExperimentConfig:
             cfg.t_max = _number("dynamics.t_max", dyn.get("t_max", 10.0))
             num_times = dyn.get("num_times", 101)
             cfg.num_times = _number("dynamics.num_times", num_times, int)
-            if cfg.num_times < 1:
-                raise ConfigError("dynamics.num_times: need at least 1 time")
+            if not 1 <= cfg.num_times <= MAX_TIMES:
+                raise ConfigError(
+                    f"dynamics.num_times: need 1..{MAX_TIMES} times, got {num_times!r}"
+                )
         if task == "oracle_check" and n > 3:
             raise ConfigError("oracle_check: n must be <= 3")
         return cfg
@@ -311,6 +316,11 @@ def _parse_sweep(raw) -> dict:
         if len(vals) < 2:
             raise ConfigError("sweep: grid size must be >= 2")
         axes.append(sorted(vals))
+    for p, vals in zip(pars, axes):
+        if p == "n" and not all(v == int(v) and 2 <= v <= MAX_SITES for v in vals):
+            raise ConfigError(
+                f"sweep: values of 'n' must be integers in 2..{MAX_SITES}, got {vals!r}"
+            )
     return {"parameters": pars, "axes": axes}
 
 

@@ -2,8 +2,8 @@
 
 Pipeline:
 
-    H  --eigh-->  (eps_m, u_m)          Hamiltonian eigensystem
-    couplings + baths  -->  z_nu        bath vectors
+    K^T K  --eigh-->  (s, Q)            K = -iH real; one solve per model
+    couplings + baths  -->  z_nu        bath vectors 2 pi lam^2 [g(K^T K) x - iKx]
     M = sum_nu x_nu (x) z_nu            bath matrix
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
@@ -136,8 +136,23 @@ def symplectic_form(two_n: int) -> np.ndarray:
     return J
 
 
+def _real_antisymmetric(H: np.ndarray) -> np.ndarray:
+    """K = -iH for a purely imaginary antisymmetric H, exactly real
+    antisymmetric; any other H raises ValueError."""
+    H = np.asarray(H, dtype=complex)
+    scale = max(1.0, np.abs(H).max())
+    if np.abs(H + H.T).max() > 1e-12 * scale:
+        raise ValueError("H must be antisymmetric")
+    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
+        raise ValueError("H must be Hermitian (purely imaginary antisymmetric)")
+    return 0.5 * (H.imag - H.imag.T)
+
+
 def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
-    """Paired eigensystem of a purely imaginary antisymmetric H.
+    """Paired eigensystem of a purely imaginary antisymmetric H: the
+    paired reference.  No production path calls it; the tests check the
+    matrix function of ``bath_vector`` against the paper's pair sum over
+    these modes.
 
     Such a matrix is Hermitian, so its spectrum is real and comes in
     pairs (eps_m, -eps_m) with eigenvectors (u_m, u_m*).  Returns the
@@ -150,15 +165,9 @@ def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     eigenvalues, where a plain Hermitian eigensolver would mix the
     (u, u*) partners.
     """
-    H = np.asarray(H, dtype=complex)
-    scale = max(1.0, np.abs(H).max())
-    if np.abs(H + H.T).max() > 1e-12 * scale:
-        raise ValueError("H must be antisymmetric")
-    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
-        raise ValueError("H must be Hermitian (purely imaginary antisymmetric)")
-    two_n = H.shape[0]
+    K = _real_antisymmetric(H)
+    two_n = K.shape[0]
     n = two_n // 2
-    K = 0.5 * (H.imag - H.imag.T)  # -iH, exactly real antisymmetric
     T, Q = sla.schur(K, output="real")
     # collect 2x2 antisymmetric blocks and (paired-up) 1x1 zero blocks
     cols_a, cols_b, eps_list = [], [], []
@@ -196,62 +205,71 @@ def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     return HamiltonianEigensystem(eps, modes)
 
 
-def _ohmic_pair_weights(eps: np.ndarray, beta: float, lam: float):
-    """pi * (Gamma(4 eps), Gamma(-4 eps)) evaluated overflow-safely.
-
-    Gamma(-w) = e^{beta w} Gamma(w); the product with the Boltzmann
-    factor is combined analytically: Gamma(-4e) = lam^2 4e / (1 - e^{-4 e beta}).
-    Both weights tend to lam^2/beta at eps = 0.
-    """
-    w = 4.0 * eps
-    lo = np.empty_like(w)
-    hi = np.empty_like(w)
-    z = w == 0
-    nz = ~z
-    lo[z] = lam**2 / beta
-    hi[z] = lam**2 / beta
-    ew = np.exp(-beta * w[nz])
-    denom = -np.expm1(-beta * w[nz])
-    lo[nz] = lam**2 * w[nz] * ew / denom
-    hi[nz] = lam**2 * w[nz] / denom
-    return np.pi * lo, np.pi * hi
+def _bath_spectral_form(H: np.ndarray):
+    """(K, s, Q) with K = -iH and K^T K = Q diag(s) Q^T: everything the
+    bath vectors of every coupling to H need, from one symmetric solve."""
+    K = _real_antisymmetric(H)
+    # numpy's eigh (divide and conquer) runs in the same OpenBLAS as the
+    # product before it.  scipy ships its own OpenBLAS, and its eigh here
+    # competed with numpy's still-spinning BLAS threads: on 2 cores it was
+    # 1.3x slower end to end on the gap scan
+    s, Q = np.linalg.eigh(K.T @ K)
+    return K, s, Q
 
 
-def bath_vector(
-    x: np.ndarray, beta: float, lam: float, eigensystem: HamiltonianEigensystem
-) -> np.ndarray:
-    """Bath vector of one coupling against an Ohmic bath,
-
-        z = pi sum_m [ G(4 eps_m) (x . u_m*) u_m + G(-4 eps_m) (x . u_m) u_m* ].
-
-    The bath spectral function is sampled exactly at the Bohr
-    frequencies 4 eps_m; no broadening or frequency cutoff enters.
-    """
+def _ohmic_bath_vector(x, beta: float, lam: float, form) -> np.ndarray:
+    """z = 2 pi lam^2 [g(K^T K) x - i K x] on a ``_bath_spectral_form``,
+    with g(s) = (1/2beta) y / tanh(y) and y = 2 beta sqrt(s).  y / tanh(y)
+    is even and analytic in y, so g is analytic in s: rounding in the
+    small eigenvalues of K^T K is not amplified by the square root."""
     if beta <= 0:
         raise ValueError(f"inverse temperature must be positive, got {beta}")
-    eps, modes = eigensystem.epsilons, eigensystem.modes
-    w_lo, w_hi = _ohmic_pair_weights(eps, beta, lam)
-    proj_conj = modes.conj() @ x  # (x . u_m*)
-    proj = modes @ x  # (x . u_m)
-    return (w_lo * proj_conj) @ modes + (w_hi * proj) @ modes.conj()
+    K, s, Q = form
+    y = 2.0 * beta * np.sqrt(np.maximum(s, 0.0))
+    ratio = np.ones_like(y)  # y / tanh(y) -> 1 at y = 0
+    nz = y > 0
+    ratio[nz] = y[nz] / np.tanh(y[nz])
+    g = ratio / (2.0 * beta)
+    return 2.0 * np.pi * lam**2 * (Q @ (g * (Q.T @ x)) - 1j * (K @ x))
 
 
-def bath_vectors(model: QuadraticModel, eigensystem: HamiltonianEigensystem):
-    """One bath vector per coupling (Redfield problems only)."""
+def bath_vector(x: np.ndarray, beta: float, lam: float, H: np.ndarray) -> np.ndarray:
+    """Bath vector of one coupling x to an Ohmic bath, for the Hamiltonian H.
+
+    The paper samples the bath spectral function at the Bohr frequencies
+    4 eps_m of H, z = pi sum_m [G(4 eps_m) (x . u_m*) u_m + G(-4 eps_m)
+    (x . u_m) u_m*]; no broadening or frequency cutoff enters.  Summed
+    over the (u_m, u_m*) pairs this is the matrix function
+    z = pi G(4H) x with G(w) = lam^2 w / (e^{beta w} - 1).  Its even part
+    in H is a function of H^2 = K^T K (K = -iH real antisymmetric) and
+    its odd part is -2 pi lam^2 H x, so
+
+        z = 2 pi lam^2 [g(K^T K) x - i K x],  g(s) = sqrt(s) coth(2 beta sqrt(s)),
+
+    with g(0) = 1/(2 beta), from one real symmetric eigendecomposition
+    and no pairing of eigenvectors.  Raises ValueError for beta <= 0.
+    """
+    return _ohmic_bath_vector(x, beta, lam, _bath_spectral_form(H))
+
+
+def bath_vectors(model: QuadraticModel):
+    """One bath vector per coupling (Redfield problems only), all from
+    one eigendecomposition of K^T K."""
     if model.is_lindblad:
         raise ValueError("bath vectors are a Redfield concept; model is Lindblad")
+    form = _bath_spectral_form(model.H)
     out = []
     for c in model.couplings:
         spec = model.bath[c.bath_id]
-        out.append(bath_vector(c.x, spec.beta, spec.lam, eigensystem))
+        out.append(_ohmic_bath_vector(c.x, spec.beta, spec.lam, form))
     return out
 
 
-def bath_matrix(model: QuadraticModel, eigensystem=None, z_vectors=None) -> np.ndarray:
+def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
     """Bath matrix M.
 
-    Redfield: M = sum_nu x_nu (x) z_nu with the bath vectors computed
-    from ``eigensystem`` (or passed explicitly).  Lindblad:
+    Redfield: M = sum_nu x_nu (x) z_nu with the bath vectors of
+    ``bath_vectors`` (or passed explicitly).  Lindblad:
     M = sum_{nu,mu} gamma[nu,mu] x_nu (x) x_mu, which is Hermitian.
     """
     two_n = model.H.shape[0]
@@ -262,9 +280,7 @@ def bath_matrix(model: QuadraticModel, eigensystem=None, z_vectors=None) -> np.n
         M = np.einsum("nm,nj,mk->jk", gamma, xs, xs)
         return M
     if z_vectors is None:
-        if eigensystem is None:
-            eigensystem = hamiltonian_eigensystem(model.H)
-        z_vectors = bath_vectors(model, eigensystem)
+        z_vectors = bath_vectors(model)
     for c, z in zip(model.couplings, z_vectors):
         M += np.outer(c.x, z)
     return M
@@ -309,12 +325,7 @@ def assemble_structure_matrix(H: np.ndarray, M: np.ndarray) -> StructureMatrix:
 
 def structure_matrix(model: QuadraticModel) -> StructureMatrix:
     """Convenience: model -> (A, A0) in one call."""
-    if model.is_lindblad:
-        M = bath_matrix(model)
-    else:
-        eig = hamiltonian_eigensystem(model.H)
-        M = bath_matrix(model, eigensystem=eig)
-    return assemble_structure_matrix(model.H, M)
+    return assemble_structure_matrix(model.H, bath_matrix(model))
 
 
 def _schur_eigenvalues(R: np.ndarray) -> np.ndarray:

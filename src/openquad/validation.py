@@ -40,12 +40,10 @@ def oracle_check_table(model: QuadraticModel) -> list[tuple[str, float]]:
     if n > 3:
         raise ValueError("oracle checks are limited to n <= 3")
     ws = orc.dense_majoranas(n)
-    eig = sp.hamiltonian_eigensystem(model.H)
     if model.is_lindblad:
         liouv = orc.dense_liouvillean(model)
     else:
-        zs = sp.bath_vectors(model, eig)
-        liouv = orc.dense_liouvillean(model, zs)
+        liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     rho = orc.oracle_ness(liouv)
     state = ns.steady_state(model)
     T = state.two_point

@@ -76,8 +76,7 @@ def test_criterion_02_gibbs_fixed_point():
     worst_resid, worst_dev = 0.0, 0.0
     for beta in (0.5, 2.0, 5.0):
         model = redfield(3, 0.5, 0.9, beta_L=beta, beta_R=beta)
-        eig = sp.hamiltonian_eigensystem(model.H)
-        liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+        liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
         ws = orc.dense_majoranas(3)
         rho_g = orc.gibbs_state(orc.dense_quadratic(model.H, ws), beta)
         resid = np.linalg.norm(liouv.L @ orc.vec(rho_g)) / np.linalg.norm(
@@ -96,8 +95,7 @@ def test_criterion_03_spectrum_identity():
     """Even-sector dense spectrum equals the binary rapidity combinations."""
     model = redfield(2, 0.5, 0.9)
     modes = sp.normal_modes(sp.structure_matrix(model))
-    eig = sp.hamiltonian_eigensystem(model.H)
-    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     lam_pipe = sp.liouvillean_eigenvalues(modes, sp.even_weight_selectors(2))
     lam_orc = np.linalg.eigvals(orc.even_sector_matrix(liouv))
     dev = spectrum_deviation(lam_pipe, lam_orc)
@@ -289,8 +287,7 @@ def test_criterion_13_dynamics():
     with dense-oracle evolution."""
     model = redfield(2, 0.5, 0.9)
     modes = sp.normal_modes(sp.structure_matrix(model))
-    eig = sp.hamiltonian_eigensystem(model.H)
-    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     rho = orc.oracle_ness(liouv)
     ws = orc.dense_majoranas(2)
     gap = sp.spectral_gap(modes)

@@ -95,6 +95,16 @@ def test_invalid_configs_exit_2(tmp_path):
         {"task": "ness", "model": {"n": 1e300}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": 1.5}},
         {"task": "gap_scaling", "model": {"n": 8}, "sizes": [16, 24.5, 32, 40]},
+        {"task": "sweep", "model": {"n": 4}, "sweep": {"parameter": "n", "values": [4.7, 6]}},
+        {"task": "sweep", "model": {"n": 4}, "sweep": {"parameter": "n", "values": [1, 6]}},
+        {"task": "sweep", "model": {"n": 4},
+         "sweep": {"parameter": "n", "start": 4, "stop": 20001, "count": 2}},
+        {"task": "sweep", "model": {"n": 4},
+         "sweep": {"parameter": "n", "start": 4, "stop": 9, "count": 3}},
+        {"task": "sweep", "model": {"n": 4, "h": 0.5},
+         "sweep": {"parameter": ["h", "n"], "values": [0.5, 0.7],
+                   "axis2": {"values": [4, 6.5]}}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": 1_000_001}},
     ]
     for payload in cases:
         cfg = write_config(tmp_path, payload)

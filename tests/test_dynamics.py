@@ -14,9 +14,7 @@ from openquad import steady_state
 
 
 def dense_redfield(model):
-    eig = sp.hamiltonian_eigensystem(model.H)
-    zs = sp.bath_vectors(model, eig)
-    return orc.dense_liouvillean(model, zs)
+    return orc.dense_liouvillean(model, sp.bath_vectors(model))
 
 
 def test_correlator_t0_is_wick(redfield_n2):
@@ -143,6 +141,19 @@ def test_propagator_guards():
     Aim = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(dyn.BranchAmbiguityError):
         dyn.time_ordered_propagator(static_schedule(Aim, 0.0, 1.5708, 1e-4))
+
+
+def test_step_guard_uses_the_exact_two_norm():
+    # a star generator: ||A||_1 = ||A||_inf = 11 but ||A||_2 = sqrt(11),
+    # so the cheap bound sqrt(||A||_1 ||A||_inf) exceeds the limit at
+    # dt = 0.05 while the 2-norm, which decides, does not
+    A = np.zeros((12, 12))
+    A[0, 1:], A[1:, 0] = 1.0, -1.0
+    assert 2 * 11 * 0.05 >= 0.5 > 2 * np.linalg.norm(A, 2) * 0.05
+    U, _ = dyn._ordered_product(static_schedule(A, 0.0, 0.5, 0.05))
+    assert np.abs(U - sla.expm(2 * 0.5 * A)).max() < 1e-12
+    with pytest.raises(dyn.StepTooLargeError, match=r"= 0\.663 >= 0\.5 at step 0"):
+        dyn._ordered_product(static_schedule(A, 0.0, 0.5, 0.1))
 
 
 @pytest.mark.parametrize(

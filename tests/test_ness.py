@@ -13,11 +13,10 @@ from openquad import steady_state
 
 
 def oracle_steady(model):
-    eig = sp.hamiltonian_eigensystem(model.H)
     if model.is_lindblad:
         liouv = orc.dense_liouvillean(model)
     else:
-        liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+        liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     rho = orc.oracle_ness(liouv)
     return liouv, rho, orc.dense_majoranas(model.n)
 

@@ -41,8 +41,7 @@ def test_liouvillean_trace_preservation(redfield_n2, lindblad_n2):
         if model.is_lindblad:
             liouv = orc.dense_liouvillean(model)
         else:
-            eig = sp.hamiltonian_eigensystem(model.H)
-            liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+            liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
         ones = orc.vec(np.eye(liouv.dim))
         assert np.abs(ones @ liouv.L).max() < 1e-12
         rng = np.random.default_rng(1)
@@ -52,15 +51,13 @@ def test_liouvillean_trace_preservation(redfield_n2, lindblad_n2):
 
 def test_closed_dynamics_spectrum_imaginary():
     model = mdl.xy_redfield_model(mdl.ChainParams(2, 0.5, 0.9), lam=0.0)
-    eig = sp.hamiltonian_eigensystem(model.H)
-    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     evals = np.linalg.eigvals(liouv.L)
     assert np.abs(evals.real).max() < 1e-12
 
 
 def test_oracle_ness_properties(redfield_n2):
-    eig = sp.hamiltonian_eigensystem(redfield_n2.H)
-    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2, eig))
+    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2))
     rho = orc.oracle_ness(liouv)
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.abs(rho - rho.conj().T).max() < 1e-12
@@ -70,8 +67,7 @@ def test_oracle_ness_properties(redfield_n2):
 
 def test_oracle_ness_degenerate_kernel_refused():
     model = mdl.xy_redfield_model(mdl.ChainParams(2, 0.5, 0.9), lam=0.0)
-    eig = sp.hamiltonian_eigensystem(model.H)
-    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     with pytest.raises(orc.DegenerateKernelError):
         orc.oracle_ness(liouv)
 
@@ -86,8 +82,7 @@ def test_gibbs_fixed_point(beta, gamma, h, theta):
         beta_R=beta,
         thetas=(theta, 0.0, theta, 0.0),
     )
-    eig = sp.hamiltonian_eigensystem(model.H)
-    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model, eig))
+    liouv = orc.dense_liouvillean(model, sp.bath_vectors(model))
     ws = orc.dense_majoranas(3)
     rho_g = orc.gibbs_state(orc.dense_quadratic(model.H, ws), beta)
     resid = np.linalg.norm(liouv.L @ orc.vec(rho_g)) / np.linalg.norm(orc.vec(rho_g))
@@ -98,8 +93,7 @@ def test_gibbs_fixed_point(beta, gamma, h, theta):
 
 def test_even_sector_spectrum_identity(redfield_n2):
     state = steady_state(redfield_n2)
-    eig = sp.hamiltonian_eigensystem(redfield_n2.H)
-    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2, eig))
+    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2))
     lam_pipe = sp.liouvillean_eigenvalues(state, sp.even_weight_selectors(2))
     lam_orc = np.linalg.eigvals(orc.even_sector_matrix(liouv))
     assert spectrum_deviation(lam_pipe, lam_orc) < 1e-8
@@ -120,8 +114,7 @@ def test_reduced_and_expectation_basics():
 
 
 def test_evolve_fixed_point(redfield_n2):
-    eig = sp.hamiltonian_eigensystem(redfield_n2.H)
-    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2, eig))
+    liouv = orc.dense_liouvillean(redfield_n2, sp.bath_vectors(redfield_n2))
     rho = orc.oracle_ness(liouv)
     rho_t = orc.oracle_evolve(liouv, rho, 3.0)
     assert np.abs(rho_t - rho).max() < 1e-12

@@ -71,11 +71,74 @@ def test_eigensystem_periodic_matches_half_dispersion():
 
 def test_bath_vector_zero_coupling():
     H = mdl.build_xy_hamiltonian(mdl.ChainParams(2, 0.5, 0.9))
-    eig = sp.hamiltonian_eigensystem(H)
-    z = sp.bath_vector(np.array([1.0, 0, 0, 0]), 1.0, 0.0, eig)
+    z = sp.bath_vector(np.array([1.0, 0, 0, 0]), 1.0, 0.0, H)
     assert np.abs(z).max() == 0.0
     with pytest.raises(ValueError):
-        sp.bath_vector(np.array([1.0, 0, 0, 0]), -1.0, 0.1, eig)
+        sp.bath_vector(np.array([1.0, 0, 0, 0]), -1.0, 0.1, H)
+
+
+def test_bath_vector_rejects_malformed_hamiltonian():
+    x = np.array([1.0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        sp.bath_vector(x, 1.0, 0.1, np.eye(4))
+    with pytest.raises(ValueError):
+        sp.bath_vector(x, 1.0, 0.1, 1j * np.ones((4, 4)))
+
+
+def pair_sum_bath_vector(x, beta, lam, H):
+    """The paper's pair sum z = pi sum_m [G(4 eps_m) (x . u_m*) u_m +
+    G(-4 eps_m) (x . u_m) u_m*] on the paired eigensystem: the reference
+    for the matrix-function route of ``bath_vector``."""
+    eig = sp.hamiltonian_eigensystem(H)
+    w = 4.0 * eig.epsilons
+    with np.errstate(invalid="ignore", divide="ignore"):
+        hi = np.where(w > 0, lam**2 * w / -np.expm1(-beta * w), lam**2 / beta)
+    lo = hi * np.exp(-beta * w)
+    u = eig.modes
+    return np.pi * ((lo * (u.conj() @ x)) @ u + (hi * (u @ x)) @ u.conj())
+
+
+@pytest.mark.parametrize(
+    "params, beta",
+    [
+        (mdl.ChainParams(100, 0.5, 0.0), 0.8),  # free chain: degenerate and zero eps
+        (mdl.ChainParams(96, 0.5, 0.75), 0.8),
+        (mdl.ChainParams(40, 0.5, 0.2), 0.8),  # exponentially split edge modes
+        (mdl.ChainParams(24, 0.5, 0.9), 0.01),  # y -> 0 limit of y / tanh(y)
+        (mdl.ChainParams(24, 0.5, 0.9), 500.0),  # large-y limit
+    ],
+)
+def test_bath_vector_matches_pair_sum(params, beta):
+    H = mdl.build_xy_hamiltonian(params)
+    two_n = 2 * params.n
+    rng = np.random.default_rng(7)
+    xs = [np.eye(two_n)[0], np.eye(two_n)[-1],
+          rng.normal(size=two_n) + 1j * rng.normal(size=two_n)]  # complex coupling
+    for x in xs:
+        z = sp.bath_vector(x, beta, 0.3, H)
+        ref = pair_sum_bath_vector(x, beta, 0.3, H)
+        assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_bath_vectors_one_eigensolve_per_model(monkeypatch):
+    model = mdl.xy_redfield_model(
+        mdl.ChainParams(96, 0.5, 0.75), kappas=(1.0, 0.7, 1.0, 0.4)
+    )
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    zs = sp.bath_vectors(model)
+    assert len(model.couplings) == len(zs) == 4
+    assert len(calls) == 1
+    for c, z in zip(model.couplings, zs):
+        spec = model.bath[c.bath_id]
+        ref = pair_sum_bath_vector(c.x, spec.beta, spec.lam, model.H)
+        assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_bath_vector_quadrature_oracle():
@@ -91,7 +154,7 @@ def test_bath_vector_quadrature_oracle():
     eig = sp.hamiltonian_eigensystem(H)
     x = np.array([1.0, 0.0], dtype=complex)
     beta, lam = 1.3, 0.2
-    z = sp.bath_vector(x, beta, lam, eig)
+    z = sp.bath_vector(x, beta, lam, H)
 
     xs_, ws_ = leggauss(400)
     smax = 8.0 * beta
@@ -108,24 +171,6 @@ def test_bath_vector_quadrature_oracle():
         zq += 0.5 * np.sum(w * gamma_mid * phase_minus) * proj * eig.modes[m].conj()
         zq += 0.5 * np.sum(w * gamma_mid * phase_plus) * proj_c * eig.modes[m]
     assert np.abs(z - zq).max() < 1e-6
-
-
-def test_bath_vector_degenerate_remix_invariance():
-    # two identical uncoupled sites: eps_1 = eps_2; z must not depend on
-    # which orthonormal basis of the degenerate pair was picked
-    H = np.zeros((4, 4), dtype=complex)
-    for j in (0, 1):
-        H[2 * j, 2 * j + 1] = -0.5j
-        H[2 * j + 1, 2 * j] = 0.5j
-    eig = sp.hamiltonian_eigensystem(H)
-    assert eig.epsilons == pytest.approx([0.5, 0.5])
-    x = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-    z = sp.bath_vector(x, 0.9, 0.3, eig)
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    mixed = sp.HamiltonianEigensystem(eig.epsilons, q @ eig.modes)
-    z2 = sp.bath_vector(x, 0.9, 0.3, mixed)
-    assert np.abs(z - z2).max() < 1e-12
 
 
 def test_bath_matrix_outer_product_structure():
