@@ -42,6 +42,7 @@ from .spectra import (
     liouvillean_eigenvalues,
     lyapunov_form,
     normal_modes,
+    rapidities,
     spectral_gap,
     structure_matrix,
     symplectic_form,

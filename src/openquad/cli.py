@@ -41,8 +41,8 @@ from .ness import NonUniqueNESSError, observable_report, steady_state
 from .oracle import DegenerateKernelError
 from .spectra import (
     NonDiagonalizableError,
-    lyapunov_form,
     normal_modes,
+    rapidities,
     spectral_gap,
     structure_matrix,
 )
@@ -212,6 +212,10 @@ class ExperimentConfig:
             raise ConfigError("bath.beta_L/beta_R: inverse temperatures must be > 0")
         if cfg.lam < 0:
             raise ConfigError(f"bath.lambda: coupling must be >= 0, got {cfg.lam!r}")
+        if min(cfg.rates) < 0:
+            raise ConfigError(
+                f"bath.rates: Lindblad rates must be >= 0, got {cfg.rates!r}"
+            )
         out = _section(raw, "output")
         cfg.directory = str(out.get("directory", "."))
         cfg.fmt = str(out.get("format", "csv"))
@@ -236,6 +240,10 @@ class ExperimentConfig:
                     f"dynamics.pairs: Majorana indices must lie in 1..{2 * n}"
                 )
             cfg.t_max = _number("dynamics.t_max", dyn.get("t_max", 10.0))
+            if cfg.t_max < 0:
+                raise ConfigError(
+                    f"dynamics.t_max: need t_max >= 0, got {cfg.t_max!r}"
+                )
             num_times = dyn.get("num_times", 101)
             cfg.num_times = _number("dynamics.num_times", num_times, int)
             if not 1 <= cfg.num_times <= MAX_TIMES:
@@ -465,9 +473,9 @@ def _task_sweep(cfg: ExperimentConfig, workers: int):
 
 def _task_gap_scaling(cfg: ExperimentConfig):
     sizes = sorted(cfg.sizes)
-    # the gap needs only the rapidities, so no Lyapunov solve and no
-    # uniqueness refusal
-    gaps = [spectral_gap(lyapunov_form(build_model(cfg, n=n))) for n in sizes]
+    # the gap needs only the eigenvalues of X: no Schur vectors, no
+    # Lyapunov solve and no uniqueness refusal
+    gaps = [spectral_gap(rapidities(build_model(cfg, n=n))) for n in sizes]
     expo, pref, resid = fit_power_law(sizes, gaps)
     rows = [[n, g, expo, pref, resid] for n, g in zip(sizes, gaps)]
     return ["n", "gap", "fit_exponent", "fit_prefactor", "fit_residual"], rows

@@ -286,8 +286,11 @@ def xy_redfield_model(
 def lindblad_jump_vectors(n: int, rates: Sequence[float] = DEFAULT_LINDBLAD_RATES):
     """Majorana component vectors of the local jump operators
     L_1 = sqrt(G1) s-_1, L_2 = sqrt(G2) s+_1, L_3 = sqrt(G3) s-_n,
-    L_4 = sqrt(G4) s+_n (right-edge string factor dropped)."""
+    L_4 = sqrt(G4) s+_n (right-edge string factor dropped).  Raises
+    ValueError for a negative rate."""
     g1, g2, g3, g4 = rates
+    if min(rates) < 0:
+        raise ValueError(f"Lindblad rates must be >= 0, got {tuple(rates)!r}")
     ls = np.zeros((4, 2 * n), dtype=complex)
     ls[0, 0], ls[0, 1] = 0.5, -0.5j          # s-_1 = (w1 - i w2)/2
     ls[1, 0], ls[1, 1] = 0.5, 0.5j           # s+_1 = (w1 + i w2)/2

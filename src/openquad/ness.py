@@ -125,6 +125,70 @@ def ness_two_point(
     return TwoPointMatrix(T)
 
 
+# order at or below which a triangular Sylvester solve goes to one
+# unblocked dtrsyl: the whole solve for 2n <= 128, where splitting gained
+# less than the extra numpy <-> scipy hand-offs cost
+_LEAF_ORDER = 128
+
+
+def _dtrsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Z with A Z + Z B^T = C, by LAPACK's unblocked dtrsyl."""
+    Z, scale, info = lapack.dtrsyl(A, B, C, tranb="T")
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
+    return Z / scale
+
+
+def _split(R: np.ndarray) -> int:
+    """A split point near the middle of a real quasi-triangular R that
+    does not cut one of its 2x2 diagonal blocks."""
+    k = len(R) // 2
+    return k + 1 if R[k, k - 1] != 0.0 else k
+
+
+def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Z with A Z + Z B^T = C for real quasi-upper-triangular A and B,
+    recursively blocked: split the larger of A and B, solve the trailing
+    half first and fold it into the right-hand side of the leading half
+    with one matrix product."""
+    if max(len(A), len(B)) <= _LEAF_ORDER:
+        return _dtrsyl(A, B, C)
+    Z = np.empty_like(C)
+    if len(A) >= len(B):
+        k = _split(A)
+        Z[k:] = _sylvester(A[k:, k:], B, C[k:])
+        Z[:k] = _sylvester(A[:k, :k], B, C[:k] - A[:k, k:] @ Z[k:])
+    else:
+        k = _split(B)
+        Z[:, k:] = _sylvester(A, B[k:, k:], C[:, k:])
+        Z[:, :k] = _sylvester(A, B[:k, :k], C[:, :k] - Z[:, k:] @ B[:k, k:].T)
+    return Z
+
+
+def _lyapunov(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Z with R Z + Z R^T = C for a real quasi-upper-triangular R and an
+    antisymmetric C, recursively blocked (Jonsson & Kagstrom, ACM TOMS 28
+    (2002) 392).  With R = [[R11, R12], [0, R22]]:
+
+        R22 Z22 + Z22 R22^T = C22
+        R11 Z12 + Z12 R22^T = C12 - R12 Z22          (Z21 = -Z12^T)
+        R11 Z11 + Z11 R11^T = C11 + W - W^T,  W = R12 Z12^T
+
+    so all but the leaves is matrix products.
+    """
+    if len(R) <= _LEAF_ORDER:
+        return _dtrsyl(R, R, C)
+    k = _split(R)
+    R11, R12, R22 = R[:k, :k], R[:k, k:], R[k:, k:]
+    Z = np.empty_like(C)
+    Z[k:, k:] = _lyapunov(R22, C[k:, k:])
+    Z[:k, k:] = _sylvester(R11, R22, C[:k, k:] - R12 @ Z[k:, k:])
+    Z[k:, :k] = -Z[:k, k:].T
+    W = R12 @ Z[:k, k:].T
+    Z[:k, :k] = _lyapunov(R11, C[:k, :k] + W - W.T)
+    return Z
+
+
 def steady_state(
     model: QuadraticModel, uniqueness_tol: float = UNIQUENESS_TOL
 ) -> SteadyState:
@@ -133,7 +197,9 @@ def steady_state(
     T = 1 + iB with B the real antisymmetric solution of the 2n x 2n
     Lyapunov equation X B + B X^T = Y (``spectra.lyapunov_form``), solved
     by Bartels-Stewart on the real Schur form X = U R U^T that also gives
-    the rapidities.  The 4n x 4n structure matrix is never built.
+    the rapidities.  The triangular solve on R is recursively blocked, so
+    its work is matrix products; blocks of order <= 128 go to LAPACK's
+    dtrsyl.  The 4n x 4n structure matrix is never built.
 
     Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
     ``ness_two_point`` does, and numpy.linalg.LinAlgError when the
@@ -143,11 +209,8 @@ def steady_state(
     form = lyapunov_form(model)
     _check_unique(form, uniqueness_tol)
     X, Y, R, U = form.X, form.Y, form.R, form.U
-    # R Z + Z R^T = scale * U^T Y U, with B = U Z U^T / scale
-    Z, scale, info = lapack.dtrsyl(R, R, U.T @ Y @ U, tranb="T")
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
-    B = U @ (Z / scale) @ U.T
+    # R Z + Z R^T = U^T Y U, with B = U Z U^T
+    B = U @ _lyapunov(R, U.T @ Y @ U) @ U.T
     B = 0.5 * (B - B.T)
     XB = X @ B  # B X^T = -(X B)^T for antisymmetric B
     denom = 2.0 * np.linalg.norm(X) * np.linalg.norm(B) + np.linalg.norm(Y)

@@ -7,6 +7,7 @@ Pipeline:
     M = sum_nu x_nu (x) z_nu            bath matrix
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
+    X  --eigvals-->  beta_j             the same rapidities, for the gap alone
     (H, M)  -->  (A, A0)                4n x 4n structure matrix
     A  --eig-->  (beta_j, V)            normal master modes: eigenvalues split
                                         by sign into +beta / -beta halves,
@@ -48,6 +49,7 @@ __all__ = [
     "assemble_structure_matrix",
     "structure_matrix",
     "lyapunov_form",
+    "rapidities",
     "normal_modes",
     "spectral_gap",
     "liouvillean_eigenvalues",
@@ -344,17 +346,33 @@ def _schur_eigenvalues(R: np.ndarray) -> np.ndarray:
     return evals
 
 
-def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
-    """Model -> real X, Y, the Schur form of X and the rapidities eig(X)/2.
+def _lyapunov_matrices(model: QuadraticModel):
+    """Real X = 4iH + 2(M + conj M) and Y = -i(4(M + M^dag) - X - X^T).
 
     Never builds the 4n x 4n structure matrix.  H is purely imaginary, so
     4iH = -4 Im H, and Y = 4 (Im M - Im M^T).
     """
     M = bath_matrix(model)
-    X = 4.0 * (M.real - model.H.imag)
-    Y = 4.0 * (M.imag - M.imag.T)
+    return 4.0 * (M.real - model.H.imag), 4.0 * (M.imag - M.imag.T)
+
+
+def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
+    """Model -> real X, Y, the Schur form of X and the rapidities eig(X)/2."""
+    X, Y = _lyapunov_matrices(model)
     R, U = sla.schur(X, output="real")
     return LyapunovForm(X, Y, R, U, 0.5 * _schur_eigenvalues(R))
+
+
+def rapidities(model: QuadraticModel) -> np.ndarray:
+    """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
+    eigenvalues of X alone: no Schur vectors and no Lyapunov solve.
+
+    numpy's eigvals runs in the same OpenBLAS as the bath matrix before
+    it; scipy ships its own, and a hand-off between the two copies cost
+    more than the eigenvalues themselves on the gap scan (2 cores).
+    """
+    X, _ = _lyapunov_matrices(model)
+    return 0.5 * np.linalg.eigvals(X)
 
 
 def _hyperbolic_basis(rows: np.ndarray) -> np.ndarray:
@@ -449,9 +467,14 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     return NormalModes(betas, V)
 
 
-def spectral_gap(modes: NormalModes) -> float:
-    """Relaxation rate Delta = 2 min_j Re beta_j (>= 0)."""
-    return float(max(2.0 * modes.rapidities.real.min(), 0.0))
+def spectral_gap(modes) -> float:
+    """Relaxation rate Delta = 2 min_j Re beta_j (>= 0).
+
+    Takes the rapidities themselves or any object that carries them
+    (``NormalModes``, ``LyapunovForm``, ``ness.SteadyState``).
+    """
+    betas = getattr(modes, "rapidities", modes)
+    return float(max(2.0 * np.asarray(betas).real.min(), 0.0))
 
 
 def even_weight_selectors(n: int) -> np.ndarray:

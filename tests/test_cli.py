@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +106,9 @@ def test_invalid_configs_exit_2(tmp_path):
          "sweep": {"parameter": ["h", "n"], "values": [0.5, 0.7],
                    "axis2": {"values": [4, 6.5]}}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"num_times": 1_000_001}},
+        {"task": "ness", "model": {"n": 8},
+         "bath": {"type": "lindblad", "rates": [-0.5, 0.3, 0.5, 0.1]}},
+        {"task": "dynamics", "model": {"n": 3}, "dynamics": {"t_max": -1.0}},
     ]
     for payload in cases:
         cfg = write_config(tmp_path, payload)
@@ -362,6 +366,23 @@ def test_gap_scaling_task(tmp_path):
     assert [r["n"] for r in rows] == [8, 12, 16, 20, 24]
     assert all(r["gap"] > 0 for r in rows)
     assert rows[0]["fit_exponent"] == rows[-1]["fit_exponent"]
+
+
+def test_gap_scaling_reads_eigenvalues_only(tmp_path, monkeypatch):
+    # the gap scan stays in numpy's BLAS: a Schur form (scipy's LAPACK, with
+    # Schur vectors) anywhere on its path would raise here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gap scan must not take a Schur form")
+
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    payload = {
+        "task": "gap_scaling",
+        "model": {"n": 16, "gamma": 0.5, "h": 0.9},
+        "sizes": [8, 12, 16, 20],
+        "output": {"directory": str(tmp_path / "gap")},
+    }
+    assert cli.main(["run", str(write_config(tmp_path, payload))]) == 0
+    assert (tmp_path / "gap" / "gap_scaling.csv").exists()
 
 
 def test_dynamics_task(tmp_path):

@@ -126,6 +126,8 @@ def test_bath_spec_validation():
         mdl.LindbladRates(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PSD
     ok = mdl.LindbladRates(np.array([[1.0, 0.2j], [-0.2j, 1.0]]))
     assert ok.gamma.shape == (2, 2)
+    with pytest.raises(ValueError, match="rates"):
+        mdl.lindblad_jump_vectors(3, (-0.5, 0.3, 0.5, 0.1))
 
 
 def test_quadratic_model_validation():

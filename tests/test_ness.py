@@ -75,6 +75,72 @@ def test_steady_state_rejects_large_residual(redfield_n2, monkeypatch):
         steady_state(redfield_n2)
 
 
+def _dtrsyl_lyapunov(R, C):
+    Z, scale, info = lapack.dtrsyl(R, R, C, tranb="T")
+    assert info >= 0
+    return Z / scale
+
+
+def _relative(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.9)),
+        mdl.xy_redfield_model(mdl.ChainParams(96, 0.5, 0.75)),
+        mdl.xy_redfield_model(mdl.ChainParams(253, 0.5, 0.7)),
+        mdl.xy_lindblad_model(mdl.ChainParams(200, 0.2, 1.05)),
+    ],
+    ids=["redfield_n53", "redfield_n96_critical", "redfield_n253", "lindblad_n200"],
+)
+def test_blocked_lyapunov_solve_matches_dtrsyl(model):
+    # 2n = 106 is one dtrsyl leaf; 2n = 506 recurses two levels
+    form = sp.lyapunov_form(model)
+    C = form.U.T @ form.Y @ form.U
+    Z = ns._lyapunov(form.R, C)
+    assert _relative(Z, _dtrsyl_lyapunov(form.R, C)) <= 1e-10
+
+
+def test_blocked_lyapunov_solve_keeps_2x2_blocks_whole():
+    # a quasi-triangular R in LAPACK's standard form, with 2x2 blocks
+    # [[a, b], [c, a]] (b c < 0) straddling the midpoint splits of the
+    # first two levels: 300 -> 151 + 149, 151 -> 76 + 75, 149 -> 75 + 74
+    rng = np.random.default_rng(5)
+    m = 300
+    R = np.triu(rng.normal(size=(m, m)) / np.sqrt(m), 1)
+    R[np.diag_indices(m)] = rng.uniform(0.5, 2.0, m)
+    starts = {149, 74, 224}
+    starts |= set(range(3, m - 1, 11)) - {s + d for s in starts for d in (-1, 1)}
+    for i in sorted(starts):
+        R[i + 1, i + 1] = R[i, i]
+        R[i, i + 1], R[i + 1, i] = rng.uniform(0.2, 1.0), -rng.uniform(0.2, 1.0)
+    assert np.count_nonzero(np.diag(R, -1)) == len(starts)
+    assert not (np.diag(R, -1)[1:] * np.diag(R, -1)[:-1]).any()  # blocks disjoint
+    assert ns._split(R) == 151
+    C = rng.normal(size=(m, m))
+    C = C - C.T
+    Z = ns._lyapunov(R, C)
+    assert np.linalg.norm(R @ Z + Z @ R.T - C) <= 1e-12 * np.linalg.norm(C)
+    assert _relative(Z, _dtrsyl_lyapunov(R, C)) <= 1e-10
+
+
+def test_blocked_lyapunov_solve_honours_the_dtrsyl_scale(monkeypatch):
+    # a leaf that returns a scaled solution (as dtrsyl does to avoid
+    # overflow) must be divided by its own scale
+    model = mdl.xy_redfield_model(mdl.ChainParams(96, 0.5, 0.75))
+    B = steady_state(model).two_point.B
+    solve = lapack.dtrsyl
+
+    def scaled(*args, **kwargs):
+        Z, scale, info = solve(*args, **kwargs)
+        return 0.5 * Z / scale, 0.5, info
+
+    monkeypatch.setattr(lapack, "dtrsyl", scaled)
+    assert np.array_equal(steady_state(model).two_point.B, B)
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ import pytest
 from conftest import random_antisymmetric
 from openquad import model as mdl
 from openquad import spectra as sp
+from openquad.cli import ExperimentConfig, build_model
 from openquad.validation import spectrum_deviation
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_eigensystem_n1():
@@ -409,9 +414,36 @@ def test_lyapunov_rapidities_are_the_normal_mode_rapidities(make):
     assert spectrum_deviation(form.rapidities, modes.rapidities) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9)),
+        mdl.xy_lindblad_model(mdl.ChainParams(6, 0.5, 0.9)),
+        mdl.xy_redfield_model(mdl.ChainParams(96, 0.5, 0.75)),
+    ],
+    ids=["redfield_n6", "lindblad_n6", "redfield_n96_critical"],
+)
+def test_eigenvalue_rapidities_are_the_schur_rapidities(model):
+    dev = spectrum_deviation(sp.rapidities(model), sp.lyapunov_form(model).rapidities)
+    assert dev < 1e-10
+
+
+@pytest.mark.parametrize("name", ["fig_gap_h0.3", "fig_gap_h0.75", "fig_gap_h0.8"])
+def test_gap_from_eigenvalues_matches_the_schur_gap(name):
+    # every size of the gap-scaling configs; the smallest gap, 3.8e-8 at
+    # n = 96 on h = 0.75, carries the largest relative rounding, 4e-9
+    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    for n in cfg.sizes:
+        model = build_model(cfg, n=n)
+        gap = sp.spectral_gap(sp.rapidities(model))
+        assert gap == pytest.approx(sp.spectral_gap(sp.lyapunov_form(model)), rel=1e-8)
+
+
 def test_spectral_gap_definition():
     modes = sp.NormalModes(np.array([1 + 1j, 0.3, 2.0]), np.eye(12))
     assert sp.spectral_gap(modes) == pytest.approx(0.6)
+    assert sp.spectral_gap(modes.rapidities) == pytest.approx(0.6)
+    assert sp.spectral_gap(np.array([-1e-15, 0.3])) == 0.0
 
 
 def test_liouvillean_eigenvalues_and_selectors(redfield_n2):
