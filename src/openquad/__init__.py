@@ -4,7 +4,8 @@ The library solves the quadratic Liouvillean of n fermionic modes
 coupled linearly to thermal (Redfield) or memoryless (Lindblad) baths.
 Steady states and relaxation spectra come from one real 2n x 2n
 Schur-Lyapunov solve (``steady_state``); the normal modes of the 4n x 4n
-antisymmetric structure matrix serve the dynamics and cross-checks.  It
+antisymmetric structure matrix, built from one eig of the 2n x 2n matrix
+read off it, serve the dynamics and cross-checks.  It
 evaluates steady states, observables, relaxation spectra and driven
 dynamics of the open XY spin-1/2 chain.
 """

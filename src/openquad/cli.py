@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -450,12 +451,20 @@ def _sweep_point(args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _task_sweep(cfg: ExperimentConfig, workers: int):
     pars = cfg.sweep["parameters"]
     points = list(product(*cfg.sweep["axes"]))
     jobs = [(cfg, dict(zip(pars, pt))) for pt in points]
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
+    processes = min(workers, _usable_cpus(), len(jobs))
+    if processes > 1:
+        with get_context("fork").Pool(processes) as pool:
             results = pool.map(_sweep_point, jobs)
     else:
         results = [_sweep_point(j) for j in jobs]
@@ -507,7 +516,10 @@ def run(
     workers: int = 1,
     fmt: str | None = None,
 ) -> Path:
-    """Execute one experiment; returns the path of the primary data file."""
+    """Execute one experiment; returns the path of the primary data file.
+    A sweep forks min(workers, usable CPUs, points) processes."""
+    if workers < 1:
+        raise ConfigError(f"workers: expected a positive count, got {workers}")
     cfg = ExperimentConfig.from_dict(raw_config)
     if output_dir is not None:
         cfg.directory = output_dir

@@ -4,8 +4,9 @@ The non-equilibrium steady state of a quadratic Liouvillean is Gaussian:
 it is fully described by T_jk = <w_j w_k> = delta_jk + i B_jk with a real
 antisymmetric B.  This module solves for T from the real 2n x 2n
 Lyapunov form (``steady_state``, the route every run takes), computes it
-two independent ways for cross-checks (from the normal-mode
-eigenvectors, and by quadrature of the resolvent Green's function), and
+two more ways for cross-checks (from the normal-mode eigenvectors, which
+solve the same Lyapunov equation by an eigendecomposition, and by
+quadrature of the resolvent Green's function, which does not), and
 evaluates magnetization, spin-spin correlators, heat currents, energy
 densities, block entropies, and mutual information via Wick's theorem.
 """
@@ -487,8 +488,11 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
 
 def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
     """The nu_j >= 0 with +-i nu_j the eigenvalues of B restricted to the
-    Majorana rows/columns of the given (1-based) sites."""
+    Majorana rows/columns of the given (1-based) sites.  Raises ValueError
+    for a site outside 1..n or a repeated site."""
     block = sorted(block)
+    if len(set(block)) != len(block) or not all(1 <= a <= two_point.n for a in block):
+        raise ValueError(f"block sites must be distinct and lie in 1..{two_point.n}")
     idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
     Bsub = two_point.B[np.ix_(idx, idx)]
     nu = np.linalg.eigvalsh(1j * Bsub)

@@ -9,9 +9,8 @@ Pipeline:
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     X  --eigvals-->  beta_j             the same rapidities, for the gap alone
     (H, M)  -->  (A, A0)                4n x 4n structure matrix
-    A  --eig-->  (beta_j, V)            normal master modes: eigenvalues split
-                                        by sign into +beta / -beta halves,
-                                        one solve makes V V^T = J
+    A  -->  (X, Y)  --eig-->  (beta, V) normal master modes: one eig of X
+                                        read off A; V V^T = J in closed form
 
 The steady state and the relaxation spectrum come from the real Lyapunov
 form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
@@ -21,7 +20,10 @@ eigenvectors are: the dynamics, and the cross-checks of the Lyapunov
 route.  The eigenvector matrix V is row-based: row 2j-1 (1-based) is the
 eigenvector of A with rapidity +beta_j, row 2j the one with -beta_j, and
 V is normalized so that V V^T equals J = diag(sx, sx, ...).  The
-rapidities come in descending order of (Re beta, Im beta).
+rapidities come in descending order of (Re beta, Im beta).  The modes
+solve X B + B X^T = Y again, by eigenvectors: independent of the Lyapunov
+route are the checks V^T D J V = A, the Green's-function quadrature on A
+and the dense oracle.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ COND_LIMIT = 1e12
 
 
 class NonDiagonalizableError(Exception):
-    """Structure matrix is numerically defective (eigenbasis ill-conditioned)."""
+    """Structure matrix is numerically defective (eigenbasis of X
+    ill-conditioned, or a Jordan pair beta_i + beta_j = 0)."""
 
 
 class ZeroRapidityWarning(UserWarning):
     """Some rapidity has (numerically) vanishing real part; the steady
-    state may be non-unique and the +/- pairing is arbitrary there."""
+    state may be non-unique."""
 
 
 @dataclass(frozen=True)
@@ -375,95 +378,71 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     return 0.5 * np.linalg.eigvals(X)
 
 
-def _hyperbolic_basis(rows: np.ndarray) -> np.ndarray:
-    """Rework ``rows`` (2d vectors spanning one eigenspace) into hyperbolic
-    pairs (p_1, q_1, ..., p_d, q_d) with p_i . q_j = delta_ij and all other
-    bilinear products zero.  Complex Gram-Schmidt on the symmetric form."""
-    remaining = [r.copy() for r in rows]
-    out = []
-    while remaining:
-        u = remaining.pop(0)
-        if abs(u @ u) > 1e-14 * (np.abs(u) ** 2).sum():
-            # make u isotropic by mixing in another basis vector
-            for v in remaining:
-                disc = (u @ v) ** 2 - (u @ u) * (v @ v)
-                alpha_den = v @ v
-                if abs(alpha_den) > 1e-300:
-                    alpha = (-(u @ v) + np.sqrt(disc)) / alpha_den
-                else:
-                    if abs(u @ v) < 1e-300:
-                        continue
-                    alpha = -(u @ u) / (2 * (u @ v))
-                u = u + alpha * v
-                break
-        # partner with maximal pairing
-        scores = [abs(u @ v) for v in remaining]
-        if not remaining or max(scores) < 1e-300:
-            raise NonDiagonalizableError("degenerate cluster has no symplectic partner")
-        w = remaining.pop(int(np.argmax(scores)))
-        w = w / (u @ w)
-        w = w - 0.5 * (w @ w) * u
-        remaining = [v - (v @ w) * u - (v @ u) * w for v in remaining]
-        out.extend([u, w])
-    return np.array(out)
-
-
 def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     """Diagonalize the structure matrix into normal master modes.
 
-    For antisymmetric A, eigenvectors v, w with eigenvalues lambda, mu
-    satisfy v . w = 0 unless lambda + mu = 0.  The eigenvalues are split
-    once by the key (Re lambda, Im lambda), with |Re lambda| <= zero_tol
-    counted as 0: the 2n largest keys are the rapidities beta_j (Re >= 0),
-    in descending key order, with eigenvector rows P; the other 2n have
-    rows Q.  Then P P^T = Q Q^T = 0 in exact arithmetic, and the solve
-    Q <- (Q P^T)^{-1} Q makes P Q^T = 1, which pairs each -beta_j row with
-    its +beta_j row and re-mixes degenerate eigenspaces, so V V^T = J.
-    Exact zero eigenvalues (|lambda| <= zero_tol), whose +/- eigenspaces
-    coincide, are first reworked into hyperbolic pairs.  Raises
-    NonDiagonalizableError when the eigenvector matrix condition number
-    exceeds 1e12 or Q P^T is singular; warns ZeroRapidityWarning when
-    min Re beta falls below 1e-10.
+    In the pairing c_j = (a_2j-1 +- i a_2j)/sqrt2 a trace-preserving A is
+    [[0, X^T/2], [-X/2, -iY/2]] (Prosen, arXiv:1005.0763), with the X and Y
+    of ``lyapunov_form``.  One eig X R = R diag(lambda) gives beta = lambda/2
+    and G = R^-1, and Z = R Z~ R^T with Z~ = G Y G^T / (lambda_i + lambda_j)
+    solves X Z + Z X^T = Y.  With F = G Z = Z~ R^T the rows (odd | even
+    columns) P = [G + iF | -(F + iG)]/sqrt2 (+beta) and Q = [R^T | iR^T]/sqrt2
+    (-beta) have P Q^T = 1 and P P^T = Q Q^T = 0: V V^T = J by construction,
+    and ``ness.ness_two_point`` reads T = 1 + iZ off them.  Real parts of
+    lambda at round-off (1e3 eps |X|_1) are set to 0, and so is Z~_ij where
+    lambda_i + lambda_j and (G Y G^T)_ij are both at round-off (free chain).
+    Raises ValueError when A is not trace preserving (nonzero c.c block),
+    NonDiagonalizableError for a Jordan pair (a vanishing pair sum with
+    (G Y G^T)_ij != 0) or a 1-norm condition number of R above 1e12; warns
+    ZeroRapidityWarning when min Re beta falls below 1e-10.
     """
-    A = struct.A if isinstance(struct, StructureMatrix) else np.asarray(struct)
-    four_n = A.shape[0]
-    evals, evecs = np.linalg.eig(A)
-    if np.linalg.cond(evecs) > COND_LIMIT:
+    A = np.asarray(struct.A if isinstance(struct, StructureMatrix) else struct)
+    oo, oe = A[0::2, 0::2], A[0::2, 1::2]
+    eo, ee = A[1::2, 0::2], A[1::2, 1::2]
+    tol = 1e-12 * max(1.0, np.abs(A).max())
+    if np.abs(oo - ee + 1j * (oe + eo)).max() > tol:
+        raise ValueError("structure matrix is not trace preserving: its c.c block is nonzero")
+    X = -(oo + ee) - 1j * (oe - eo)
+    Y = 1j * (oo - ee) + (oe + eo)
+    if max(np.abs(X.imag).max(), np.abs(Y.imag).max()) <= tol:
+        X, Y = X.real, Y.real  # every Hermiticity-preserving A
+    lam, R = np.linalg.eig(X)
+    roundoff = 1e3 * np.finfo(float).eps
+    tiny = roundoff * np.abs(X).sum(axis=0).max()
+    lam = np.where(np.abs(lam.real) <= tiny, 1j * lam.imag, lam)
+    order = np.lexsort((lam.imag, lam.real))[::-1]  # descending (Re, Im)
+    lam, R = lam[order], R[:, order]
+    try:
+        G = np.linalg.inv(R)
+    except np.linalg.LinAlgError as exc:
+        raise NonDiagonalizableError("X has a singular eigenvector matrix") from exc
+    if np.abs(R).sum(axis=0).max() * np.abs(G).sum(axis=0).max() > COND_LIMIT:
         raise NonDiagonalizableError(
             "eigenvector matrix condition number exceeds 1e12; structure matrix "
             "is numerically defective"
         )
-    scale = max(np.abs(evals).max(), 1e-300)
-    zero_tol = ZERO_RAPIDITY_TOL * max(1.0, scale)
-    re = np.where(np.abs(evals.real) > zero_tol, evals.real, 0.0)
-    order = np.lexsort((evals.imag, re))[::-1]  # descending split key
-    plus, minus = order[: four_n // 2], order[four_n // 2 :]
-    betas = evals[plus]
+    betas = 0.5 * lam
     if betas.real.min() < ZERO_RAPIDITY_TOL:
         warnings.warn(
             "rapidity with vanishing real part: steady state may be non-unique",
             ZeroRapidityWarning,
             stacklevel=2,
         )
-    P = np.asarray(evecs[:, plus].T, dtype=complex)
-    Q = np.asarray(evecs[:, minus].T, dtype=complex)
-    zp = np.flatnonzero(np.abs(evals[plus]) <= zero_tol)
-    zm = np.flatnonzero(np.abs(evals[minus]) <= zero_tol)
-    if len(zp):
-        hyp = _hyperbolic_basis(np.vstack([P[zp], Q[zm]]))
-        P[zp], Q[zm] = hyp[0::2], hyp[1::2]
-    try:
-        Q = np.linalg.solve(Q @ P.T, Q)
-    except np.linalg.LinAlgError as exc:
-        raise NonDiagonalizableError("singular +/- rapidity pairing") from exc
-    # P P^T and Q Q^T vanish only to about eps |A| / |beta_j + beta_k|, which
-    # reaches 1e-9 when two rapidities nearly cancel (Re beta ~ 1e-6); one
-    # first-order step removes that and keeps P Q^T = 1 to second order
-    P = P - 0.5 * (P @ P.T) @ Q
-    Q = Q - 0.5 * (Q @ Q.T) @ P
+    Yt = G @ Y @ G.T
+    # exactly antisymmetric, so P P^T = i(Z~ + Z~^T) vanishes even where a
+    # small lambda_i + lambda_j would magnify its rounding
+    Yt = 0.5 * (Yt - Yt.T)
+    sums = lam[:, None] + lam[None, :]
+    near = np.abs(sums) <= tiny
+    if (np.abs(Yt[near]) > roundoff * np.abs(A).sum(axis=0).max()).any():
+        raise NonDiagonalizableError("rapidities beta_i + beta_j = 0 form a Jordan pair")
+    F = np.where(near, 0.0, Yt / np.where(near, 1.0, sums)) @ R.T
+    four_n = A.shape[0]
     V = np.empty((four_n, four_n), dtype=complex)
-    V[0::2] = P
-    V[1::2] = Q
+    V[0::2, 0::2] = (G + 1j * F) / np.sqrt(2.0)
+    V[0::2, 1::2] = -(F + 1j * G) / np.sqrt(2.0)
+    V[1::2, 0::2] = R.T / np.sqrt(2.0)
+    V[1::2, 1::2] = 1j * R.T / np.sqrt(2.0)
     return NormalModes(betas, V)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from openquad import model as mdl
+from openquad import spectra as sp
 
 
 @pytest.fixture
@@ -23,3 +24,12 @@ def random_antisymmetric(rng, dim, complex_=True):
     if complex_:
         a = a + 1j * rng.normal(size=(dim, dim))
     return a - a.T
+
+
+def random_structure(rng, n):
+    """Structure matrix of a random Lindblad problem on n modes: a random
+    imaginary antisymmetric H and a random positive M = G G^dag.  Unlike a
+    generic antisymmetric matrix it is trace preserving."""
+    H = 1j * random_antisymmetric(rng, 2 * n, complex_=False)
+    G = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    return sp.assemble_structure_matrix(H, G @ G.conj().T).A

@@ -309,6 +309,52 @@ def test_sweep_ordering_error_rows_and_workers(tmp_path):
     ).read_text().splitlines()[1:]
 
 
+def test_workers_below_one_exit_2(tmp_path):
+    payload = {"task": "sweep", "model": {"n": 6},
+               "sweep": {"parameter": "h", "values": [0.5, 0.9]}}
+    cfg = write_config(tmp_path, payload)
+    for workers in ("0", "-3"):
+        proc = run_cli("run", str(cfg), "--output-dir", str(tmp_path), "--workers", workers)
+        assert proc.returncode == 2, proc.stderr
+        assert "workers" in proc.stderr
+    with pytest.raises(cli.ConfigError):
+        cli.run(payload, output_dir=str(tmp_path), workers=0)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, expected",
+    [(64, 3, 3), (64, 8, 5), (2, 8, 2), (1, 8, None)],
+    ids=["cpu_bound", "point_bound", "worker_bound", "serial"],
+)
+def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, workers, cpus, expected):
+    # the pool is a stand-in that maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(cli, "get_context", lambda method: Context())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    payload = {"task": "sweep", "model": {"n": 4},
+               "sweep": {"parameter": "h", "values": [0.3, 0.5, 0.7, 0.9, 1.1]}}
+    out = cli.run(payload, output_dir=str(tmp_path), workers=workers)
+    assert sizes == ([] if expected is None else [expected])
+    assert len(out.read_text().splitlines()) == 6
+
+
 def test_sweep_and_ness_tasks_agree(tmp_path):
     # both tasks read their values off one observable report, so a sweep
     # point writes the very bytes of the ness run at the same parameters

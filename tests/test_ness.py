@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, random_structure
 from openquad import model as mdl
 from openquad import ness as ns
 from openquad import oracle as orc
@@ -162,9 +162,7 @@ def test_steady_state_matches_normal_modes_route(model):
 
 
 def test_steady_state_at_the_critical_field_n253():
-    # min Re beta = 1.6e-10 here: the eigenvector route's +/- pairing
-    # flipped its sign and refused the point; Re eig(X) has no such
-    # ambiguity
+    # min Re beta = 1.6e-10 here, just above the uniqueness threshold
     state = steady_state(mdl.xy_redfield_model(mdl.ChainParams(253, 0.5, 0.75)))
     T = state.two_point.T
     assert sp.spectral_gap(state) > 0
@@ -200,7 +198,7 @@ def test_green_route_residue_identity():
     # synthetic 4x4 structure matrix with known modes: the quadrature must
     # reproduce the residue sum  I + sum_j (v_2j (x) v_2j-1 - v_2j-1 (x) v_2j)
     rng = np.random.default_rng(8)
-    base = sp.normal_modes(random_antisymmetric(rng, 4))
+    base = sp.normal_modes(random_structure(rng, 1))
     V = base.V
     J = sp.symplectic_form(2)
     target = np.array([1.2 + 0.7j, 0.8 - 0.2j])
@@ -417,6 +415,18 @@ def test_block_entropy_limits():
         B[2 * m + 1, 2 * m] = -1.0
     T = ns.TwoPointMatrix(np.eye(2 * n) + 1j * B)
     assert ns.block_entropy(T, range(1, n + 1)) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [[0], [7], [1, 1], [2, 3, 2]],
+                         ids=["site_0", "site_n_plus_1", "repeated", "repeated_in_block"])
+def test_block_sites_are_checked(block):
+    # site 0 used to wrap to the last site through index -2/-1, and a
+    # repeated site entered B twice
+    T = steady_state(mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))).two_point
+    with pytest.raises(ValueError, match="distinct and lie in 1..6"):
+        ns.correlation_spectrum(T, block)
+    with pytest.raises(ValueError):
+        ns.block_entropy(T, block)
 
 
 def test_block_entropy_against_oracle(redfield_n3):

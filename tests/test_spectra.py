@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_antisymmetric
+from conftest import random_antisymmetric, random_structure
 from openquad import model as mdl
+from openquad import ness as ns
 from openquad import spectra as sp
 from openquad.cli import ExperimentConfig, build_model
 from openquad.validation import spectrum_deviation
@@ -306,7 +307,7 @@ def test_normal_modes_reconstruction(redfield_n2):
 
 def test_normal_modes_recovers_synthetic_rapidities():
     rng = np.random.default_rng(11)
-    base = sp.normal_modes(random_antisymmetric(rng, 8))
+    base = sp.normal_modes(random_structure(rng, 2))
     V = base.V
     J = sp.symplectic_form(4)
     target = np.array([2.0 + 1.0j, 1.5, 0.9 - 0.3j, 0.4 + 0.2j])
@@ -321,7 +322,7 @@ def test_normal_modes_recovers_synthetic_rapidities():
 
 def test_normal_modes_scaling_linearity():
     rng = np.random.default_rng(5)
-    A = random_antisymmetric(rng, 8)
+    A = random_structure(rng, 2)
     m1 = sp.normal_modes(A)
     m2 = sp.normal_modes(2.5 * A)
     assert (
@@ -334,7 +335,7 @@ def test_normal_modes_degenerate_cluster():
     # two decoupled identical dissipative blocks produce exactly degenerate
     # rapidities; the J-normalization must still come out
     rng = np.random.default_rng(2)
-    blk = random_antisymmetric(rng, 4)
+    blk = random_structure(rng, 1)
     A = np.zeros((8, 8), dtype=complex)
     A[:4, :4] = blk
     A[4:, 4:] = blk
@@ -354,6 +355,26 @@ def test_normal_modes_zero_rapidity_warns():
     assert np.abs(modes.V @ modes.V.T - J).max() < 1e-9
 
 
+def test_normal_modes_rejects_a_non_trace_preserving_matrix():
+    # a generic antisymmetric matrix has a nonzero c.c block: it is the
+    # structure matrix of no master equation
+    with pytest.raises(ValueError, match="trace preserving"):
+        sp.normal_modes(random_antisymmetric(np.random.default_rng(11), 8))
+
+
+def test_normal_modes_at_the_critical_field():
+    # Redfield n = 253 at h = 0.75, the chain of fig_density_h0.75: the gap
+    # 3.18e-10 is the pair sum of two conjugate rapidities, which the
+    # eigenvalues of the 4n x 4n structure matrix lost to round-off (gap 0,
+    # steady state off by 8.6e-3)
+    model = mdl.xy_redfield_model(mdl.ChainParams(253, 0.5, 0.75))
+    state = ns.steady_state(model)
+    modes = sp.normal_modes(sp.structure_matrix(model))
+    assert sp.spectral_gap(modes) == pytest.approx(sp.spectral_gap(state), rel=1e-6)
+    T = ns.ness_two_point(modes, uniqueness_tol=-math.inf)
+    assert np.abs(T.T - state.two_point.T).max() < 1e-9
+
+
 def _reconstruct(modes):
     """V^T D J V with D = diag(beta_1, -beta_1, beta_2, -beta_2, ...)."""
     D = np.diag(np.stack([modes.rapidities, -modes.rapidities], axis=1).ravel())
@@ -362,7 +383,8 @@ def _reconstruct(modes):
 
 def test_normal_modes_exact_zero_block():
     # free Ising chain at h = 0: the edge Majoranas decouple, so A has an
-    # exact zero eigenvalue of multiplicity 4, handled by _hyperbolic_basis
+    # exact zero eigenvalue of multiplicity 4: X has a double zero, whose
+    # pair sums vanish with G Y G^T = 0 (Y = 0)
     H = mdl.build_xy_hamiltonian(mdl.ChainParams(4, 1.0, 0.0))
     st = sp.assemble_structure_matrix(H, np.zeros((8, 8), dtype=complex))
     assert np.sum(np.abs(np.linalg.eigvals(st.A)) < 1e-12) == 4
@@ -375,7 +397,7 @@ def test_normal_modes_exact_zero_block():
 
 def _degenerate_blocks():
     rng = np.random.default_rng(2)
-    blk = random_antisymmetric(rng, 4)
+    blk = random_structure(rng, 1)
     return np.kron(np.eye(3), blk)  # three identical blocks: threefold rapidities
 
 
@@ -465,7 +487,8 @@ def test_liouvillean_eigenvalues_and_selectors(redfield_n2):
 
 
 def test_nondiagonalizable_rejected():
-    # nilpotent antisymmetric matrix (A^2 = 0, rank 2): genuinely defective
+    # nilpotent antisymmetric matrix (A^2 = 0, rank 2): genuinely defective,
+    # with X = 0 and Y != 0, a Jordan pair
     B = np.array([[1.0, 1j], [1j, -1.0]])  # symmetric, B^2 = 0
     A = np.zeros((4, 4), dtype=complex)
     A[:2, 2:] = B
@@ -474,3 +497,13 @@ def test_nondiagonalizable_rejected():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sp.normal_modes(A)
+
+
+def test_exceptional_point_rejected():
+    # a positive Lindblad M and a Hermitian H whose X = 4(Re M - Im H) is
+    # the Jordan block [[1, 1], [0, 1]]: eig(X) returns parallel vectors
+    H = np.array([[0.0, -0.125j], [0.125j, 0.0]])
+    M = np.array([[0.25, 0.125], [0.125, 0.25]], dtype=complex)
+    st = sp.assemble_structure_matrix(H, M)
+    with pytest.raises(sp.NonDiagonalizableError, match="condition number"):
+        sp.normal_modes(st)
