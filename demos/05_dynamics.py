@@ -1,8 +1,10 @@
 """Time-domain tools: relaxation, dynamical correlations, driven chains.
 
-For a static Liouvillean the normal-master-mode representation gives the
-propagator in closed form; an explicitly time-dependent drive is handled
-by carrying the initial correlations through the time-ordered product of
+For a static Liouvillean the two-point matrix relaxes as
+T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, and by quantum
+regression the same rule gives the steady-state dynamical correlations;
+both run on the eigenpair of the 2n x 2n X.  An explicitly time-dependent
+drive is handled by carrying T through the time-ordered product of
 midpoint exponentials.  The effective generator log(U)/2 is not formed,
 so any horizon works, including those where its branch is ambiguous.
 """

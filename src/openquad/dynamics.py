@@ -1,14 +1,15 @@
 """Time-domain tools for static and driven quadratic Liouvilleans.
 
-For a static Liouvillean the propagator is diagonal in the normal-master
--mode excitation basis, which yields closed-form steady-state dynamical
-correlation functions and an O(n^3) propagation rule for the two-point
-matrix of any Gaussian initial state.  Explicitly time-dependent
-problems are handled through the time-ordered 4n x 4n group element
-U = T exp(2 Int A(t) dt), which carries the initial correlations
-<1| a_r a_s |rho> to S(t) = U S(0) U^T.  The effective generator
-C = log(U)/2 is formed only on request (``time_ordered_propagator``);
-``propagate_schedule`` never forms it.
+Under a static Liouvillean a Gaussian two-point matrix relaxes as
+T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, with the real 2n x 2n
+X of ``spectra.lyapunov_form`` (Prosen, J. Stat. Mech. P07020 (2010));
+by quantum regression the same rule gives the steady-state dynamical
+correlation functions.  Both run on the eigenpair of X read off the
+normal modes.  Explicitly time-dependent problems are handled through the
+time-ordered 4n x 4n group element U = T exp(2 Int A(t) dt), whose odd
+rows carry T(0) to T(t).  The effective generator C = log(U)/2 is formed
+only on request (``time_ordered_propagator``); ``propagate_schedule``
+never forms it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .ness import TwoPointMatrix, _check_unique, ness_two_point
+from .ness import TwoPointMatrix, ness_two_point
 from .spectra import NormalModes
 
 __all__ = [
@@ -62,41 +63,44 @@ class DriveSchedule:
             raise ValueError("horizon and step must be positive")
 
 
+def _eigenpair(modes: NormalModes):
+    """R, G = R^-1 and lambda = 2 beta with X = R diag(lambda) G.
+
+    In ``spectra.normal_modes`` the -beta rows of V hold R^T/sqrt2 in their
+    odd columns, and the odd and even columns of the +beta rows,
+    (G + iF)/sqrt2 and -(F + iG)/sqrt2, combine to sqrt2 G.
+    """
+    V = modes.V
+    R = np.sqrt(2.0) * V[1::2, 0::2].T
+    G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
+    return R, G, 2.0 * modes.rapidities
+
+
 def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarray:
     """Steady-state response C_(j,k),(l,m)(t) = <w_j(t) w_k(t) w_l w_m>.
 
-    Only zero- and two-excitation sectors contribute, giving the
-    factorized static term plus a double sum over mode pairs weighted by
-    exp(-2t(beta_r + beta_r')) = e_r(t) e_r'(t).  The pair weights W are
-    symmetric with a zero diagonal, so the sum over r < r' is half the
-    quadratic form e(t) . W e(t): one matrix product for all times, with
-    memory linear in their number.  The relative sign of the
-    two-excitation term is fixed by Wick's theorem at t = 0 (it comes out
-    opposite to the obvious pairing because the two annihilation maps
-    anticommute past each other when contracted).  Majorana indices are
-    1-based; t >= 0.
+    By quantum regression C_jk(t) at fixed (l, m) relaxes like a two-point
+    matrix, from the Wick matrix of w_l w_m rho_ness toward T_lm T_ness.
+    With u = G T_ness[:, l|m] their difference maps to u_m u_l^T - u_l u_m^T,
+    so C(t) = T_jk T_lm + e(t) . W e(t) with e_r(t) = exp(-lambda_r t) and
+    W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T): one matrix product for all
+    times, with memory linear in their number.  Majorana indices are
+    1-based; every t must be finite and >= 0.
     """
-    _check_unique(modes)
     j, k = pair_jk
     l, m = pair_lm
     if not all(1 <= idx <= 2 * modes.n for idx in (j, k, l, m)):
         raise ValueError(f"Majorana indices must lie in 1..{2 * modes.n}")
     scalar = np.ndim(times) == 0
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if (times < 0).any():
-        raise ValueError("correlator defined for t >= 0")
-    V = modes.V
-    beta = modes.rapidities
-    cols = [2 * (idx - 1) for idx in (j, k, l, m)]  # odd 1-based -> 0-based even
-    Ve = V[1::2]  # rows 2r (1-based)
-    Vo = V[0::2]  # rows 2r-1 (1-based)
-    uj, uk = Ve[:, cols[0]], Ve[:, cols[1]]
-    vl, vm = Vo[:, cols[2]], Vo[:, cols[3]]
-    static = 4.0 * (uj @ Vo[:, cols[1]]) * (Ve[:, cols[2]] @ vm)
-    F = np.outer(uk, uj) - np.outer(uj, uk)
-    G = np.outer(vm, vl) - np.outer(vl, vm)
-    E = np.exp(-2.0 * np.outer(times, beta))
-    out = static - 2.0 * ((E @ (F * G)) * E).sum(axis=1)
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise ValueError("correlator defined for finite t >= 0")
+    T = ness_two_point(modes).T
+    R, G, lam = _eigenpair(modes)
+    ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
+    W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
+    e = np.exp(-np.outer(times, lam))
+    out = T[j - 1, k - 1] * T[l - 1, m - 1] + ((e @ W) * e).sum(axis=1)
     return complex(out[0]) if scalar else out
 
 
@@ -200,52 +204,38 @@ def time_ordered_propagator(schedule: DriveSchedule):
     return U, C, C0
 
 
-def _mode_correlations(two_point: TwoPointMatrix) -> np.ndarray:
-    """<1| a_r a_s |rho> for an even, trace-one state with two-point
-    matrix T, over all 4n adjoint-Majorana indices."""
-    T = two_point.T
-    two_n = T.shape[0]
-    S = np.empty((2 * two_n, 2 * two_n), dtype=complex)
-    S[0::2, 0::2] = T / 2.0
-    S[0::2, 1::2] = -0.5j * T.T
-    S[1::2, 0::2] = 0.5j * T
-    S[1::2, 1::2] = T.T / 2.0
-    return S
-
-
 def propagate_two_point(
     modes: NormalModes, initial: TwoPointMatrix, t: float
 ) -> TwoPointMatrix:
     """Evolve the two-point matrix of a Gaussian state for time t under
     the static Liouvillean with the given normal modes.
 
-    T(t) = T_ness + 2 Ve^T (g o E(t)) Ve, where g_rs = <1| b_r b_s |rho0>
-    collects the two-excitation content of the initial state and
-    E_rs(t) = exp(-2t(beta_r + beta_s)).  T(t) -> T_ness at the rate set
-    by the spectral gap.
+    T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}
+         = T_ness + R (D o E(t)) R^T,
+    with D = G (T(0) - T_ness) G^T and E_rs(t) = exp(-t(lambda_r + lambda_s)).
+    T(t) -> T_ness at the rate set by the spectral gap.  Raises
+    ValueError unless t is finite and >= 0.
     """
-    _check_unique(modes)
-    beta = modes.rapidities
-    V = modes.V
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("propagation defined for finite t >= 0")
     T_ness = ness_two_point(modes).T
-    S = _mode_correlations(initial)
-    Vplus = V[0::2]  # +beta rows define the annihilation maps b_r
-    g = Vplus @ S @ Vplus.T
-    g = 0.5 * (g - g.T)  # exactly antisymmetric in exact arithmetic
-    E = np.exp(-2.0 * t * (beta[:, None] + beta[None, :]))
-    Ve_odd = V[1::2, 0::2]
-    T_t = T_ness + 2.0 * Ve_odd.T @ (g * E) @ Ve_odd
-    return TwoPointMatrix(T_t)
+    R, G, lam = _eigenpair(modes)
+    D = G @ (initial.T - T_ness) @ G.T
+    E = np.exp(-t * (lam[:, None] + lam[None, :]))
+    return TwoPointMatrix(T_ness + R @ (D * E) @ R.T)
 
 
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:
     """Two-point matrix after evolving ``initial`` through the full drive.
 
-    The mode correlations S = <1| a_r a_s |rho> evolve as U S U^T under
-    the time-ordered propagator U, and T = 2 S[odd, odd] (1-based).  The
-    generator log(U)/2 is not formed, so no branch of the logarithm has
-    to be chosen and any horizon the step guard admits is accepted.
+    The adjoint-Majorana correlations S = <1| a_r a_s |rho> go to U S U^T
+    under the time-ordered propagator U, and T = 2 S[odd, odd] (1-based).
+    With P = U[odd, odd] and Q = U[odd, even] that is
+    P T P^T + Q T^T Q^T + i(Q T P^T - P T^T Q^T) = (P + iQ)(T P^T - i T^T Q^T).
+    The generator log(U)/2 is not formed, so no branch of the logarithm
+    has to be chosen and any horizon the step guard admits is accepted.
     """
     U, _ = _ordered_product(schedule)
-    U_odd = U[0::2]  # rows of the real adjoint Majoranas (1-based odd)
-    return TwoPointMatrix(2.0 * U_odd @ _mode_correlations(initial) @ U_odd.T)
+    P, Q = U[0::2, 0::2], U[0::2, 1::2]
+    T = initial.T
+    return TwoPointMatrix((P + 1j * Q) @ (T @ P.T - 1j * T.T @ Q.T))

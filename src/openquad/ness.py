@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .model import ChainParams, QuadraticModel
-from .spectra import NormalModes, StructureMatrix, lyapunov_form
+from .spectra import ZERO_RAPIDITY_TOL, NormalModes, StructureMatrix, lyapunov_form
 
 __all__ = [
     "NonUniqueNESSError",
@@ -50,7 +50,6 @@ __all__ = [
     "observable_report",
 ]
 
-UNIQUENESS_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
@@ -98,7 +97,7 @@ class SteadyState:
     residual: float
 
 
-def _check_unique(modes, tol: float = UNIQUENESS_TOL) -> None:
+def _check_unique(modes, tol: float = ZERO_RAPIDITY_TOL) -> None:
     if modes.rapidities.real.min() <= tol:
         raise NonUniqueNESSError(
             f"min Re beta <= {tol:g}: steady state is not unique; "
@@ -107,7 +106,7 @@ def _check_unique(modes, tol: float = UNIQUENESS_TOL) -> None:
 
 
 def ness_two_point(
-    modes: NormalModes, uniqueness_tol: float = UNIQUENESS_TOL
+    modes: NormalModes, uniqueness_tol: float = ZERO_RAPIDITY_TOL
 ) -> TwoPointMatrix:
     """Steady-state T_jk from the normal-mode eigenvectors,
 
@@ -191,7 +190,7 @@ def _lyapunov(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def steady_state(
-    model: QuadraticModel, uniqueness_tol: float = UNIQUENESS_TOL
+    model: QuadraticModel, uniqueness_tol: float = ZERO_RAPIDITY_TOL
 ) -> SteadyState:
     """Rapidities and steady-state two-point matrix of one model.
 
@@ -488,11 +487,13 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
 
 def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
     """The nu_j >= 0 with +-i nu_j the eigenvalues of B restricted to the
-    Majorana rows/columns of the given (1-based) sites.  Raises ValueError
-    for a site outside 1..n or a repeated site."""
+    Majorana rows/columns of the given (1-based) sites; empty for no
+    sites.  Raises ValueError for a site outside 1..n or a repeated site."""
     block = sorted(block)
     if len(set(block)) != len(block) or not all(1 <= a <= two_point.n for a in block):
         raise ValueError(f"block sites must be distinct and lie in 1..{two_point.n}")
+    if not block:
+        return np.zeros(0)
     idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
     Bsub = two_point.B[np.ix_(idx, idx)]
     nu = np.linalg.eigvalsh(1j * Bsub)

@@ -60,6 +60,8 @@ __all__ = [
     "symplectic_form",
 ]
 
+# min Re beta below which normal_modes warns (ZeroRapidityWarning) and at
+# or below which ness refuses the steady state as not unique
 ZERO_RAPIDITY_TOL = 1e-10
 COND_LIMIT = 1e12
 

@@ -208,6 +208,26 @@ def test_product_turns_complex_at_an_unsymmetric_sample():
     assert np.abs(U - complex_ordered_product(sampler, 0.4, 5e-3)).max() < 1e-12
 
 
+def mode_correlation_readout(U, T):
+    """Reference: T(t) = 2 (U S0 U^T)[odd, odd] (1-based) with the 4n x 4n
+    adjoint-Majorana correlations S0 = <1| a_r a_s |rho> of T."""
+    S = np.empty((2 * len(T), 2 * len(T)), dtype=complex)
+    S[0::2, 0::2] = T / 2.0
+    S[0::2, 1::2] = -0.5j * T.T
+    S[1::2, 0::2] = 0.5j * T
+    S[1::2, 1::2] = T.T / 2.0
+    return 2.0 * (U @ S @ U.T)[0::2, 0::2]
+
+
+def test_schedule_matches_the_mode_correlation_readout():
+    n = 24
+    schedule = dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3)
+    T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    U, _ = dyn._ordered_product(schedule)
+    ref = mode_correlation_readout(U, T0.T)
+    assert np.abs(dyn.propagate_schedule(schedule, T0).T - ref).max() < 1e-13
+
+
 def test_schedule_matches_the_generator_route():
     # T(t) from U S0 U^T against the paper's route: C = log(U)/2 taken as
     # a static Liouvillean for unit time
@@ -275,6 +295,34 @@ def test_propagate_relaxation_rate(redfield_n2):
     d2 = np.abs(dyn.propagate_two_point(modes, T0, t2).T - T_ness.T).max()
     measured = -np.log(d2 / d1) / (t2 - t1)
     assert measured == pytest.approx(rate, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "build, n", [(mdl.xy_redfield_model, 20), (mdl.xy_lindblad_model, 24)]
+)
+def test_propagate_matches_dense_relaxation(build, n):
+    # T(t) = T_ness + expm(-Xt) (T0 - T_ness) expm(-X^T t) with the X of the
+    # Lyapunov form, for a quench from the steady state at another field
+    model = build(mdl.ChainParams(n, 0.5, 0.9))
+    modes = sp.normal_modes(sp.structure_matrix(model))
+    X = sp.lyapunov_form(model).X
+    T_ness = steady_state(model).two_point.T
+    T0 = steady_state(build(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    for t in (0.0, 0.3, 2.0, 15.0):
+        K = sla.expm(-X * t)
+        dense = T_ness + K @ (T0.T - T_ness) @ K.T
+        assert np.abs(dyn.propagate_two_point(modes, T0, t).T - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("t", [-500.0, -1e-3, np.nan, np.inf])
+def test_time_must_be_finite_and_nonnegative(redfield_n2, t):
+    # t = -500 from T0 = 1 grew to |T| ~ 5e38 at n = 4; NaN gave a NaN matrix
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    T0 = ns.TwoPointMatrix(np.eye(4))
+    with pytest.raises(ValueError, match=r"finite t >= 0"):
+        dyn.propagate_two_point(modes, T0, t)
+    with pytest.raises(ValueError, match=r"finite t >= 0"):
+        dyn.dynamic_correlator(modes, (1, 2), (3, 4), [0.0, t])
 
 
 def driven_n2_dense(t_final):

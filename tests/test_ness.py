@@ -429,6 +429,12 @@ def test_block_sites_are_checked(block):
         ns.block_entropy(T, block)
 
 
+def test_empty_block_has_no_spectrum_and_no_entropy():
+    T = steady_state(mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))).two_point
+    assert ns.correlation_spectrum(T, []).shape == (0,)
+    assert ns.block_entropy(T, []) == 0.0
+
+
 def test_block_entropy_against_oracle(redfield_n3):
     T = steady_state(redfield_n3).two_point
     _, rho, _ = oracle_steady(redfield_n3)
