@@ -3,7 +3,9 @@
 Reads a JSON experiment description, builds the model, runs one task
 (ness / sweep / gap_scaling / dynamics / oracle_check) and writes one
 primary data file (CSV or JSON) plus a metadata sidecar.  Outputs are
-deterministic: identical config and code version give identical bytes.
+deterministic: identical config, code version and --workers give
+identical bytes (forked sweep workers run BLAS on one thread, so their
+rows may differ from a serial run's in the last bits).
 
     openquad run config.json [--output-dir DIR] [--workers N]
                              [--format csv|json] [--seed S]
@@ -25,8 +27,10 @@ from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
+from ._blas import single_threaded
 from .model import (
     DEFAULT_BETA_L,
     DEFAULT_BETA_R,
@@ -386,8 +390,29 @@ def write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> No
         )
 
 
+def _library_versions() -> dict:
+    """numpy and scipy versions, and the name and version of the BLAS
+    each was built against."""
+    out = {}
+    for lib in (np, scipy):
+        try:
+            blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # no mode="dicts" before numpy 1.26, scipy 1.11
+            blas = {}
+        out[lib.__name__] = {
+            "version": lib.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+        }
+    return out
+
+
 def write_metadata(path: Path, raw_config: dict, wall_time: float) -> None:
-    meta = {"config": raw_config, "version": __version__, "wall_time_s": wall_time}
+    meta = {
+        "config": raw_config,
+        "version": __version__,
+        "wall_time_s": wall_time,
+        "libraries": _library_versions(),
+    }
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
@@ -464,7 +489,8 @@ def _task_sweep(cfg: ExperimentConfig, workers: int):
     jobs = [(cfg, dict(zip(pars, pt))) for pt in points]
     processes = min(workers, _usable_cpus(), len(jobs))
     if processes > 1:
-        with get_context("fork").Pool(processes) as pool:
+        # the workers share the CPUs, so none of them runs BLAS threads
+        with get_context("fork").Pool(processes, initializer=single_threaded) as pool:
             results = pool.map(_sweep_point, jobs)
     else:
         results = [_sweep_point(j) for j in jobs]
@@ -528,7 +554,10 @@ def run(
             raise ConfigError(f"format: expected csv|json, got {fmt!r}")
         cfg.fmt = fmt
     out_dir = Path(cfg.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"output directory {str(out_dir)!r}: {exc.strerror}") from exc
     t0 = time.perf_counter()
     if cfg.task == "ness":
         header, rows = _task_ness(cfg)
@@ -573,6 +602,9 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
         primary = run(raw, args.output_dir, args.workers, args.fmt)

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import serial_lapack
 from .ness import TwoPointMatrix, ness_two_point
 from .spectra import NormalModes
 
@@ -178,7 +179,8 @@ def _ordered_product(schedule: DriveSchedule):
             norm = np.linalg.norm(gen, 2)
             if 2.0 * norm * dt >= 0.5:
                 raise StepTooLargeError(f"||2A|| dt = {2 * norm * dt:.3f} >= 0.5 at step {i}")
-        step = sla.expm(2.0 * dt * gen)
+        with serial_lapack(len(gen)):
+            step = sla.expm(2.0 * dt * gen)
         U = step if U is None else step @ U  # later times act on the left
         C0 += complex(A0) * dt
     return (_complex_form(U) if real else U), C0

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from ._blas import serial_lapack
 from .model import ChainParams, QuadraticModel
 from .spectra import ZERO_RAPIDITY_TOL, NormalModes, StructureMatrix, lyapunov_form
 
@@ -209,8 +210,10 @@ def steady_state(
     form = lyapunov_form(model)
     _check_unique(form, uniqueness_tol)
     X, Y, R, U = form.X, form.Y, form.R, form.U
-    # R Z + Z R^T = U^T Y U, with B = U Z U^T
-    B = U @ _lyapunov(R, U.T @ Y @ U) @ U.T
+    # R Z + Z R^T = U^T Y U, with B = U Z U^T; one expression, so that no
+    # name holds U^T Y U or Z alive next to B
+    with serial_lapack(len(R)):
+        B = U @ _lyapunov(R, U.T @ Y @ U) @ U.T
     B = 0.5 * (B - B.T)
     XB = X @ B  # B X^T = -(X B)^T for antisymmetric B
     denom = 2.0 * np.linalg.norm(X) * np.linalg.norm(B) + np.linalg.norm(Y)

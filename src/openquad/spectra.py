@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from ._blas import serial_lapack
 from .model import QuadraticModel
 
 __all__ = [
@@ -216,10 +217,10 @@ def _bath_spectral_form(H: np.ndarray):
     """(K, s, Q) with K = -iH and K^T K = Q diag(s) Q^T: everything the
     bath vectors of every coupling to H need, from one symmetric solve."""
     K = _real_antisymmetric(H)
-    # numpy's eigh (divide and conquer) runs in the same OpenBLAS as the
-    # product before it.  scipy ships its own OpenBLAS, and its eigh here
-    # competed with numpy's still-spinning BLAS threads: on 2 cores it was
-    # 1.3x slower end to end on the gap scan
+    # numpy's eigh (divide and conquer) stays in the OpenBLAS of the product
+    # before it.  scipy's eigh would run in scipy's own copy, whose threads,
+    # unless held to one by ``_blas.serial_lapack``, compete with numpy's
+    # still-spinning ones (1.3x slower end to end on the gap scan, 2 cores)
     s, Q = np.linalg.eigh(K.T @ K)
     return K, s, Q
 
@@ -364,7 +365,8 @@ def _lyapunov_matrices(model: QuadraticModel):
 def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
     """Model -> real X, Y, the Schur form of X and the rapidities eig(X)/2."""
     X, Y = _lyapunov_matrices(model)
-    R, U = sla.schur(X, output="real")
+    with serial_lapack(len(X)):
+        R, U = sla.schur(X, output="real")
     return LyapunovForm(X, Y, R, U, 0.5 * _schur_eigenvalues(R))
 
 
@@ -372,9 +374,10 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
     eigenvalues of X alone: no Schur vectors and no Lyapunov solve.
 
-    numpy's eigvals runs in the same OpenBLAS as the bath matrix before
-    it; scipy ships its own, and a hand-off between the two copies cost
-    more than the eigenvalues themselves on the gap scan (2 cores).
+    numpy's eigvals stays in the OpenBLAS of the bath matrix before it,
+    so it needs no thread scope: the scipy LAPACK calls of the solvers
+    run in scipy's own OpenBLAS, on one thread up to order 800
+    (``_blas.serial_lapack``).
     """
     X, _ = _lyapunov_matrices(model)
     return 0.5 * np.linalg.eigvals(X)

@@ -1,0 +1,105 @@
+import numpy as np
+import pytest
+
+from openquad import _blas
+from openquad import model as mdl
+from openquad import steady_state
+
+
+class FakeControls:
+    """Stand-in (get, set) pair that records every count it is set to."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def fake(monkeypatch):
+    controls = {"numpy": FakeControls(4), "scipy": FakeControls(2)}
+    monkeypatch.setattr(
+        _blas, "thread_controls", lambda library: (controls[library].get, controls[library].set)
+    )
+    return controls
+
+
+def test_scope_restores_the_previous_count(fake):
+    scipy = fake["scipy"]
+    with _blas.serial_lapack(10):
+        assert scipy.threads == 1
+    assert scipy.threads == 2
+    with pytest.raises(RuntimeError):
+        with _blas.serial_lapack(10):
+            assert scipy.threads == 1
+            raise RuntimeError("body failed")
+    assert scipy.threads == 2
+    assert scipy.calls == [1, 2, 1, 2]
+    assert fake["numpy"].calls == []  # numpy's pool keeps its threads
+
+
+def test_scope_toggles_nothing_above_the_cutoff(fake):
+    with _blas.serial_lapack(_blas.SERIAL_LAPACK_ORDER + 1):
+        assert fake["scipy"].threads == 2
+    assert fake["scipy"].calls == []
+    with _blas.serial_lapack(_blas.SERIAL_LAPACK_ORDER):
+        assert fake["scipy"].threads == 1
+
+
+def test_worker_initializer_sets_both_pools_to_one_thread(fake):
+    _blas.single_threaded()
+    assert fake["numpy"].calls == [1] and fake["scipy"].calls == [1]
+
+
+def test_real_scope_restores_the_previous_count():
+    controls = _blas.thread_controls("scipy")
+    if controls is None:
+        pytest.skip("scipy's BLAS exposes no OpenBLAS thread controls")
+    get, set_ = controls
+    original = get()
+    try:
+        set_(2)
+        with pytest.raises(RuntimeError):
+            with _blas.serial_lapack(10):
+                assert get() == 1
+                raise RuntimeError("body failed")
+        assert get() == 2
+    finally:
+        set_(original)
+
+
+def missing_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize(
+    "library", [missing_library, lambda path: object()],
+    ids=["library_missing", "symbols_missing"],
+)
+def test_failed_lookup_is_a_silent_no_op(monkeypatch, library):
+    monkeypatch.setattr(_blas.ctypes, "CDLL", library)
+    _blas.thread_controls.cache_clear()
+    try:
+        assert _blas.thread_controls("scipy") is None
+        assert _blas.thread_controls("numpy") is None
+        with _blas.serial_lapack(10):
+            state = steady_state(mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9)))
+        _blas.single_threaded()
+        assert state.residual < 1e-14
+    finally:
+        _blas.thread_controls.cache_clear()
+
+
+@pytest.mark.parametrize("n, tol", [(53, 1e-12), (253, 1e-10)])
+def test_serial_steady_state_matches_the_threaded_one(monkeypatch, n, tol):
+    model = mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.9))
+    serial = steady_state(model).two_point.B
+    monkeypatch.setattr(_blas, "SERIAL_LAPACK_ORDER", 0)  # scipy's pool threaded
+    threaded = steady_state(model).two_point.B
+    assert np.abs(serial - threaded).max() <= tol

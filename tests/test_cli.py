@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from openquad import cli
+from openquad import _blas, cli
 
 
 def run_cli(*args):
@@ -120,6 +120,41 @@ def test_invalid_configs_exit_2(tmp_path):
 def test_missing_config_file_exit_2(tmp_path):
     proc = run_cli("run", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
+
+
+def assert_exit_2_one_line(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+def test_config_path_that_is_a_directory_exit_2(tmp_path):
+    assert_exit_2_one_line(run_cli("run", str(tmp_path)))
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"task": "ness", "model": {"n": 4}, "note": "\u00e9"}'.encode("latin-1"))
+    assert_exit_2_one_line(run_cli("run", str(cfg)))
+
+
+def test_output_dir_naming_a_file_exit_2(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfg = write_config(tmp_path, {"task": "ness", "model": {"n": 4}})
+    proc = run_cli("run", str(cfg), "--output-dir", str(blocker))
+    assert_exit_2_one_line(proc)
+    assert "output directory" in proc.stderr
+    assert blocker.read_text() == "not a directory"
+
+
+def test_output_directory_below_a_file_exit_2(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    payload = {"task": "ness", "model": {"n": 4},
+               "output": {"directory": str(blocker / "sub")}}
+    proc = run_cli("run", str(write_config(tmp_path, payload)))
+    assert_exit_2_one_line(proc)
+    assert "output directory" in proc.stderr
 
 
 def test_numerical_failure_exit_3(tmp_path):
@@ -270,6 +305,12 @@ def test_ness_task_and_determinism(tmp_path):
     meta = json.loads((tmp_path / "a" / "ness.meta.json").read_text())
     assert meta["config"] == payload
     assert "wall_time_s" in meta and "version" in meta
+    libraries = meta["libraries"]
+    assert libraries["numpy"]["version"] == np.__version__
+    assert libraries["scipy"]["version"] == scipy.__version__
+    for lib in ("numpy", "scipy"):
+        assert set(libraries[lib]["blas"]) == {"name", "version"}
+        assert libraries[lib]["blas"]["name"]
 
     payload["output"]["directory"] = str(tmp_path / "b")
     cfg = write_config(tmp_path, payload, "config2.json")
@@ -331,8 +372,9 @@ def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, workers, cpus, expecte
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None):
             sizes.append(processes)
+            assert initializer is _blas.single_threaded
 
         def __enter__(self):
             return self
@@ -353,6 +395,27 @@ def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, workers, cpus, expecte
     out = cli.run(payload, output_dir=str(tmp_path), workers=workers)
     assert sizes == ([] if expected is None else [expected])
     assert len(out.read_text().splitlines()) == 6
+
+
+def test_forked_sweep_matches_the_serial_one_at_n53(tmp_path):
+    # forked workers run BLAS on one thread, so their rows may differ from
+    # the serial run's in the last bits only
+    payload = {"task": "sweep", "model": {"n": 53, "gamma": 0.5, "h": 0.9},
+               "sweep": {"parameter": ["beta_L", "beta_R"],
+                         "axis1": {"values": [0.2, 2.0]},
+                         "axis2": {"values": [0.5, 5.0]}}}
+    tables = []
+    for workers in (1, 2):
+        out = cli.run(payload, output_dir=str(tmp_path / f"w{workers}"), workers=workers)
+        lines = out.read_text().splitlines()
+        tables.append([line.split(",") for line in lines])
+    serial, forked = tables
+    assert serial[0] == forked[0] and len(serial) == len(forked) == 5
+    for a, b in zip(serial[1:], forked[1:]):
+        assert a[-1] == b[-1] == ""
+        np.testing.assert_allclose(
+            np.array(b[:-1], dtype=float), np.array(a[:-1], dtype=float), rtol=0, atol=1e-10
+        )
 
 
 def test_sweep_and_ness_tasks_agree(tmp_path):
