@@ -21,8 +21,9 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product, repeat
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -366,6 +367,7 @@ def build_model(cfg: ExperimentConfig, **overrides):
 
 
 def _fmt(value) -> str:
+    """The CSV text of one scalar cell."""
     if value is None:
         return ""
     if isinstance(value, str):
@@ -378,16 +380,76 @@ def _fmt(value) -> str:
     return format(v, ".17g")
 
 
-def write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+# rows rendered by one % operation: bounds the temporaries of a long block
+_CHUNK_ROWS = 4096
+
+
+def _block(block) -> tuple[str, int, list]:
+    """The row template, row count and columns of one block.
+
+    A sequence column (1-D array, list, tuple or range) becomes a list of
+    Python ints or floats and a ``%d`` or ``%.17g`` conversion, which
+    writes what ``_fmt`` writes, nan included; any other column is a
+    scalar repeated on every row and is written into the template as its
+    ``_fmt`` text.  A block of scalars only is one row.
+    """
+    parts, columns, count = [], [], None
+    for value in block:
+        if isinstance(value, (list, tuple, range, np.ndarray)):
+            values = np.asarray(value)
+            if values.ndim != 1 or values.dtype.kind not in "iuf":
+                raise TypeError(
+                    "block column: expected a 1-D sequence of ints or floats, "
+                    f"got {values.dtype} of shape {values.shape}"
+                )
+            if count is not None and len(values) != count:
+                raise ValueError("block columns differ in length")
+            count = len(values)
+            parts.append("%d" if values.dtype.kind in "iu" else "%.17g")
+            columns.append(values.tolist())
+        else:
+            parts.append(_fmt(value).replace("%", "%%"))
+            columns.append(value)
+    return ",".join(parts) + "\n", 1 if count is None else count, columns
+
+
+@contextmanager
+def _output_file(path: Path):
+    """``path`` open for writing; an OSError opening or writing it is a
+    ConfigError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+    except OSError as exc:  # a directory in the way, no permission, disk full
+        raise ConfigError(f"output file {str(path)!r}: {exc.strerror or exc}") from exc
+
+
+def write_table(path: Path, header: list[str], blocks, fmt: str) -> None:
+    """Write a table of ``header`` columns, given as an iterable of blocks.
+
+    A block is a sequence with one entry per column: a scalar, the same on
+    each of its rows, or a 1-D sequence of ints or floats, one per row (see
+    ``_block``); a plain row of scalars is a one-row block.  CSV is
+    rendered block by block, one ``%`` template per block, and written as
+    it goes; JSON is the list of row objects.
+    """
+    with _output_file(path) as out:
+        if fmt == "csv":
+            out.write(",".join(header) + "\n")
+            for block in blocks:
+                template, count, columns = _block(block)
+                sequences = [c for c in columns if isinstance(c, list)]
+                cells = chain.from_iterable(zip(*sequences))
+                for start in range(0, count, _CHUNK_ROWS):
+                    rows = min(_CHUNK_ROWS, count - start)
+                    out.write(template * rows % tuple(islice(cells, rows * len(sequences))))
+        else:
+            payload = []
+            for block in blocks:
+                _, count, columns = _block(block)
+                columns = [c if isinstance(c, list) else repeat(c, count) for c in columns]
+                payload += [dict(zip(header, row)) for row in zip(*columns)]
+            out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _library_versions() -> dict:
@@ -406,14 +468,18 @@ def _library_versions() -> dict:
     return out
 
 
-def write_metadata(path: Path, raw_config: dict, wall_time: float) -> None:
+def write_metadata(
+    path: Path, raw_config: dict, wall_time: float, write_time: float
+) -> None:
     meta = {
         "config": raw_config,
         "version": __version__,
         "wall_time_s": wall_time,
+        "write_time_s": write_time,
         "libraries": _library_versions(),
     }
-    path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with _output_file(path) as out:
+        out.write(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +490,30 @@ def _task_ness(cfg: ExperimentConfig):
     model = build_model(cfg)
     state = steady_state(model)
     rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
-    n, C = cfg.n, rep.correlations
-    rows = [["s_z", m, "", v] for m, v in enumerate(rep.s_z, start=1)]
-    rows += [["C", l + 1, m + 1, C[l, m]] for l in range(n) for m in range(n)]
-    rows += [["C_r", r, "", v] for r, v in enumerate(rep.correlation_decay)]
-    rows.append(["C_res", "", "", rep.residual_correlator])
-    for m, v in enumerate(rep.heat_current, start=1):
-        rows.append(["Q", m, "", v])
-    for m, v in enumerate(rep.energy_density, start=1):
-        rows.append(["H_m", m, "", v])
-    for m, v in enumerate(rep.energy_fluctuation, start=1):
-        rows.append(["f", m, "", v])
-    rows.append(["entropy_left", "", "", rep.entropy_left])
-    rows.append(["entropy_right", "", "", rep.entropy_right])
-    rows.append(["entropy_total", "", "", rep.entropy_total])
-    rows.append(["qmi", "", "", rep.mutual_information])
-    rows.append(["positivity_excess", "", "", rep.positivity_excess])
-    rows.append(["spectral_gap", "", "", rep.spectral_gap])
-    return ["quantity", "i", "j", "value"], rows
+    return ["quantity", "i", "j", "value"], _ness_blocks(rep)
+
+
+def _ness_blocks(rep):
+    """The ness table of one report, as blocks: one per profile, one per
+    row of C and one row per scalar, so no n^2-row list is ever built."""
+    sites = np.arange(1, len(rep.s_z) + 1)
+    yield "s_z", sites, "", rep.s_z
+    for l, row in enumerate(rep.correlations, start=1):
+        yield "C", l, sites, row
+    yield "C_r", np.arange(len(rep.correlation_decay)), "", rep.correlation_decay
+    yield "C_res", "", "", rep.residual_correlator
+    for name, profile in (
+        ("Q", rep.heat_current),
+        ("H_m", rep.energy_density),
+        ("f", rep.energy_fluctuation),
+    ):
+        yield name, sites[: len(profile)], "", profile
+    yield "entropy_left", "", "", rep.entropy_left
+    yield "entropy_right", "", "", rep.entropy_right
+    yield "entropy_total", "", "", rep.entropy_total
+    yield "qmi", "", "", rep.mutual_information
+    yield "positivity_excess", "", "", rep.positivity_excess
+    yield "spectral_gap", "", "", rep.spectral_gap
 
 
 _POINT_COLUMNS = [
@@ -523,8 +595,7 @@ def _task_dynamics(cfg: ExperimentConfig):
     modes = normal_modes(structure_matrix(model))
     times = np.linspace(0.0, cfg.t_max, cfg.num_times)
     vals = dynamic_correlator(modes, cfg.pairs[0], cfg.pairs[1], times)
-    rows = [[t, v.real, v.imag] for t, v in zip(times, vals)]
-    return ["t", "re", "im"], rows
+    return ["t", "re", "im"], [(times, vals.real, vals.imag)]
 
 
 def _task_oracle_check(cfg: ExperimentConfig):
@@ -560,20 +631,20 @@ def run(
         raise ConfigError(f"output directory {str(out_dir)!r}: {exc.strerror}") from exc
     t0 = time.perf_counter()
     if cfg.task == "ness":
-        header, rows = _task_ness(cfg)
+        header, blocks = _task_ness(cfg)
     elif cfg.task == "sweep":
-        header, rows = _task_sweep(cfg, workers)
+        header, blocks = _task_sweep(cfg, workers)
     elif cfg.task == "gap_scaling":
-        header, rows = _task_gap_scaling(cfg)
+        header, blocks = _task_gap_scaling(cfg)
     elif cfg.task == "dynamics":
-        header, rows = _task_dynamics(cfg)
+        header, blocks = _task_dynamics(cfg)
     else:
-        header, rows = _task_oracle_check(cfg)
-    wall = time.perf_counter() - t0
-    ext = "csv" if cfg.fmt == "csv" else "json"
-    primary = out_dir / f"{cfg.task}.{ext}"
-    write_table(primary, header, rows, cfg.fmt)
-    write_metadata(out_dir / f"{cfg.task}.meta.json", raw_config, wall)
+        header, blocks = _task_oracle_check(cfg)
+    t1 = time.perf_counter()
+    primary = out_dir / f"{cfg.task}.{cfg.fmt}"
+    write_table(primary, header, blocks, cfg.fmt)
+    t2 = time.perf_counter()
+    write_metadata(out_dir / f"{cfg.task}.meta.json", raw_config, t1 - t0, t2 - t1)
     return primary
 
 

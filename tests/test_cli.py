@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from openquad import _blas, cli
+from openquad.model import ChainParams, xy_redfield_model
+from openquad.ness import observable_report, steady_state
+from openquad.spectra import spectral_gap
 
 
 def run_cli(*args):
@@ -71,7 +76,7 @@ def test_fit_karevski_recovers_synthetic():
 # ------------------------------------------------------------ validation
 
 
-def test_invalid_configs_exit_2(tmp_path):
+def test_invalid_configs_exit_2(tmp_path, capsys):
     cases = [
         {"task": "fly_me_to_the_moon", "model": {"n": 4}},
         {"task": "ness"},  # missing model
@@ -110,11 +115,16 @@ def test_invalid_configs_exit_2(tmp_path):
          "bath": {"type": "lindblad", "rates": [-0.5, 0.3, 0.5, 0.1]}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"t_max": -1.0}},
     ]
+    # in-process: a fresh interpreter per case would cost 0.6 s of imports
     for payload in cases:
         cfg = write_config(tmp_path, payload)
-        proc = run_cli("run", str(cfg), "--output-dir", str(tmp_path / "out"))
-        assert proc.returncode == 2, (payload, proc.stderr)
-        assert proc.stderr.strip()
+        code = cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (payload, err)
+        assert len(err.strip().splitlines()) == 1, (payload, err)
+    # and one case through a real interpreter
+    cfg = write_config(tmp_path, cases[0])
+    assert_exit_2_one_line(run_cli("run", str(cfg), "--output-dir", str(tmp_path / "out")))
 
 
 def test_missing_config_file_exit_2(tmp_path):
@@ -145,6 +155,19 @@ def test_output_dir_naming_a_file_exit_2(tmp_path):
     assert_exit_2_one_line(proc)
     assert "output directory" in proc.stderr
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("name", ["ness.csv", "ness.meta.json"])
+def test_output_file_that_cannot_be_written_exit_2(tmp_path, capsys, name):
+    # a directory where the primary file or its sidecar should go
+    blocker = tmp_path / "out" / name
+    blocker.mkdir(parents=True)
+    cfg = write_config(tmp_path, {"task": "ness", "model": {"n": 4}})
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert str(blocker) in err
+    assert blocker.is_dir()
 
 
 def test_output_directory_below_a_file_exit_2(tmp_path):
@@ -289,6 +312,131 @@ def test_fuzzed_configs_never_crash(raw):
         assert err.getvalue().strip()
 
 
+# ----------------------------------------------------------------- writer
+
+
+def reference_fmt(value) -> str:
+    """The per-cell formatting of the row-list writer, kept as the byte
+    reference of the block writer."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    v = float(value)
+    if np.isnan(v):
+        return "nan"
+    return format(v, ".17g")
+
+
+def reference_table(header, rows, fmt) -> bytes:
+    """The row-list writer: one formatted cell at a time, one joined file."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(reference_fmt(v) for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+    payload = [dict(zip(header, row)) for row in rows]
+    return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+
+
+def reference_ness_rows(rep):
+    """The ness table as the row-list writer's task built it."""
+    n, C = len(rep.s_z), rep.correlations
+    rows = [["s_z", m, "", v] for m, v in enumerate(rep.s_z, start=1)]
+    rows += [["C", l + 1, m + 1, C[l, m]] for l in range(n) for m in range(n)]
+    rows += [["C_r", r, "", v] for r, v in enumerate(rep.correlation_decay)]
+    rows.append(["C_res", "", "", rep.residual_correlator])
+    for name, profile in (("Q", rep.heat_current), ("H_m", rep.energy_density),
+                          ("f", rep.energy_fluctuation)):
+        rows += [[name, m, "", v] for m, v in enumerate(profile, start=1)]
+    for name in ("entropy_left", "entropy_right", "entropy_total"):
+        rows.append([name, "", "", getattr(rep, name)])
+    rows.append(["qmi", "", "", rep.mutual_information])
+    rows.append(["positivity_excess", "", "", rep.positivity_excess])
+    rows.append(["spectral_gap", "", "", rep.spectral_gap])
+    return rows
+
+
+def written(tmp_path, header, blocks, fmt) -> bytes:
+    path = tmp_path / f"table.{fmt}"
+    cli.write_table(path, header, blocks, fmt)
+    return path.read_bytes()
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-17]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_writer_matches_the_row_writer_on_special_values(tmp_path, fmt):
+    header = ["name", "i", "j", "value"]
+    ints = [3, -4, 0, 2**40] + ([np.int64(-7)] if fmt == "csv" else [])  # json has no numpy ints
+    rows = [[None, "", "a%d,b", np.float64(0.5)]]
+    rows += [["int", v, "", float(k)] for k, v in enumerate(ints)]
+    rows += [["f", k, "", v] for k, v in enumerate(SPECIAL)]
+    rows += [["np", k, "", np.float64(v)] for k, v in enumerate(SPECIAL)]
+    rows += [["x", None, v, "%s"] for v in SPECIAL[:3]]
+    # the same table as one-row blocks and as blocks of sequence columns
+    blocks = [rows[0], ("int", ints, "", np.arange(len(ints), dtype=float))]
+    blocks += [("f", range(len(SPECIAL)), "", SPECIAL)]
+    blocks += [("np", np.arange(len(SPECIAL)), "", np.array(SPECIAL))]
+    blocks += [("x", None, tuple(SPECIAL[:3]), "%s"), ("empty", [], "", np.array([]))]
+    expected = reference_table(header, rows, fmt)
+    assert written(tmp_path, header, rows, fmt) == expected
+    assert written(tmp_path, header, blocks, fmt) == expected
+
+
+def test_block_columns_must_be_flat_numbers_of_one_length(tmp_path):
+    with pytest.raises(TypeError):
+        cli.write_table(tmp_path / "t.csv", ["a"], [(np.ones((2, 2)),)], "csv")
+    with pytest.raises(TypeError):
+        cli.write_table(tmp_path / "t.csv", ["a"], [(["x", "y"],)], "csv")
+    with pytest.raises(ValueError):
+        cli.write_table(tmp_path / "t.csv", ["a", "b"], [([1, 2], [1.0])], "csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_writer_matches_the_row_writer_on_ness_and_sweep(tmp_path, fmt):
+    model = xy_redfield_model(ChainParams(12, 0.5, 0.9))
+    state = steady_state(model)
+    rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
+    header = ["quantity", "i", "j", "value"]
+    assert written(tmp_path, header, cli._ness_blocks(rep), fmt) == reference_table(
+        header, reference_ness_rows(rep), fmt
+    )
+
+    cfg = cli.ExperimentConfig.from_dict({
+        "task": "sweep", "model": {"n": 4},
+        "sweep": {"parameter": "lambda", "values": [0.2, 0.0, 0.1]},
+    })
+    header, rows = cli._task_sweep(cfg, workers=1)
+    assert any(row[-1] for row in rows)  # lambda = 0 is an error row
+    assert written(tmp_path, header, rows, fmt) == reference_table(header, rows, fmt)
+
+
+def test_ness_table_is_written_without_a_row_list(tmp_path):
+    # the row list of a 400-site table and its joined file peak at 44 MB
+    n, rng = 400, np.random.default_rng(7)
+    rep = SimpleNamespace(
+        s_z=rng.normal(size=n), correlations=rng.normal(size=(n, n)),
+        correlation_decay=rng.normal(size=n // 2), residual_correlator=0.1,
+        heat_current=rng.normal(size=n - 1), energy_density=rng.normal(size=n - 1),
+        energy_fluctuation=rng.normal(size=n - 1), entropy_left=1.0,
+        entropy_right=2.0, entropy_total=3.0, mutual_information=None,
+        positivity_excess=0.0, spectral_gap=1e-3,
+    )
+    tracemalloc.start()
+    try:
+        cli.write_table(tmp_path / "ness.csv", ["quantity", "i", "j", "value"],
+                        cli._ness_blocks(rep), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    lines = (tmp_path / "ness.csv").read_text().splitlines()
+    assert len(lines) == 1 + n + n * n + n // 2 + 1 + 3 * (n - 1) + 6
+
+
 # ------------------------------------------------------------------ tasks
 
 
@@ -305,6 +453,7 @@ def test_ness_task_and_determinism(tmp_path):
     meta = json.loads((tmp_path / "a" / "ness.meta.json").read_text())
     assert meta["config"] == payload
     assert "wall_time_s" in meta and "version" in meta
+    assert meta["write_time_s"] >= 0
     libraries = meta["libraries"]
     assert libraries["numpy"]["version"] == np.__version__
     assert libraries["scipy"]["version"] == scipy.__version__
