@@ -4,12 +4,14 @@ Under a static Liouvillean a Gaussian two-point matrix relaxes as
 T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, with the real 2n x 2n
 X of ``spectra.lyapunov_form`` (Prosen, J. Stat. Mech. P07020 (2010));
 by quantum regression the same rule gives the steady-state dynamical
-correlation functions.  Both run on the eigenpair of X read off the
-normal modes.  Explicitly time-dependent problems are handled through the
-time-ordered 4n x 4n group element U = T exp(2 Int A(t) dt), whose odd
-rows carry T(0) to T(t).  The effective generator C = log(U)/2 is formed
-only on request (``time_ordered_propagator``); ``propagate_schedule``
-never forms it.
+correlation functions.  Both run on the eigenpair X = R diag(lambda) G
+read off the normal modes, so e^{-Xt} = R diag(e^{-lambda t}) G.  T_ness
+and the eigenpair do not depend on t; they are computed on the first call
+for a ``NormalModes`` instance and kept on it.  Explicitly time-dependent
+problems are handled through the time-ordered 4n x 4n group element
+U = T exp(2 Int A(t) dt), whose odd rows carry T(0) to T(t).  The
+effective generator C = log(U)/2 is formed only on request
+(``time_ordered_propagator``); ``propagate_schedule`` never forms it.
 """
 
 from __future__ import annotations
@@ -64,17 +66,34 @@ class DriveSchedule:
             raise ValueError("horizon and step must be positive")
 
 
-def _eigenpair(modes: NormalModes):
-    """R, G = R^-1 and lambda = 2 beta with X = R diag(lambda) G.
+def _relaxation(modes: NormalModes):
+    """T_ness, R, G = R^-1 and lambda = 2 beta with X = R diag(lambda) G.
 
     In ``spectra.normal_modes`` the -beta rows of V hold R^T/sqrt2 in their
     odd columns, and the odd and even columns of the +beta rows,
-    (G + iF)/sqrt2 and -(F + iG)/sqrt2, combine to sqrt2 G.
+    (G + iF)/sqrt2 and -(F + iG)/sqrt2, combine to sqrt2 G.  None of it
+    depends on t, so it is computed on first use and kept in the
+    instance ``__dict__`` (as ``functools.cached_property`` does, which
+    also works on a frozen dataclass).  When ``ness_two_point`` refuses a
+    non-unique steady state nothing is stored, so every call refuses it.
     """
-    V = modes.V
-    R = np.sqrt(2.0) * V[1::2, 0::2].T
-    G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
-    return R, G, 2.0 * modes.rapidities
+    cached = modes.__dict__.get("_relaxation")
+    if cached is None:
+        T_ness = ness_two_point(modes).T
+        V = modes.V
+        R = np.sqrt(2.0) * V[1::2, 0::2].T
+        G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
+        cached = modes.__dict__["_relaxation"] = (T_ness, R, G, 2.0 * modes.rapidities)
+    return cached
+
+
+def _check_size(initial: TwoPointMatrix, two_n: int) -> None:
+    shape = initial.T.shape
+    if shape != (two_n, two_n):
+        raise ValueError(
+            f"initial two-point matrix is {' x '.join(map(str, shape))}, "
+            f"but the generator acts on 2n = {two_n} Majoranas"
+        )
 
 
 def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarray:
@@ -96,8 +115,7 @@ def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarra
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise ValueError("correlator defined for finite t >= 0")
-    T = ness_two_point(modes).T
-    R, G, lam = _eigenpair(modes)
+    T, R, G, lam = _relaxation(modes)
     ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
     W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
     e = np.exp(-np.outer(times, lam))
@@ -124,7 +142,13 @@ def _real_form(A: np.ndarray, scale: float):
     if (np.abs(A[1::2, 1::2] - P.conj()).max() > tol
             or np.abs(A[1::2, 0::2] - Q.conj()).max() > tol):
         return None
-    return np.block([[(P + Q).real, (Q - P).imag], [(P + Q).imag, (P - Q).real]])
+    half = len(P)
+    out = np.empty((2 * half, 2 * half))
+    np.add(P.real, Q.real, out=out[:half, :half])
+    np.subtract(Q.imag, P.imag, out=out[:half, half:])
+    np.add(P.imag, Q.imag, out=out[half:, :half])
+    np.subtract(P.real, Q.real, out=out[half:, half:])
+    return out
 
 
 def _complex_form(R: np.ndarray) -> np.ndarray:
@@ -142,9 +166,12 @@ def _complex_form(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_product(schedule: DriveSchedule):
+def _ordered_product(schedule: DriveSchedule, initial: TwoPointMatrix | None = None):
     """U = T exp(2 Int_0^t A(tau) dtau) as an ordered product of midpoint
     exponentials, and C0 = Int A0.
+
+    A given ``initial`` state must be 2n x 2n for the 4n x 4n samples; its
+    size is checked at each sample, before that sample's exponential.
 
     Samples with the conjugation symmetry of ``_real_form`` are
     exponentiated and multiplied as real matrices and U is transformed
@@ -162,6 +189,8 @@ def _ordered_product(schedule: DriveSchedule):
     for i in range(n_steps):
         A, A0 = schedule.sampler((i + 0.5) * dt)
         A = np.asarray(A, dtype=complex)
+        if initial is not None:
+            _check_size(initial, A.shape[0] // 2)
         scale = max(1.0, np.abs(A).max())
         if np.abs(A + A.T).max() > 1e-12 * scale:
             raise ValueError("sampled structure matrix is not antisymmetric")
@@ -212,19 +241,19 @@ def propagate_two_point(
     """Evolve the two-point matrix of a Gaussian state for time t under
     the static Liouvillean with the given normal modes.
 
-    T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}
-         = T_ness + R (D o E(t)) R^T,
-    with D = G (T(0) - T_ness) G^T and E_rs(t) = exp(-t(lambda_r + lambda_s)).
-    T(t) -> T_ness at the rate set by the spectral gap.  Raises
-    ValueError unless t is finite and >= 0.
+    T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t},
+    with e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X.
+    T_ness, R, G and lambda are computed once per ``modes`` and kept on
+    it, so each call costs three 2n x 2n products.  T(t) -> T_ness at the
+    rate set by the spectral gap.  Raises ValueError unless t is finite
+    and >= 0 and ``initial`` is 2n x 2n.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
-    T_ness = ness_two_point(modes).T
-    R, G, lam = _eigenpair(modes)
-    D = G @ (initial.T - T_ness) @ G.T
-    E = np.exp(-t * (lam[:, None] + lam[None, :]))
-    return TwoPointMatrix(T_ness + R @ (D * E) @ R.T)
+    _check_size(initial, 2 * modes.n)
+    T_ness, R, G, lam = _relaxation(modes)
+    P = (R * np.exp(-t * lam)) @ G
+    return TwoPointMatrix(T_ness + P @ (initial.T - T_ness) @ P.T)
 
 
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:
@@ -236,8 +265,10 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     P T P^T + Q T^T Q^T + i(Q T P^T - P T^T Q^T) = (P + iQ)(T P^T - i T^T Q^T).
     The generator log(U)/2 is not formed, so no branch of the logarithm
     has to be chosen and any horizon the step guard admits is accepted.
+    Raises ValueError at the first sample, before any exponential, when
+    ``initial`` is not 2n x 2n.
     """
-    U, _ = _ordered_product(schedule)
+    U, _ = _ordered_product(schedule, initial)
     P, Q = U[0::2, 0::2], U[0::2, 1::2]
     T = initial.T
     return TwoPointMatrix((P + 1j * Q) @ (T @ P.T - 1j * T.T @ Q.T))

@@ -174,12 +174,6 @@ class QuadraticModel:
         return isinstance(self.bath, LindbladRates)
 
 
-def _add_pair(H: np.ndarray, a: int, b: int, coeff: complex) -> None:
-    # split the coefficient of w_a w_b antisymmetrically over (a,b) and (b,a)
-    H[a, b] += coeff / 2
-    H[b, a] -= coeff / 2
-
-
 def build_xy_hamiltonian(params: ChainParams) -> np.ndarray:
     """Antisymmetric Majorana matrix of the open XY chain.
 
@@ -197,11 +191,14 @@ def build_xy_hamiltonian(params: ChainParams) -> np.ndarray:
     """
     n, gamma, h = params.n, params.gamma, params.h
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        _add_pair(H, 2 * j, 2 * j + 1, -1j * h)
-    for j in range(n - 1):
-        _add_pair(H, 2 * j + 1, 2 * j + 2, -1j * (1 + gamma) / 2)
-        _add_pair(H, 2 * j, 2 * j + 3, 1j * (1 - gamma) / 2)
+    site, bond = 2 * np.arange(n), 2 * np.arange(n - 1)
+    # the three families touch disjoint entries, so each entry is written
+    # once; += and -= on the zeros keep the signed zeros of a pairwise fill
+    for a, b, coeff in ((site, site + 1, -1j * h),
+                        (bond + 1, bond + 2, -1j * (1 + gamma) / 2),
+                        (bond, bond + 3, 1j * (1 - gamma) / 2)):
+        H[a, b] += coeff / 2
+        H[b, a] -= coeff / 2
     return H
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,39 @@ def test_product_turns_complex_at_an_unsymmetric_sample():
     assert np.abs(U - complex_ordered_product(sampler, 0.4, 5e-3)).max() < 1e-12
 
 
+def real_form_by_blocks(A):
+    """Reference: the real form assembled by ``np.block``."""
+    P, Q = A[0::2, 0::2], A[0::2, 1::2]
+    return np.block([[(P + Q).real, (Q - P).imag], [(P + Q).imag, (P - Q).real]])
+
+
+def test_real_form_matches_the_block_assembly():
+    # every midpoint sample of the n = 24 drive of the benchmark
+    sampler, dt = lindblad_drive(24), 2.5e-3
+    for i in range(200):
+        A = np.asarray(sampler((i + 0.5) * dt)[0], dtype=complex)
+        got = dyn._real_form(A, max(1.0, np.abs(A).max()))
+        ref = real_form_by_blocks(A)
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_schedule_rejects_an_initial_state_of_another_size():
+    # the n = 3 drive acts on 2n = 6 Majoranas; the check comes before any
+    # exponential, so the sampler runs once
+    calls = []
+    physical = lindblad_drive(3)
+
+    def sampler(t):
+        calls.append(t)
+        return physical(t)
+
+    schedule = dyn.DriveSchedule(sampler, 0.5, 2.5e-3)
+    with pytest.raises(ValueError, match=r"is 8 x 8, but the generator acts on 2n = 6"):
+        dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(8)))
+    assert len(calls) == 1
+
+
 def mode_correlation_readout(U, T):
     """Reference: T(t) = 2 (U S0 U^T)[odd, odd] (1-based) with the 4n x 4n
     adjoint-Majorana correlations S0 = <1| a_r a_s |rho> of T."""
@@ -312,6 +346,114 @@ def test_propagate_matches_dense_relaxation(build, n):
         K = sla.expm(-X * t)
         dense = T_ness + K @ (T0.T - T_ness) @ K.T
         assert np.abs(dyn.propagate_two_point(modes, T0, t).T - dense).max() < 1e-12
+
+
+def relaxation_by_mode_pairs(modes, initial, t):
+    """Reference: T_ness + R (D o E(t)) R^T with D = G (T(0) - T_ness) G^T
+    and E_rs(t) = exp(-t(lambda_r + lambda_s)), everything rebuilt from
+    the normal modes on each call."""
+    T_ness = ns.ness_two_point(modes).T
+    V = modes.V
+    R = np.sqrt(2.0) * V[1::2, 0::2].T
+    G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
+    lam = 2.0 * modes.rapidities
+    D = G @ (initial.T - T_ness) @ G.T
+    E = np.exp(-t * (lam[:, None] + lam[None, :]))
+    return T_ness + R @ (D * E) @ R.T
+
+
+def structure_of(X, Y):
+    """Trace-preserving structure matrix whose ``normal_modes`` read back
+    X and Y; a complex X gives one without the conjugation symmetry."""
+    S, Q, P = -(X - X.T) / 2, 0.5j * (X + X.T), Y / 2
+    D = -1j * P
+    A = np.empty((2 * len(X), 2 * len(X)), dtype=complex)
+    A[0::2, 0::2], A[1::2, 1::2] = (S + D) / 2, (S - D) / 2
+    A[0::2, 1::2], A[1::2, 0::2] = (P + Q) / 2, (P - Q) / 2
+    return sp.StructureMatrix(A, 0.0)
+
+
+def quench_cases():
+    for build, n in ((mdl.xy_redfield_model, 20), (mdl.xy_lindblad_model, 24)):
+        modes = sp.normal_modes(sp.structure_matrix(build(mdl.ChainParams(n, 0.5, 0.9))))
+        yield modes, steady_state(build(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    # the generator C = log(U)/2 of a drive taken as a static Liouvillean
+    n = 6
+    _, C, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3))
+    T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    yield sp.normal_modes(sp.StructureMatrix(C, 0.0)), T0
+    # C keeps the conjugation symmetry, so its X is real; this X is not
+    form = sp.lyapunov_form(mdl.xy_lindblad_model(mdl.ChainParams(3, 0.5, 0.9)))
+    X = form.X + 0.05j * np.random.default_rng(7).normal(size=form.X.shape)
+    T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(3, 0.5, 0.5))).two_point
+    yield sp.normal_modes(structure_of(X, form.Y)), T0
+
+
+def test_propagate_matches_the_mode_pair_formula():
+    for modes, T0 in quench_cases():
+        for t in (0.0, 0.3, 1.0, 2.0, 15.0):
+            ref = relaxation_by_mode_pairs(modes, T0, t)
+            assert np.abs(dyn.propagate_two_point(modes, T0, t).T - ref).max() < 1e-12
+
+
+def test_relaxation_data_is_computed_once_per_modes(monkeypatch):
+    calls = []
+    original = dyn.ness_two_point
+
+    def counted(modes, *args, **kwargs):
+        calls.append(modes)
+        return original(modes, *args, **kwargs)
+
+    monkeypatch.setattr(dyn, "ness_two_point", counted)
+    model = mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9))
+    modes = sp.normal_modes(sp.structure_matrix(model))
+    T0 = steady_state(mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.5))).two_point
+    dyn.dynamic_correlator(modes, (1, 2), (3, 4), np.linspace(0.0, 20.0, 11))
+    for t in np.linspace(0.0, 20.0, 20):
+        dyn.propagate_two_point(modes, T0, float(t))
+    assert len(calls) == 1
+    # another NormalModes instance computes its own
+    other = sp.normal_modes(sp.structure_matrix(model))
+    dyn.propagate_two_point(other, T0, 1.0)
+    assert len(calls) == 2
+
+
+def test_relaxation_refuses_a_non_unique_state_on_every_call():
+    # the modes of test_two_point_requires_unique_steady_state: no bath
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(2, 0.5, 0.9))
+    st = sp.assemble_structure_matrix(H, np.zeros((4, 4), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
+        modes = sp.normal_modes(st)
+    T0 = ns.TwoPointMatrix(np.eye(4))
+    for _ in range(2):
+        with pytest.raises(ns.NonUniqueNESSError):
+            dyn.propagate_two_point(modes, T0, 1.0)
+    with pytest.raises(ns.NonUniqueNESSError):
+        dyn.dynamic_correlator(modes, (1, 2), (3, 4), 1.0)
+
+
+def test_two_initial_states_on_the_same_modes():
+    # the second state must not see anything kept from the first
+    n = 20
+    model = mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.9))
+    modes = sp.normal_modes(sp.structure_matrix(model))
+    X = sp.lyapunov_form(model).X
+    T_ness = steady_state(model).two_point.T
+    states = (steady_state(mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.5))).two_point,
+              ns.TwoPointMatrix(np.eye(2 * n)))
+    for t in (0.3, 2.0):
+        K = sla.expm(-X * t)
+        for T0 in states:
+            dense = T_ness + K @ (T0.T - T_ness) @ K.T
+            assert np.abs(dyn.propagate_two_point(modes, T0, t).T - dense).max() < 1e-12
+
+
+def test_propagate_rejects_an_initial_state_of_another_size(redfield_n2):
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    for T0 in (np.eye(6), np.eye(4)[:, :3]):
+        with pytest.raises(ValueError, match=r"but the generator acts on 2n = 4"):
+            dyn.propagate_two_point(modes, ns.TwoPointMatrix(T0), 1.0)
 
 
 @pytest.mark.parametrize("t", [-500.0, -1e-3, np.nan, np.inf])

@@ -30,6 +30,33 @@ def test_xy_hamiltonian_n2_xx_zero_field():
     assert np.abs(H - expected).max() < 1e-15
 
 
+def xy_hamiltonian_by_pairs(params):
+    """Reference: the pairwise fill, one w_a w_b term at a time, with its
+    coefficient split antisymmetrically over (a, b) and (b, a)."""
+    n, gamma, h = params.n, params.gamma, params.h
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+
+    def add_pair(a, b, coeff):
+        H[a, b] += coeff / 2
+        H[b, a] -= coeff / 2
+
+    for j in range(n):
+        add_pair(2 * j, 2 * j + 1, -1j * h)
+    for j in range(n - 1):
+        add_pair(2 * j + 1, 2 * j + 2, -1j * (1 + gamma) / 2)
+        add_pair(2 * j, 2 * j + 3, 1j * (1 - gamma) / 2)
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 5, 24, 253])
+@pytest.mark.parametrize("gamma,h", [(0.5, 0.9), (0.0, 0.0), (1.0, -0.4), (-0.3, 1.7)])
+def test_xy_hamiltonian_matches_the_pairwise_fill(n, gamma, h):
+    params = mdl.ChainParams(n, gamma, h)
+    H, ref = mdl.build_xy_hamiltonian(params), xy_hamiltonian_by_pairs(params)
+    assert np.array_equal(H, ref)
+    assert H.tobytes() == ref.tobytes()  # signed zeros too
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("gamma,h", [(0.7, 0.3), (0.0, 1.0), (1.3, 0.9)])
 def test_xy_hamiltonian_matches_pauli_construction(n, gamma, h):
