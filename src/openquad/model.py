@@ -146,10 +146,12 @@ class QuadraticModel:
         H = np.asarray(self.H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2:
             raise ValueError("Hamiltonian matrix must be 2n x 2n")
-        scale = max(1.0, np.abs(H).max())
-        if np.abs(H + H.T).max() > 1e-12 * scale:
+        # in real arithmetic: H is purely imaginary and Im H antisymmetric
+        re_max, im_max = np.abs(H.real).max(), np.abs(H.imag).max()
+        tol = 1e-12 * max(1.0, re_max, im_max)
+        if np.abs(H.imag + H.imag.T).max() > tol:
             raise ValueError("Hamiltonian matrix must be antisymmetric")
-        if np.abs(H + H.conj()).max() > 1e-12 * scale:
+        if 2.0 * re_max > tol:
             raise ValueError("Hamiltonian matrix must be purely imaginary")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "couplings", tuple(self.couplings))

@@ -2,8 +2,10 @@
 
 Pipeline:
 
-    K^T K  --eigh-->  (s, Q)            K = -iH real; one solve per model
-    couplings + baths  -->  z_nu        bath vectors 2 pi lam^2 [g(K^T K) x - iKx]
+    couplings + baths  -->  z_nu        bath vectors 2 pi lam^2 [g(K^T K) x - iKx],
+                                        K = -iH real; g(K^T K) on every coupling
+                                        at once, by a Chebyshev series on the
+                                        sparse K or one eigh of K^T K (cost rule)
     M = sum_nu x_nu (x) z_nu            bath matrix
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,6 +68,7 @@ __all__ = [
 # or below which ness refuses the steady state as not unique
 ZERO_RAPIDITY_TOL = 1e-10
 COND_LIMIT = 1e12
+_EPS = np.finfo(float).eps
 
 
 class NonDiagonalizableError(Exception):
@@ -213,32 +217,180 @@ def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     return HamiltonianEigensystem(eps, modes)
 
 
-def _bath_spectral_form(H: np.ndarray):
-    """(K, s, Q) with K = -iH and K^T K = Q diag(s) Q^T: everything the
-    bath vectors of every coupling to H need, from one symmetric solve."""
-    K = _real_antisymmetric(H)
+def _ohmic_g(s: np.ndarray, beta: float) -> np.ndarray:
+    """g(s) = (1/2beta) y / tanh(y) with y = 2 beta sqrt(s).  y / tanh(y)
+    is even and analytic in y, so g is analytic in s: rounding in the
+    small eigenvalues of K^T K is not amplified by the square root."""
+    y = 2.0 * beta * np.sqrt(np.maximum(s, 0.0))
+    ratio = np.ones_like(y)  # y / tanh(y) -> 1 at y = 0
+    nz = y > 0
+    ratio[nz] = y[nz] / np.tanh(y[nz])
+    return ratio / (2.0 * beta)
+
+
+def _diagonals(K: np.ndarray):
+    """K as its nonzero diagonals, and L = |K|_1 |K|_inf >= |K^T K|_2.
+
+    Each diagonal is a triple (rows, cols, values) with K V = sum of
+    values * V[cols] added into rows, and K^T W = sum of values * W[rows]
+    added into cols.  One scan of K finds them; the chain Hamiltonians
+    have four.
+    """
+    two_n = len(K)
+    flat = np.flatnonzero(K != 0)
+    diags = []
+    row_sums, col_sums = np.zeros(two_n), np.zeros(two_n)
+    for d in np.unique(flat % two_n - flat // two_n):
+        rows = slice(max(0, -d), two_n - max(0, d))
+        cols = slice(max(0, d), two_n - max(0, -d))
+        values = np.diagonal(K, d)[:, None]
+        diags.append((rows, cols, values))
+        row_sums[rows] += np.abs(values[:, 0])
+        col_sums[cols] += np.abs(values[:, 0])
+    return diags, float(row_sums.max() * col_sums.max()) if diags else 0.0
+
+
+def _apply(diags, V: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """K V (or K^T V) on the ``_diagonals`` of K, for a real block V."""
+    out = np.zeros_like(V)
+    for rows, cols, values in diags:
+        if transpose:
+            out[cols] += values * V[rows]
+        else:
+            out[rows] += values * V[cols]
+    return out
+
+
+def _series_terms(beta: float, L: float) -> int:
+    """A priori count of the Chebyshev terms of g on [0, L] down to 2 eps.
+
+    g has its poles at s = -(k pi / 2 beta)^2.  In t = 2s/L - 1 the first
+    one lies at -(1 + 2u^2) with u = pi / (2 beta sqrt(L)), and the
+    coefficients decay as rho^-k, rho = exp(arccosh(1 + 2u^2)) =
+    exp(2 asinh(u)), the Bernstein ellipse through it (Trefethen, ATAP
+    ch. 8).  Exact to a few terms for beta <= 5, and up to 1.6 times too
+    many at beta = 500; finite for any beta > 0.
+    """
+    log_rho = 2.0 * np.arcsinh(np.pi / (2.0 * beta * np.sqrt(L)))
+    return int(np.ceil(np.log(0.5 / _EPS) / log_rho)) + 2
+
+
+@lru_cache(maxsize=64)
+def _chebyshev_coefficients(beta: float, L: float) -> np.ndarray:
+    """Chebyshev coefficients of g(s) on s in [0, L], cut where the tail
+    falls below 2 eps of the largest one (read-only, cached).
+
+    g is sampled at the N Chebyshev points cos(pi (k + 1/2) / N) of the
+    first kind, and one FFT of the even extension gives the DCT-II.  N
+    doubles until the cut lies in the first half of the N coefficients,
+    so aliasing leaves them at rounding level.
+    """
+    N = 16
+    while N < 2 * _series_terms(beta, L):
+        N *= 2
+    while True:
+        k = np.arange(N)
+        f = _ohmic_g(0.5 * L * (1.0 + np.cos(np.pi * (k + 0.5) / N)), beta)
+        c = (np.fft.fft(np.concatenate([f, f[::-1]]))[:N]
+             * np.exp(-0.5j * np.pi * k / N)).real / N
+        c[0] *= 0.5
+        keep = np.flatnonzero(np.abs(c) > 2.0 * _EPS * np.abs(c).max())[-1] + 1
+        if keep <= N // 2:
+            c = c[:keep]
+            c.flags.writeable = False
+            return c
+        N *= 2
+
+
+def _gram_function_series(diags, L: float, betas, X: np.ndarray) -> np.ndarray:
+    """g(K^T K) X, column j at inverse temperature betas[j], by the
+    Chebyshev series of g on [0, L] (``_chebyshev_coefficients``).
+
+    The three-term recurrence T_k+1 = 2 A T_k - T_k-1 with
+    A = (2/L) K^T K - 1 runs once on the whole real block X, each column
+    summed with its own coefficients; K is applied by its ``_diagonals``
+    and K^T K is never formed.
+    """
+    coeffs = [_chebyshev_coefficients(b, L) for b in betas]
+    C = np.zeros((max(map(len, coeffs)), len(coeffs)))
+    for j, c in enumerate(coeffs):
+        C[: len(c), j] = c
+
+    def shifted(V):  # A V
+        return (2.0 / L) * _apply(diags, _apply(diags, V), transpose=True) - V
+
+    prev, cur = X, shifted(X)
+    out = C[0] * prev
+    if len(C) > 1:
+        out += C[1] * cur
+    for c in C[2:]:
+        prev, cur = cur, 2.0 * shifted(cur) - prev
+        out += c * cur
+    return out
+
+
+def _gram_function_eigh(K: np.ndarray, betas, X: np.ndarray) -> np.ndarray:
+    """g(K^T K) X, column j at inverse temperature betas[j], from one
+    symmetric eigendecomposition K^T K = Q diag(s) Q^T, in real arithmetic."""
+    K = np.ascontiguousarray(K)
     # numpy's eigh (divide and conquer) stays in the OpenBLAS of the product
     # before it.  scipy's eigh would run in scipy's own copy, whose threads,
     # unless held to one by ``_blas.serial_lapack``, compete with numpy's
     # still-spinning ones (1.3x slower end to end on the gap scan, 2 cores)
     s, Q = np.linalg.eigh(K.T @ K)
-    return K, s, Q
+    g = {b: _ohmic_g(s, b) for b in set(betas)}
+    return Q @ (np.column_stack([g[b] for b in betas]) * (Q.T @ X))
 
 
-def _ohmic_bath_vector(x, beta: float, lam: float, form) -> np.ndarray:
-    """z = 2 pi lam^2 [g(K^T K) x - i K x] on a ``_bath_spectral_form``,
-    with g(s) = (1/2beta) y / tanh(y) and y = 2 beta sqrt(s).  y / tanh(y)
-    is even and analytic in y, so g is analytic in s: rounding in the
-    small eigenvalues of K^T K is not amplified by the square root."""
-    if beta <= 0:
-        raise ValueError(f"inverse temperature must be positive, got {beta}")
-    K, s, Q = form
-    y = 2.0 * beta * np.sqrt(np.maximum(s, 0.0))
-    ratio = np.ones_like(y)  # y / tanh(y) -> 1 at y = 0
-    nz = y > 0
-    ratio[nz] = y[nz] / np.tanh(y[nz])
-    g = ratio / (2.0 * beta)
-    return 2.0 * np.pi * lam**2 * (Q @ (g * (Q.T @ x)) - 1j * (K @ x))
+# cost model of the two routes of ``_ohmic_bath_vectors``, in units of one
+# multiply-add on the block (about 3 ns on 2 cores): a series step costs
+# 2 x (stored diagonal entries of K) x r of them plus about 50 us of numpy
+# call overhead; a dense eigh of K^T K costs (2n)^3 / 10 of them (measured
+# 48 ms at 2n = 506 and 1.3-2 s at 2n = 2000).  Small eighs cost more per
+# (2n)^3, so the rule leans to the eigh there: at beta = 5.2 it takes the
+# series from n of about 110-130 on the chain, where both routes take a
+# few ms
+_SERIES_STEP_COST = 16000
+_EIGH_COST = 0.1
+
+
+def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
+    """z = 2 pi lam^2 [g(K^T K) x - i K x] for each coupling x (a row of
+    xs) at its own (beta, lam), on the real antisymmetric K = -iH.
+
+    The real and imaginary parts of the couplings form one real 2n x r
+    block.  g(K^T K) goes on it by the Chebyshev series when its terms x
+    (stored diagonals of K x r + a per-step constant) is below the (2n)^3
+    of a dense eigh of K^T K, and by that eigh otherwise (dense K, small
+    2n, very low temperature).
+    """
+    betas = [float(b) for b in betas]
+    if not betas:
+        return []
+    if min(betas) <= 0:
+        raise ValueError(f"inverse temperature must be positive, got {min(betas)}")
+    m = len(betas)
+    complex_rows = np.flatnonzero(xs.imag.any(axis=1))
+    X = np.concatenate([xs.real, xs.imag[complex_rows]]).T
+    col_betas = betas + [betas[i] for i in complex_rows]
+    diags, L = _diagonals(K)
+    use_series = False
+    if L > 0:
+        terms = max(_series_terms(b, L) for b in set(betas))
+        stored = sum(len(values) for _, _, values in diags)
+        step = 2 * stored * X.shape[1] + _SERIES_STEP_COST
+        use_series = terms * step < _EIGH_COST * len(K) ** 3
+    if use_series:
+        gX = _gram_function_series(diags, L, col_betas, X)
+    else:
+        gX = _gram_function_eigh(K, col_betas, X)
+    KX = _apply(diags, X)
+    # with x = a + ib: g x - iK x = (g a + K b) + i (g b - K a)
+    re, im = gX[:, :m].copy(), -KX[:, :m]
+    re[:, complex_rows] += KX[:, m:]
+    im[:, complex_rows] += gX[:, m:]
+    Z = 2.0 * np.pi * np.asarray(lams, dtype=float) ** 2 * (re + 1j * im)
+    return list(np.ascontiguousarray(Z.T))
 
 
 def bath_vector(x: np.ndarray, beta: float, lam: float, H: np.ndarray) -> np.ndarray:
@@ -254,23 +406,42 @@ def bath_vector(x: np.ndarray, beta: float, lam: float, H: np.ndarray) -> np.nda
 
         z = 2 pi lam^2 [g(K^T K) x - i K x],  g(s) = sqrt(s) coth(2 beta sqrt(s)),
 
-    with g(0) = 1/(2 beta), from one real symmetric eigendecomposition
-    and no pairing of eigenvectors.  Raises ValueError for beta <= 0.
+    with g(0) = 1/(2 beta), and no pairing of eigenvectors.  g(K^T K) x
+    comes from the Chebyshev series of g on [0, |K|_1^2], applied with the
+    sparse K, or from one real symmetric eigendecomposition of K^T K,
+    whichever a cost rule says is cheaper (see ``bath_vectors``); the two
+    agree to about 1e-15 relative.  H is checked here (antisymmetric and
+    purely imaginary, else ValueError), and so are beta > 0 and the
+    length of x.
     """
-    return _ohmic_bath_vector(x, beta, lam, _bath_spectral_form(H))
+    K = _real_antisymmetric(H)
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (len(K),):
+        raise ValueError(f"coupling vector has shape {x.shape}, H needs ({len(K)},)")
+    return _ohmic_bath_vectors(K, x[None, :], [beta], [lam])[0]
 
 
 def bath_vectors(model: QuadraticModel):
-    """One bath vector per coupling (Redfield problems only), all from
-    one eigendecomposition of K^T K."""
+    """One bath vector per coupling (Redfield problems only), all from one
+    application of g(K^T K) to the block of every coupling.
+
+    K = Im H is read off the model's H, which ``QuadraticModel`` has
+    already checked.  The Chebyshev series of g is summed on the sparse K
+    when its terms x (nonzeros of K) x (columns of the block), plus a
+    per-step constant, is below the (2n)^3 of a dense eigh: on the chain
+    from about n = 125 at the shipped temperatures.  The eigh of K^T K is
+    kept for smaller chains, dense K and very low temperatures (the
+    series needs about 500 terms at beta = 50 and 4000 at beta = 500).
+    At n = 1000 the series takes about 60 terms and 0.02 s where the eigh
+    took 2 s.
+    """
     if model.is_lindblad:
         raise ValueError("bath vectors are a Redfield concept; model is Lindblad")
-    form = _bath_spectral_form(model.H)
-    out = []
-    for c in model.couplings:
-        spec = model.bath[c.bath_id]
-        out.append(_ohmic_bath_vector(c.x, spec.beta, spec.lam, form))
-    return out
+    specs = [model.bath[c.bath_id] for c in model.couplings]
+    xs = np.array([c.x for c in model.couplings]).reshape(-1, model.H.shape[0])
+    return _ohmic_bath_vectors(
+        model.H.imag, xs, [s.beta for s in specs], [s.lam for s in specs]
+    )
 
 
 def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
@@ -290,7 +461,9 @@ def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
     if z_vectors is None:
         z_vectors = bath_vectors(model)
     for c, z in zip(model.couplings, z_vectors):
-        M += np.outer(c.x, z)
+        # rows where x vanishes would add only signed zeros to the +0 of M
+        rows = np.flatnonzero(c.x)
+        M[rows] += np.outer(c.x[rows], z)
     return M
 
 

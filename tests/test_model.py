@@ -167,6 +167,29 @@ def test_quadratic_model_validation():
         mdl.QuadraticModel(H, ops, {"L": mdl.RedfieldOhmic(1.0, 0.1)})  # missing R
 
 
+def test_hamiltonian_check_in_real_arithmetic():
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(3, 0.5, 0.9))
+    bad = H.copy()
+    bad[0, 1] += 1e-6j  # Im H no longer antisymmetric
+    with pytest.raises(ValueError, match="antisymmetric"):
+        mdl.QuadraticModel(bad, (), {})
+    bad = H + 1e-6  # a real part
+    with pytest.raises(ValueError, match="purely imaginary"):
+        mdl.QuadraticModel(bad, (), {})
+    # rounding-level deviations pass, and H is kept as given
+    noisy = H + 1e-14 * (1 + 1j) * np.random.default_rng(0).normal(size=H.shape)
+    assert np.array_equal(mdl.QuadraticModel(noisy, (), {}).H, noisy)
+
+
+def test_bath_vectors_read_the_checked_hamiltonian(monkeypatch):
+    # the model checked H once; bath_vectors does not check it again
+    from openquad import spectra as sp
+
+    model = mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))
+    monkeypatch.setattr(sp, "_real_antisymmetric", lambda H: pytest.fail("H checked twice"))
+    assert len(sp.bath_vectors(model)) == 4
+
+
 def test_dispersion_and_stationary_point():
     params = mdl.ChainParams(10, 0.5, 0.2)
     qs = np.linspace(0.01, math.pi - 0.01, 500)

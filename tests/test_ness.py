@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from openquad import ness as ns
 from openquad import oracle as orc
 from openquad import spectra as sp
 from openquad import steady_state
+from openquad.cli import ExperimentConfig, build_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def oracle_steady(model):
@@ -433,6 +438,85 @@ def test_empty_block_has_no_spectrum_and_no_entropy():
     T = steady_state(mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))).two_point
     assert ns.correlation_spectrum(T, []).shape == (0,)
     assert ns.block_entropy(T, []) == 0.0
+
+
+def complex_correlation_spectrum(two_point, block):
+    """The nu_j from the complex Hermitian solve eigvalsh(i Bsub): the
+    reference for the real Bsub^T Bsub solve of ``correlation_spectrum``."""
+    block = sorted(block)
+    idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
+    Bsub = two_point.B[np.ix_(idx, idx)]
+    nu = np.linalg.eigvalsh(1j * Bsub)
+    return np.sort(nu[nu > -1e-12 * max(1.0, np.abs(nu).max())])[::-1][: len(block)]
+
+
+def config_model(name, **overrides):
+    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    return build_model(cfg, **overrides)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("fig_tok_entropy", {}),  # Redfield n = 53
+    ("fig_density_h0.7", {}),  # Redfield n = 253
+    ("fig_profilwrld_lindblad", {}),  # Lindblad n = 200
+    ("fig_phase", {"gamma": 1.3, "h": 0.67}),  # Redfield n = 100, gap 2.3e-9
+], ids=["redfield_n53", "redfield_n253", "lindblad_n200", "fig_phase_point"])
+def test_real_correlation_spectrum_matches_the_complex_route(name, overrides):
+    model = config_model(name, **overrides)
+    T = steady_state(model).two_point
+    rep = ns.observable_report(T, model.params)
+    n = model.n
+    halves = range(1, n // 2 + 1), range(n // 2 + 1, n + 1)
+    ref = {}
+    for key, block in zip(("left", "right", "total"), (*halves, range(1, n + 1))):
+        nu, nu_ref = ns.correlation_spectrum(T, block), complex_correlation_spectrum(T, block)
+        assert nu.shape == nu_ref.shape == (len(block),)
+        assert np.abs(nu - nu_ref).max() <= 1e-7
+        ref[key] = nu_ref
+    entropy = {k: ns._spectrum_entropy(v) for k, v in ref.items()}
+    assert abs(rep.entropy_left - entropy["left"]) <= 1e-12
+    assert abs(rep.entropy_right - entropy["right"]) <= 1e-12
+    assert abs(rep.entropy_total - entropy["total"]) <= 1e-12
+    if n % 2 == 0:
+        qmi = entropy["left"] + entropy["right"] - entropy["total"]
+        assert abs(rep.mutual_information - qmi) <= 1e-12
+    else:  # the report has none; take the halves of the first n - 1 sites
+        m = n - 1
+        blocks = range(1, m // 2 + 1), range(m // 2 + 1, m + 1), range(1, m + 1)
+        s_left, s_right, s_all = (ns._spectrum_entropy(complex_correlation_spectrum(T, b))
+                                  for b in blocks)
+        qmi = ns.quantum_mutual_information(T, m)
+        assert abs(qmi - (s_left + s_right - s_all)) <= 1e-12
+    assert abs(rep.positivity_excess - ns._spectrum_excess(ref["total"])) <= 1e-12
+
+
+def uncached_B(two_point):
+    return (-1j * (two_point.T - np.eye(two_point.T.shape[0]))).real
+
+
+def test_B_is_computed_once_per_instance(redfield_n3):
+    T = steady_state(redfield_n3).two_point
+    B = T.B
+    assert T.B is B
+    assert not B.flags.writeable
+    assert B.tobytes() == np.ascontiguousarray(uncached_B(T)).tobytes()
+    other = ns.TwoPointMatrix(T.T.copy())
+    assert other.B is not B and np.array_equal(other.B, B)
+
+
+def test_cached_B_has_the_bytes_of_the_uncached_formula():
+    # signed zeros, a real part off the diagonal and non-finite entries
+    rng = np.random.default_rng(5)
+    T = np.eye(6) + 1j * random_antisymmetric(rng, 6, complex_=False)
+    T[0, 2] += 0.25
+    T[1, 3] = complex(-0.0, -0.0)
+    T[2, 4] = complex(3.0, -0.0)
+    T[3, 5] = complex(np.inf, 1.0)
+    T[4, 0] = complex(-2.0, np.nan)
+    two_point = ns.TwoPointMatrix(T)
+    with np.errstate(invalid="ignore"):
+        ref = np.ascontiguousarray(uncached_B(two_point))
+        assert two_point.B.tobytes() == ref.tobytes()
 
 
 def test_block_entropy_against_oracle(redfield_n3):

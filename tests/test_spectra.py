@@ -91,6 +91,13 @@ def test_bath_vector_rejects_malformed_hamiltonian():
         sp.bath_vector(x, 1.0, 0.1, 1j * np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("n", [2, 128], ids=["eigh_route", "series_route"])
+def test_bath_vector_rejects_a_coupling_of_another_length(n):
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(n, 0.5, 0.7))
+    with pytest.raises(ValueError, match="coupling vector"):
+        sp.bath_vector(np.ones(2 * n + 2), 5.2, 0.1, H)
+
+
 def pair_sum_bath_vector(x, beta, lam, H):
     """The paper's pair sum z = pi sum_m [G(4 eps_m) (x . u_m*) u_m +
     G(-4 eps_m) (x . u_m) u_m*] on the paired eigensystem: the reference
@@ -104,16 +111,16 @@ def pair_sum_bath_vector(x, beta, lam, H):
     return np.pi * ((lo * (u.conj() @ x)) @ u + (hi * (u @ x)) @ u.conj())
 
 
-@pytest.mark.parametrize(
-    "params, beta",
-    [
-        (mdl.ChainParams(100, 0.5, 0.0), 0.8),  # free chain: degenerate and zero eps
-        (mdl.ChainParams(96, 0.5, 0.75), 0.8),
-        (mdl.ChainParams(40, 0.5, 0.2), 0.8),  # exponentially split edge modes
-        (mdl.ChainParams(24, 0.5, 0.9), 0.01),  # y -> 0 limit of y / tanh(y)
-        (mdl.ChainParams(24, 0.5, 0.9), 500.0),  # large-y limit
-    ],
-)
+BATH_CASES = [
+    (mdl.ChainParams(100, 0.5, 0.0), 0.8),  # free chain: degenerate and zero eps
+    (mdl.ChainParams(96, 0.5, 0.75), 0.8),
+    (mdl.ChainParams(40, 0.5, 0.2), 0.8),  # exponentially split edge modes
+    (mdl.ChainParams(24, 0.5, 0.9), 0.01),  # y -> 0 limit of y / tanh(y)
+    (mdl.ChainParams(24, 0.5, 0.9), 500.0),  # large-y limit
+]
+
+
+@pytest.mark.parametrize("params, beta", BATH_CASES)
 def test_bath_vector_matches_pair_sum(params, beta):
     H = mdl.build_xy_hamiltonian(params)
     two_n = 2 * params.n
@@ -145,6 +152,107 @@ def test_bath_vectors_one_eigensolve_per_model(monkeypatch):
         spec = model.bath[c.bath_id]
         ref = pair_sum_bath_vector(c.x, spec.beta, spec.lam, model.H)
         assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def series_and_eigh(K, betas, X):
+    """g(K^T K) X by the Chebyshev series and by the eigh of K^T K."""
+    diags, L = sp._diagonals(K)
+    return (sp._gram_function_series(diags, L, betas, X),
+            sp._gram_function_eigh(K, betas, X))
+
+
+@pytest.mark.parametrize("params, beta", BATH_CASES)
+def test_bath_series_matches_eigh(params, beta):
+    K = mdl.build_xy_hamiltonian(params).imag
+    two_n = 2 * params.n
+    rng = np.random.default_rng(7)
+    X = np.column_stack([np.eye(two_n)[0], np.eye(two_n)[-1], rng.normal(size=two_n)])
+    series, ref = series_and_eigh(K, [beta] * 3, X)
+    assert (np.abs(series - ref).max(axis=0) <= 1e-13 * np.abs(ref).max(axis=0)).all()
+
+
+def test_bath_series_matches_eigh_at_n1000():
+    # the north-star chain, both baths in one block (beta 0.3 and 5.2)
+    model = mdl.xy_redfield_model(mdl.ChainParams(1000, 0.5, 1.2), kappas=(1.0, 0.7, 1.0, 0.4))
+    X = np.array([c.x.real for c in model.couplings]).T
+    betas = [model.bath[c.bath_id].beta for c in model.couplings]
+    assert sorted(set(betas)) == [0.3, 5.2]
+    series, ref = series_and_eigh(model.H.imag, betas, X)
+    assert (np.abs(series - ref).max(axis=0) <= 1e-13 * np.abs(ref).max(axis=0)).all()
+
+
+def test_chebyshev_coefficients_are_cut_at_rounding_and_kept():
+    c = sp._chebyshev_coefficients(5.2, 1.21)
+    assert sp._chebyshev_coefficients(5.2, 1.21) is c
+    assert not c.flags.writeable
+    assert np.abs(c[-1]) > 2 * np.finfo(float).eps * np.abs(c).max()
+    # the a priori count that the cost rule uses is close to the cut
+    assert len(c) <= sp._series_terms(5.2, 1.21) <= 1.2 * len(c)
+    # the series reproduces g itself on [0, L]
+    s = np.linspace(0.0, 1.21, 101)
+    t = 2.0 * s / 1.21 - 1.0
+    series = np.polynomial.chebyshev.chebval(t, c)
+    g = sp._ohmic_g(s, 5.2)
+    assert np.abs(series - g).max() <= 1e-14 * np.abs(g).max()
+
+
+def test_bath_vector_at_a_very_low_temperature(monkeypatch):
+    # a term count past any series budget: the eigh route, and g = sqrt(s)
+    assert sp._series_terms(1e9, 1.0) > 1e9
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(128, 0.5, 0.7))
+    x = np.eye(256)[0] + 0j
+    calls = count_eigh(monkeypatch)
+    z = sp.bath_vector(x, 1e9, 0.3, H)
+    assert len(calls) == 1
+    ref = pair_sum_bath_vector(x, 1e9, 0.3, H)
+    assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig_gap_h0.3", "fig_gap_h0.75", "fig_gap_h0.8"])
+def test_cost_rule_keeps_eigh_on_the_gap_scans(monkeypatch, name):
+    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    calls = count_eigh(monkeypatch)
+    for n in cfg.sizes:
+        sp.bath_vectors(build_model(cfg, n=n))
+    assert len(calls) == len(cfg.sizes)
+
+
+def test_cost_rule_keeps_eigh_at_n53_and_takes_the_series_at_n253(monkeypatch):
+    sweep = ExperimentConfig.from_dict(json.loads((CONFIGS / "fig_tok_entropy.json").read_text()))
+    density = ExperimentConfig.from_dict(json.loads((CONFIGS / "fig_density_h0.7.json").read_text()))
+    assert (sweep.n, density.n) == (53, 253)
+    calls = count_eigh(monkeypatch)
+    sp.bath_vectors(build_model(sweep))
+    assert len(calls) == 1
+    sp.bath_vectors(build_model(density))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x_of", [
+    lambda rng, two_n: [1.0, 1j] @ rng.normal(size=(2, two_n)),  # two block columns
+    lambda rng, two_n: np.eye(two_n)[0] + 0j,
+], ids=["complex", "real"])
+def test_series_route_bath_vector_matches_pair_sum(monkeypatch, x_of):
+    params = mdl.ChainParams(128, 0.5, 0.7)
+    H = mdl.build_xy_hamiltonian(params)
+    x = x_of(np.random.default_rng(3), 2 * params.n)
+    calls = count_eigh(monkeypatch)
+    z = sp.bath_vector(x, 5.2, 0.3, H)
+    assert not calls
+    ref = pair_sum_bath_vector(x, 5.2, 0.3, H)
+    assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_bath_vector_quadrature_oracle():
@@ -191,6 +299,20 @@ def test_bath_matrix_outer_product_structure():
     M = sp.bath_matrix(model, z_vectors=[z])
     assert np.allclose(M[0], z)
     assert np.abs(M[1:]).max() == 0.0
+
+
+def test_bath_matrix_matches_the_full_outer_products():
+    # rows where x vanishes are skipped: the same bytes as adding them all
+    model = mdl.xy_redfield_model(mdl.ChainParams(12, 0.5, 0.9), kappas=(1.0, 0.7, 1.0, 0.4))
+    x = [1.0, 1j] @ np.random.default_rng(2).normal(size=(2, 24))
+    dense = mdl.QuadraticModel(model.H, model.couplings + (mdl.CouplingOperator(x, "L"),),
+                               model.bath)
+    for m in (model, dense):
+        zs = sp.bath_vectors(m)
+        ref = np.zeros((24, 24), dtype=complex)
+        for c, z in zip(m.couplings, zs):
+            ref += np.outer(c.x, z)
+        assert sp.bath_matrix(m, zs).tobytes() == ref.tobytes()
 
 
 def test_lindblad_two_parametrizations_agree(lindblad_n2):
