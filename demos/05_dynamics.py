@@ -4,9 +4,10 @@ For a static Liouvillean the two-point matrix relaxes as
 T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, and by quantum
 regression the same rule gives the steady-state dynamical correlations;
 both run on the eigenpair of the 2n x 2n X.  An explicitly time-dependent
-drive is handled by carrying T through the time-ordered product of
-midpoint exponentials.  The effective generator log(U)/2 is not formed,
-so any horizon works, including those where its branch is ambiguous.
+drive is handled by stepping T through each midpoint sample exactly,
+with the 2n x 2n pair (X, Y) of that sample.  The effective generator
+log(U)/2 of the paper's time-ordered product is not formed, so any
+horizon works, including those where its branch is ambiguous.
 """
 
 import numpy as np

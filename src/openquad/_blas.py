@@ -34,8 +34,9 @@ __all__ = ["SERIAL_LAPACK_ORDER", "thread_controls", "serial_lapack", "single_th
 
 # largest matrix order whose scipy LAPACK call runs on one thread.  On 2
 # cores a Redfield steady_state was 1.15-1.4x faster with one thread at
-# 2n = 600-800 and as fast at 2n = 1000, and the Schur form alone was 1.4x
-# slower at 2n = 2000; every shipped config has 2n <= 506
+# 2n = 600-800 and as fast at 2n = 1000, and at 2n = 2000 the Schur form
+# alone took 9.8 s on one thread against 6.9 s threaded (h = 1.2; 5.6 s
+# against 4.7 s at h = 0.7); every shipped config has 2n <= 506
 SERIAL_LAPACK_ORDER = 800
 
 # extension module whose linked OpenBLAS each library's calls run in

@@ -8,10 +8,13 @@ correlation functions.  Both run on the eigenpair X = R diag(lambda) G
 read off the normal modes, so e^{-Xt} = R diag(e^{-lambda t}) G.  T_ness
 and the eigenpair do not depend on t; they are computed on the first call
 for a ``NormalModes`` instance and kept on it.  Explicitly time-dependent
-problems are handled through the time-ordered 4n x 4n group element
-U = T exp(2 Int A(t) dt), whose odd rows carry T(0) to T(t).  The
-effective generator C = log(U)/2 is formed only on request
-(``time_ordered_propagator``); ``propagate_schedule`` never forms it.
+problems are sampled at the midpoint of each step.  ``propagate_schedule``
+steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with the 2n x 2n pair (X, Y)
+of each sample, where Phi and W are the blocks of a Van Loan exponential
+summed by their Taylor series: no 4n x 4n matrix is built or
+exponentiated.  The paper's route, the time-ordered 4n x 4n group element
+U = T exp(2 Int A(t) dt) and its generator C = log(U)/2, stays as the
+cross-check ``time_ordered_propagator``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import scipy.linalg as sla
 
 from ._blas import serial_lapack
 from .ness import TwoPointMatrix, ness_two_point
-from .spectra import NormalModes
+from .spectra import NormalModes, _lyapunov_pair
 
 __all__ = [
     "BranchAmbiguityError",
@@ -36,6 +39,9 @@ __all__ = [
     "propagate_two_point",
     "propagate_schedule",
 ]
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class BranchAmbiguityError(Exception):
@@ -52,7 +58,10 @@ class DriveSchedule:
     """Sampled drive A(t), A0(t) on [0, t_final] with fixed step dt.
 
     ``sampler`` maps a time to the instantaneous structure matrix data;
-    each sampled A must be antisymmetric.
+    each sampled A must be antisymmetric, and ``propagate_schedule``
+    also needs it trace preserving (a vanishing c.c block, as in
+    ``spectra.normal_modes``), which every Liouvillean of a master
+    equation is.
     """
 
     sampler: Callable[[float], tuple[np.ndarray, complex]]
@@ -166,53 +175,88 @@ def _complex_form(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_product(schedule: DriveSchedule, initial: TwoPointMatrix | None = None):
-    """U = T exp(2 Int_0^t A(tau) dtau) as an ordered product of midpoint
-    exponentials, and C0 = Int A0.
+def _midpoint_samples(schedule: DriveSchedule):
+    """Yield (A, A0, scale) at the midpoints (i + 1/2) dt, each checked.
 
-    A given ``initial`` state must be 2n x 2n for the 4n x 4n samples; its
-    size is checked at each sample, before that sample's exponential.
-
-    Samples with the conjugation symmetry of ``_real_form`` are
-    exponentiated and multiplied as real matrices and U is transformed
-    back once at the end; from the first sample without it on, the
-    product is complex.  Raises StepTooLargeError when ||2 A||_2 dt >= 0.5
-    at any midpoint (W is unitary, so the real form has the same norm).
+    Raises ValueError unless t_final is an integer number of steps, and
+    when a sample is not antisymmetric; raises StepTooLargeError when
+    ||2 A||_2 dt >= 0.5.  ``scale`` = max(1, max |A_ij|) sets the
+    tolerance of the checks.
     """
     n_steps = int(round(schedule.t_final / schedule.dt))
     if n_steps < 1 or abs(n_steps * schedule.dt - schedule.t_final) > 1e-9 * schedule.t_final:
         raise ValueError("t_final must be an integer number of steps")
     dt = schedule.dt
-    U = None
-    real = True
-    C0 = 0.0 + 0.0j
     for i in range(n_steps):
         A, A0 = schedule.sampler((i + 0.5) * dt)
         A = np.asarray(A, dtype=complex)
-        if initial is not None:
-            _check_size(initial, A.shape[0] // 2)
-        scale = max(1.0, np.abs(A).max())
+        abs_A = np.abs(A)
+        scale = max(1.0, abs_A.max())
         if np.abs(A + A.T).max() > 1e-12 * scale:
             raise ValueError("sampled structure matrix is not antisymmetric")
+        # ||A||_2 <= sqrt(||A||_1 ||A||_inf): the SVD of the exact 2-norm
+        # is needed only when this bound reaches the limit
+        bound = math.sqrt(abs_A.sum(axis=0).max() * abs_A.sum(axis=1).max())
+        if 2.0 * bound * dt >= 0.5:
+            norm = np.linalg.norm(A, 2)
+            if 2.0 * norm * dt >= 0.5:
+                raise StepTooLargeError(f"||2A|| dt = {2 * norm * dt:.3f} >= 0.5 at step {i}")
+        yield A, A0, scale
+
+
+def _ordered_product(schedule: DriveSchedule):
+    """U = T exp(2 Int_0^t A(tau) dtau) as an ordered product of midpoint
+    exponentials, and C0 = Int A0.
+
+    Samples with the conjugation symmetry of ``_real_form`` are
+    exponentiated and multiplied as real matrices and U is transformed
+    back once at the end; from the first sample without it on, the
+    product is complex.  The samples are checked by ``_midpoint_samples``.
+    """
+    dt = schedule.dt
+    U = None
+    real = True
+    C0 = 0.0 + 0.0j
+    for A, A0, scale in _midpoint_samples(schedule):
         gen = _real_form(A, scale) if real else None
         if gen is None:
             if real and U is not None:
                 U = _complex_form(U)
             real = False
             gen = A
-        # ||gen||_2 <= sqrt(||gen||_1 ||gen||_inf): the SVD of the exact
-        # 2-norm is needed only when this bound reaches the limit
-        abs_gen = np.abs(gen)
-        bound = math.sqrt(abs_gen.sum(axis=0).max() * abs_gen.sum(axis=1).max())
-        if 2.0 * bound * dt >= 0.5:
-            norm = np.linalg.norm(gen, 2)
-            if 2.0 * norm * dt >= 0.5:
-                raise StepTooLargeError(f"||2A|| dt = {2 * norm * dt:.3f} >= 0.5 at step {i}")
         with serial_lapack(len(gen)):
             step = sla.expm(2.0 * dt * gen)
         U = step if U is None else step @ U  # later times act on the left
         C0 += complex(A0) * dt
     return (_complex_form(U) if real else U), C0
+
+
+def _van_loan_step(X: np.ndarray, Y: np.ndarray, dt: float):
+    """Phi = e^{-X dt} and W = Int_0^dt e^{-Xs} Y e^{-X^T s} ds.
+
+    They are the blocks Phi and W Phi^-T of the Van Loan exponential of
+    [[-X, Y], [0, X^T]] dt (Van Loan, IEEE TAC 23 (1978) 395), summed here
+    as Taylor series in 2n x 2n products, by Horner's rule:
+    Phi = sum_k (-X dt)^k / k! and W = sum_k (-1)^k dt^(k+1)/(k+1)! L^k(Y),
+    with L(Z) = X Z + Z X^T = X Z - (X Z)^T for the antisymmetric Y.
+    With theta = dt sqrt(||X||_1 ||X||_inf) >= ||X dt||_2, term k is at
+    most theta^k / k! of Phi's first and (2 theta)^k / (k+1)! of W's; the
+    sums end before the first term whose bound is below unit roundoff
+    (about 20 terms at ||X dt||_2 = 0.5, the step guard's limit).
+    """
+    abs_X = np.abs(X)
+    theta = dt * math.sqrt(abs_X.sum(axis=0).max() * abs_X.sum(axis=1).max())
+    K, bound = 0, theta  # bound of term K + 1, (2 theta)^(K+1) / (K+2)!
+    while bound > _UNIT_ROUNDOFF:
+        K += 1
+        bound *= 2.0 * theta / (K + 2)
+    one = np.eye(len(X))
+    Phi, S = one, Y
+    for k in range(K, 0, -1):
+        Phi = one + (-dt / k) * (X @ Phi)
+        XS = X @ S
+        S = Y + (-dt / (k + 1)) * (XS - XS.T)
+    return Phi, dt * S
 
 
 def time_ordered_propagator(schedule: DriveSchedule):
@@ -259,16 +303,37 @@ def propagate_two_point(
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:
     """Two-point matrix after evolving ``initial`` through the full drive.
 
-    The adjoint-Majorana correlations S = <1| a_r a_s |rho> go to U S U^T
-    under the time-ordered propagator U, and T = 2 S[odd, odd] (1-based).
-    With P = U[odd, odd] and Q = U[odd, even] that is
-    P T P^T + Q T^T Q^T + i(Q T P^T - P T^T Q^T) = (P + iQ)(T P^T - i T^T Q^T).
-    The generator log(U)/2 is not formed, so no branch of the logarithm
-    has to be chosen and any horizon the step guard admits is accepted.
-    Raises ValueError at the first sample, before any exponential, when
-    ``initial`` is not 2n x 2n.
+    T = 1 + iZ, and while the generator is held at its midpoint sample
+    for one step, Z obeys dZ/dt = -X Z - Z X^T + Y with the 2n x 2n pair
+    (X, Y) of ``spectra.lyapunov_form``, read off each sampled A.  One
+    step is therefore exactly Z <- Phi Z Phi^T + W, with Phi and W from
+    ``_van_loan_step``: 2n x 2n products only, and no 4n x 4n matrix is
+    exponentiated.  This is the same midpoint rule as the ordered product
+    U of ``time_ordered_propagator``.  Z is real while ``initial`` and
+    the samples are (Hermiticity-preserving drives), else complex.  No
+    generator log(U)/2 is formed, so any horizon the step guard admits
+    is accepted.
+
+    Raises ValueError when ``initial`` is not the two-point matrix of a
+    state (T + T^T != 2 beyond rounding), and at the first sample,
+    before any step, when it is not 2n x 2n; ValueError for a sample
+    that is not antisymmetric or not trace preserving, and
+    StepTooLargeError when ||2 A||_2 dt >= 0.5 at a midpoint.
     """
-    U, _ = _ordered_product(schedule, initial)
-    P, Q = U[0::2, 0::2], U[0::2, 1::2]
     T = initial.T
-    return TwoPointMatrix((P + 1j * Q) @ (T @ P.T - 1j * T.T @ Q.T))
+    one = np.eye(len(T))
+    tol = 1e-12 * max(1.0, np.abs(T).max())
+    deviation = np.abs(T + T.T - 2.0 * one).max()
+    if deviation > tol:
+        raise ValueError(
+            f"initial two-point matrix has |T + T^T - 2| = {deviation:.3g}: "
+            "it is not the two-point matrix of a state"
+        )
+    Z = -1j * (T - one)
+    if np.abs(Z.imag).max() <= tol:
+        Z = Z.real.copy()
+    for A, _, scale in _midpoint_samples(schedule):
+        _check_size(initial, A.shape[0] // 2)
+        Phi, W = _van_loan_step(*_lyapunov_pair(A, 1e-12 * scale), schedule.dt)
+        Z = Phi @ Z @ Phi.T + W
+    return TwoPointMatrix(one + 1j * Z)

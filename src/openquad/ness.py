@@ -72,7 +72,10 @@ class TwoPointMatrix:
     T: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "T", np.asarray(self.T, dtype=complex))
+        T = np.asarray(self.T, dtype=complex)
+        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+            raise ValueError(f"two-point matrix must be square, got shape {T.shape}")
+        object.__setattr__(self, "T", T)
 
     @property
     def n(self) -> int:

@@ -556,6 +556,27 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     return 0.5 * np.linalg.eigvals(X)
 
 
+def _lyapunov_pair(A: np.ndarray, tol: float):
+    """The X, Y of ``lyapunov_form`` read off a 4n x 4n structure matrix.
+
+    In the pairing c_j = (a_2j-1 +- i a_2j)/sqrt2 a trace-preserving A is
+    [[0, X^T/2], [-X/2, -iY/2]]; its c.c block vanishes.  Raises
+    ValueError when that block exceeds ``tol``.  X and Y are returned
+    real when both imaginary parts are within ``tol`` (every
+    Hermiticity-preserving A), else complex.
+    """
+    oo, oe = A[0::2, 0::2], A[0::2, 1::2]
+    eo, ee = A[1::2, 0::2], A[1::2, 1::2]
+    d, s = oo - ee, oe + eo
+    if np.abs(d + 1j * s).max() > tol:
+        raise ValueError("structure matrix is not trace preserving: its c.c block is nonzero")
+    X = -(oo + ee) - 1j * (oe - eo)
+    Y = 1j * d + s
+    if max(np.abs(X.imag).max(), np.abs(Y.imag).max()) <= tol:
+        X, Y = X.real.copy(), Y.real.copy()  # contiguous, for the products
+    return X, Y
+
+
 def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     """Diagonalize the structure matrix into normal master modes.
 
@@ -575,15 +596,7 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     ZeroRapidityWarning when min Re beta falls below 1e-10.
     """
     A = np.asarray(struct.A if isinstance(struct, StructureMatrix) else struct)
-    oo, oe = A[0::2, 0::2], A[0::2, 1::2]
-    eo, ee = A[1::2, 0::2], A[1::2, 1::2]
-    tol = 1e-12 * max(1.0, np.abs(A).max())
-    if np.abs(oo - ee + 1j * (oe + eo)).max() > tol:
-        raise ValueError("structure matrix is not trace preserving: its c.c block is nonzero")
-    X = -(oo + ee) - 1j * (oe - eo)
-    Y = 1j * (oo - ee) + (oe + eo)
-    if max(np.abs(X.imag).max(), np.abs(Y.imag).max()) <= tol:
-        X, Y = X.real, Y.real  # every Hermiticity-preserving A
+    X, Y = _lyapunov_pair(A, 1e-12 * max(1.0, np.abs(A).max()))
     lam, R = np.linalg.eig(X)
     roundoff = 1e3 * np.finfo(float).eps
     tiny = roundoff * np.abs(X).sum(axis=0).max()

@@ -274,6 +274,126 @@ def test_schedule_matches_the_generator_route():
     assert np.abs(Tt.T - ref.T).max() < 1e-10
 
 
+def structure_from_pair(X, Y):
+    """A trace-preserving 4n x 4n A with the given X and antisymmetric Y:
+    the inverse of ``spectra._lyapunov_pair``."""
+    s = -0.5 * (X - X.T)
+    d = -0.5j * Y
+    p = 0.5 * Y
+    m = 0.5j * (X + X.T)
+    A = np.empty((2 * len(X), 2 * len(X)), dtype=complex)
+    A[0::2, 0::2] = 0.5 * (s + d)
+    A[1::2, 1::2] = 0.5 * (s - d)
+    A[0::2, 1::2] = 0.5 * (p + m)
+    A[1::2, 0::2] = 0.5 * (p - m)
+    return A
+
+
+def non_hermitian_drive(n):
+    """The Lindblad drive with a fixed complex kick to X and Y: trace
+    preserving, antisymmetric, but not Hermiticity preserving."""
+    physical = lindblad_drive(n)
+    rng = np.random.default_rng(11)
+    dX = 0.1 * (rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n)))
+    dY = 0.1 * (rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n)))
+    dA = structure_from_pair(dX, dY - dY.T)
+
+    def sampler(t):
+        A, A0 = physical(t)
+        return A + dA, A0
+
+    return sampler
+
+
+def van_loan_blocks(X, Y, dt):
+    """Reference: Phi and W from expm of the 4n x 4n Van Loan block."""
+    two_n = len(X)
+    E = sla.expm(dt * np.block([[-X, Y], [np.zeros_like(X), X.T]]))
+    Phi = E[:two_n, :two_n]
+    return Phi, E[:two_n, two_n:] @ Phi.T
+
+
+@pytest.mark.parametrize("drive", [lindblad_drive, non_hermitian_drive])
+def test_van_loan_step_matches_the_block_exponential(drive):
+    A = drive(24)(0.3)[0]
+    X, Y = sp._lyapunov_pair(A, 1e-12 * max(1.0, np.abs(A).max()))
+    assert np.iscomplexobj(X) == (drive is non_hermitian_drive)
+    # the benchmark's step, and one just inside the guard ||2A||_2 dt < 0.5
+    for dt in (2.5e-3, 0.499 / (2 * np.linalg.norm(A, 2))):
+        Phi, W = dyn._van_loan_step(X, Y, dt)
+        ref_Phi, ref_W = van_loan_blocks(X, Y, dt)
+        assert np.abs(Phi - ref_Phi).max() < 1e-13 * np.abs(ref_Phi).max()
+        assert np.abs(W - ref_W).max() < 1e-13 * np.abs(ref_W).max()
+
+
+def test_schedule_matches_the_ordered_product_on_a_non_hermitian_drive():
+    # trace preserving but not Hermiticity preserving: Z turns complex
+    # at the first step, and the 4n x 4n complex product is the reference
+    n = 3
+    sampler = non_hermitian_drive(n)
+    assert dyn._real_form(sampler(0.1)[0], 1.0) is None
+    T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
+    Tt = dyn.propagate_schedule(dyn.DriveSchedule(sampler, 0.4, 5e-3), T0)
+    ref = mode_correlation_readout(complex_ordered_product(sampler, 0.4, 5e-3), T0.T)
+    assert np.abs(Tt.T.real - np.eye(2 * n)).max() > 1e-3
+    assert np.abs(Tt.T - ref).max() < 1e-12
+
+
+def test_schedule_rejects_a_sample_that_is_not_trace_preserving():
+    physical = lindblad_drive(3)
+    kick = np.zeros((12, 12), dtype=complex)
+    kick[0, 2], kick[2, 0] = 0.1, -0.1  # antisymmetric, in the c.c block
+
+    def sampler(t):
+        A, A0 = physical(t)
+        return A + kick, A0
+
+    schedule = dyn.DriveSchedule(sampler, 0.5, 2.5e-3)
+    with pytest.raises(ValueError, match="not trace preserving"):
+        dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(6)))
+
+
+def test_schedule_rejects_an_initial_matrix_that_is_not_a_state():
+    # T + T^T = 2 holds for the two-point matrix of every state; the
+    # check comes before the first sample
+    calls = []
+    physical = lindblad_drive(3)
+
+    def sampler(t):
+        calls.append(t)
+        return physical(t)
+
+    schedule = dyn.DriveSchedule(sampler, 0.5, 2.5e-3)
+    T0 = np.eye(6, dtype=complex)
+    T0[0, 1] = T0[1, 0] = 1e-6
+    with pytest.raises(ValueError, match=r"\|T \+ T\^T - 2\| = 2e-06: it is not"):
+        dyn.propagate_schedule(schedule, ns.TwoPointMatrix(T0))
+    assert calls == []
+
+
+def test_schedule_step_guard(redfield_n2):
+    st = sp.structure_matrix(redfield_n2)
+    dt = 0.3 / np.linalg.norm(st.A, 2)
+    with pytest.raises(dyn.StepTooLargeError, match=r"^\|\|2A\|\| dt = 0\.600 >= 0\.5 at step 0$"):
+        dyn.propagate_schedule(static_schedule(st.A, st.A0, 4 * dt, dt),
+                               ns.TwoPointMatrix(np.eye(4)))
+
+
+def test_schedule_exponentiates_nothing(monkeypatch):
+    # the n = 24 drive of the benchmark: 2n x 2n products only, and a real
+    # Z throughout (T - 1 stays exactly imaginary)
+    calls = []
+    expm = sla.expm
+    monkeypatch.setattr(sla, "expm", lambda *a, **k: calls.append(1) or expm(*a, **k))
+    n = 24
+    schedule = dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3)
+    Tt = dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(2 * n)))
+    assert calls == []
+    assert np.array_equal(Tt.T.real, np.eye(2 * n))
+    dyn._ordered_product(dyn.DriveSchedule(lindblad_drive(n), 5e-3, 2.5e-3))
+    assert len(calls) == 2  # the counter sees the cross-check route
+
+
 def test_propagate_fixed_point(redfield_n2):
     modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
     T = steady_state(redfield_n2).two_point
@@ -451,9 +571,13 @@ def test_two_initial_states_on_the_same_modes():
 
 def test_propagate_rejects_an_initial_state_of_another_size(redfield_n2):
     modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
-    for T0 in (np.eye(6), np.eye(4)[:, :3]):
-        with pytest.raises(ValueError, match=r"but the generator acts on 2n = 4"):
-            dyn.propagate_two_point(modes, ns.TwoPointMatrix(T0), 1.0)
+    with pytest.raises(ValueError, match=r"but the generator acts on 2n = 4"):
+        dyn.propagate_two_point(modes, ns.TwoPointMatrix(np.eye(6)), 1.0)
+    # a matrix that is not square is refused when the state is made
+    with pytest.raises(ValueError, match=r"must be square, got shape \(4, 3\)"):
+        ns.TwoPointMatrix(np.eye(4)[:, :3])
+    with pytest.raises(ValueError, match=r"must be square, got shape \(4,\)"):
+        ns.TwoPointMatrix(np.ones(4))
 
 
 @pytest.mark.parametrize("t", [-500.0, -1e-3, np.nan, np.inf])
