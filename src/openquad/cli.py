@@ -47,6 +47,7 @@ from .ness import NonUniqueNESSError, observable_report, steady_state
 from .oracle import DegenerateKernelError
 from .spectra import (
     NonDiagonalizableError,
+    _gram_eigh_memo,
     normal_modes,
     rapidities,
     spectral_gap,
@@ -556,16 +557,25 @@ def _usable_cpus() -> int:
 
 
 def _task_sweep(cfg: ExperimentConfig, workers: int):
+    """The sweep table: one row per grid point, in grid order.
+
+    The points run inside ``spectra._gram_eigh_memo``, entered before the
+    pool forks, so each process does the bath's eigh of K^T K once per
+    Hamiltonian: once in all for a sweep over temperatures or the
+    coupling, at every point for one over n, gamma or h.  The memo ends
+    with the sweep.
+    """
     pars = cfg.sweep["parameters"]
     points = list(product(*cfg.sweep["axes"]))
     jobs = [(cfg, dict(zip(pars, pt))) for pt in points]
     processes = min(workers, _usable_cpus(), len(jobs))
-    if processes > 1:
-        # the workers share the CPUs, so none of them runs BLAS threads
-        with get_context("fork").Pool(processes, initializer=single_threaded) as pool:
-            results = pool.map(_sweep_point, jobs)
-    else:
-        results = [_sweep_point(j) for j in jobs]
+    with _gram_eigh_memo():
+        if processes > 1:
+            # the workers share the CPUs, so none of them runs BLAS threads
+            with get_context("fork").Pool(processes, initializer=single_threaded) as pool:
+                results = pool.map(_sweep_point, jobs)
+        else:
+            results = [_sweep_point(j) for j in jobs]
     header = list(pars) + _POINT_COLUMNS + ["error"]
     rows = []
     for pt, res in zip(points, results):

@@ -105,6 +105,21 @@ def _check_size(initial: TwoPointMatrix, two_n: int) -> None:
         )
 
 
+def _check_state(T: np.ndarray) -> float:
+    """Raise ValueError unless T + T^T = 2 to within 1e-12 max(1, max |T|),
+    as for the two-point matrix of every state; returns that tolerance."""
+    tol = 1e-12 * max(1.0, np.abs(T).max())
+    S = T + T.T
+    S.flat[:: len(T) + 1] -= 2.0
+    deviation = np.abs(S).max()
+    if deviation > tol:
+        raise ValueError(
+            f"initial two-point matrix has |T + T^T - 2| = {deviation:.3g}: "
+            "it is not the two-point matrix of a state"
+        )
+    return tol
+
+
 def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarray:
     """Steady-state response C_(j,k),(l,m)(t) = <w_j(t) w_k(t) w_l w_m>.
 
@@ -290,11 +305,13 @@ def propagate_two_point(
     T_ness, R, G and lambda are computed once per ``modes`` and kept on
     it, so each call costs three 2n x 2n products.  T(t) -> T_ness at the
     rate set by the spectral gap.  Raises ValueError unless t is finite
-    and >= 0 and ``initial`` is 2n x 2n.
+    and >= 0, ``initial`` is 2n x 2n and it is the two-point matrix of a
+    state (T + T^T = 2 to rounding, as ``propagate_schedule`` checks).
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
     _check_size(initial, 2 * modes.n)
+    _check_state(initial.T)
     T_ness, R, G, lam = _relaxation(modes)
     P = (R * np.exp(-t * lam)) @ G
     return TwoPointMatrix(T_ness + P @ (initial.T - T_ness) @ P.T)
@@ -321,14 +338,8 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     StepTooLargeError when ||2 A||_2 dt >= 0.5 at a midpoint.
     """
     T = initial.T
+    tol = _check_state(T)
     one = np.eye(len(T))
-    tol = 1e-12 * max(1.0, np.abs(T).max())
-    deviation = np.abs(T + T.T - 2.0 * one).max()
-    if deviation > tol:
-        raise ValueError(
-            f"initial two-point matrix has |T + T^T - 2| = {deviation:.3g}: "
-            "it is not the two-point matrix of a state"
-        )
     Z = -1j * (T - one)
     if np.abs(Z.imag).max() <= tol:
         Z = Z.real.copy()

@@ -139,9 +139,12 @@ def ness_two_point(
 
 
 # order at or below which a triangular Sylvester solve goes to one
-# unblocked dtrsyl: the whole solve for 2n <= 128, where splitting gained
-# less than the extra numpy <-> scipy hand-offs cost
-_LEAF_ORDER = 128
+# unblocked dtrsyl.  Measured on 2 cores for 2n = 106, 400, 506 and 2000
+# (inside ``serial_lapack``, right after ``lyapunov_form``), leaves of
+# order <= 48 beat 64-96 and 128 at every size: 1.5 -> 1.0 ms at 2n = 106,
+# 31 -> 23 ms at 506 and 0.71 -> 0.51-0.63 s at 2000.  B moves by at most
+# 6e-14 relative against leaves of order 128
+_LEAF_ORDER = 48
 
 
 def _dtrsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -211,7 +214,7 @@ def steady_state(
     Lyapunov equation X B + B X^T = Y (``spectra.lyapunov_form``), solved
     by Bartels-Stewart on the real Schur form X = U R U^T that also gives
     the rapidities.  The triangular solve on R is recursively blocked, so
-    its work is matrix products; blocks of order <= 128 go to LAPACK's
+    its work is matrix products; blocks of order <= 48 go to LAPACK's
     dtrsyl.  The 4n x 4n structure matrix is never built.
 
     Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
@@ -393,8 +396,7 @@ def energy_density_matrices(params: ChainParams) -> list[np.ndarray]:
 
 def magnetization_profile(two_point: TwoPointMatrix) -> np.ndarray:
     """<sz_m> for every site: sz_m = -i w_2m-1 w_2m, so s_z(m) = B[2m-1, 2m]."""
-    B = two_point.B
-    return np.array([B[2 * m, 2 * m + 1] for m in range(two_point.n)])
+    return np.diagonal(two_point.B, 1)[0::2].copy()
 
 
 def heat_current_profile(two_point: TwoPointMatrix, params: ChainParams) -> np.ndarray:
@@ -478,16 +480,17 @@ def residual_correlator(C: np.ndarray, n: int | None = None) -> float:
         n = C.shape[0]
     if n < 4:
         raise ValueError("residual correlator needs n >= 4")
-    l, m = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    far = np.abs(l - m) > n / 2
+    sites = np.arange(n)
+    far = np.abs(np.subtract.outer(sites, sites)) > n / 2
     return float(np.abs(C[far]).mean())
 
 
 def correlation_decay(C: np.ndarray) -> np.ndarray:
     """Distance-resolved correlator C(r) = mean of C_lm over m - l = r,
-    returned for r = 0..n-1."""
+    returned for r = 0..n-1.  Each mean is the sum ``np.mean`` takes,
+    divided by the count, so the bits are those of ``np.mean``."""
     n = C.shape[0]
-    return np.array([np.mean(np.diagonal(C, offset=r)) for r in range(n)])
+    return np.array([np.add.reduce(np.diagonal(C, r)) / (n - r) for r in range(n)])
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
@@ -514,12 +517,14 @@ def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
     and keep full accuracy (they agree with a complex Hermitian solve of
     iBsub to about 1e-13).
     """
-    block = sorted(block)
-    if len(set(block)) != len(block) or not all(1 <= a <= two_point.n for a in block):
+    sites = np.sort(np.array(list(block)))
+    if len(sites) and (
+        sites[0] < 1 or sites[-1] > two_point.n or (sites[1:] == sites[:-1]).any()
+    ):
         raise ValueError(f"block sites must be distinct and lie in 1..{two_point.n}")
-    if not block:
+    if not len(sites):
         return np.zeros(0)
-    idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
+    idx = (2 * sites[:, None] + [-2, -1]).ravel()
     Bsub = two_point.B[np.ix_(idx, idx)]
     nu2 = np.linalg.eigvalsh(Bsub.T @ Bsub)  # ascending pairs
     return np.sqrt(np.maximum(nu2[1::2], 0.0))[::-1]

@@ -31,6 +31,7 @@ and the dense oracle.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -329,15 +330,60 @@ def _gram_function_series(diags, L: float, betas, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_function_eigh(K: np.ndarray, betas, X: np.ndarray) -> np.ndarray:
-    """g(K^T K) X, column j at inverse temperature betas[j], from one
-    symmetric eigendecomposition K^T K = Q diag(s) Q^T, in real arithmetic."""
+# {key: (s, Q)} of the last eigh of K^T K while ``_gram_eigh_memo`` is
+# open, else None: outside a sweep nothing is kept between calls
+_GRAM_EIGH_MEMO: dict | None = None
+
+
+@contextmanager
+def _gram_eigh_memo():
+    """Keep the eigendecomposition of K^T K of the last K inside the block.
+
+    The points of a temperature or coupling sweep share one Hamiltonian,
+    so all but the first reuse its eigh (``_gram_eigh``).  One entry is
+    kept, and dropped before the eigh of another K; the previous state
+    is restored on exit.  A process forked inside the block keeps its
+    own copy.
+    """
+    global _GRAM_EIGH_MEMO
+    previous, _GRAM_EIGH_MEMO = _GRAM_EIGH_MEMO, {}
+    try:
+        yield
+    finally:
+        _GRAM_EIGH_MEMO = previous
+
+
+def _gram_eigh(K: np.ndarray):
+    """s, Q with K^T K = Q diag(s) Q^T.
+
+    Inside ``_gram_eigh_memo`` the pair is looked up by K's nonzero
+    diagonals (``_diagonals``): the order of K and the offsets and bytes
+    of those diagonals determine K, so a hit returns the bits a new eigh
+    would.
+    """
+    memo = _GRAM_EIGH_MEMO
+    if memo is not None:
+        key = (len(K), *((rows.start, cols.start, values.tobytes())
+                         for rows, cols, values in _diagonals(K)[0]))
+        if key in memo:
+            return memo[key]
+        memo.clear()
     K = np.ascontiguousarray(K)
     # numpy's eigh (divide and conquer) stays in the OpenBLAS of the product
     # before it.  scipy's eigh would run in scipy's own copy, whose threads,
     # unless held to one by ``_blas.serial_lapack``, compete with numpy's
     # still-spinning ones (1.3x slower end to end on the gap scan, 2 cores)
     s, Q = np.linalg.eigh(K.T @ K)
+    if memo is not None:
+        memo[key] = s, Q
+    return s, Q
+
+
+def _gram_function_eigh(K: np.ndarray, betas, X: np.ndarray) -> np.ndarray:
+    """g(K^T K) X, column j at inverse temperature betas[j], from one
+    symmetric eigendecomposition K^T K = Q diag(s) Q^T (``_gram_eigh``),
+    in real arithmetic."""
+    s, Q = _gram_eigh(K)
     g = {b: _ohmic_g(s, b) for b in set(betas)}
     return Q @ (np.column_stack([g[b] for b in betas]) * (Q.T @ X))
 
@@ -362,7 +408,9 @@ def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
     block.  g(K^T K) goes on it by the Chebyshev series when its terms x
     (stored diagonals of K x r + a per-step constant) is below the (2n)^3
     of a dense eigh of K^T K, and by that eigh otherwise (dense K, small
-    2n, very low temperature).
+    2n, very low temperature).  Inside ``_gram_eigh_memo`` (a sweep) that
+    eigh is done once per Hamiltonian: points that change only the
+    temperatures or the couplings reuse it, bit for bit.
     """
     betas = [float(b) for b in betas]
     if not betas:

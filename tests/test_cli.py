@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from openquad import _blas, cli
+from openquad import _blas, cli, spectra
 from openquad.model import ChainParams, xy_redfield_model
 from openquad.ness import observable_report, steady_state
 from openquad.spectra import spectral_gap
@@ -683,3 +683,82 @@ def test_seed_flag_accepted(tmp_path):
     }
     cfg = write_config(tmp_path, payload)
     assert run_cli("run", str(cfg), "--seed", "42").returncode == 0
+
+
+# ------------------------------------------- one bath eigh per Hamiltonian
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def tok_entropy_sweep(values):
+    """fig_tok_entropy (Redfield n = 53) on a grid of the given inverse
+    temperatures on both axes."""
+    raw = json.loads((CONFIG_DIR / "fig_tok_entropy.json").read_text())
+    raw["sweep"] = {"parameter": ["beta_L", "beta_R"],
+                    "axis1": {"values": values}, "axis2": {"values": values}}
+    return raw
+
+
+def test_a_temperature_sweep_does_one_bath_eigh(tmp_path, monkeypatch):
+    calls = count_eigh(monkeypatch)
+    out = cli.run(tok_entropy_sweep([0.02, 0.2, 1.0, 5.2, 50.0]), output_dir=str(tmp_path))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 25 and not any(row[-1] for row in rows)
+    assert len(calls) == 1
+
+
+def test_a_field_sweep_does_one_bath_eigh_per_point(tmp_path, monkeypatch):
+    calls = count_eigh(monkeypatch)
+    payload = {"task": "sweep", "model": {"n": 53, "gamma": 0.5},
+               "sweep": {"parameter": "h", "values": [0.5, 0.7, 0.9, 1.1]}}
+    cli.run(payload, output_dir=str(tmp_path))
+    assert len(calls) == 4
+
+
+def test_nothing_is_kept_after_a_sweep(tmp_path, monkeypatch):
+    cli.run(tok_entropy_sweep([0.5, 5.0]), output_dir=str(tmp_path))
+    assert spectra._GRAM_EIGH_MEMO is None
+    model = xy_redfield_model(ChainParams(53, 0.5, 0.9))
+    calls = count_eigh(monkeypatch)
+    spectra.bath_vectors(model)
+    spectra.bath_vectors(model)
+    assert len(calls) == 2
+
+
+@contextlib.contextmanager
+def blas_on_one_thread():
+    """Both OpenBLAS pools on one thread, as in a forked sweep worker."""
+    controls = [_blas.thread_controls(lib) for lib in ("numpy", "scipy")]
+    if None in controls:
+        pytest.skip("no OpenBLAS thread controls")
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+
+
+def test_forked_temperature_sweep_writes_the_bytes_of_a_serial_one(tmp_path):
+    # each worker does its own eigh of K^T K and keeps it for its points;
+    # with BLAS on one thread on both sides the CSVs are the same bytes
+    raw = json.loads((CONFIG_DIR / "fig_deltabeta.json").read_text())
+    raw["sweep"]["values"] = [0.05, 0.3, 0.8, 1.6]
+    forked = cli.run(raw, output_dir=str(tmp_path / "w2"), workers=2)
+    with blas_on_one_thread():
+        serial = cli.run(raw, output_dir=str(tmp_path / "w1"), workers=1)
+    assert forked.read_bytes() == serial.read_bytes()

@@ -642,3 +642,11 @@ def test_driven_propagation_past_the_branch_cut():
         dyn.time_ordered_propagator(schedule)
     Tt = dyn.propagate_schedule(schedule, T0)
     assert np.abs(Tt.T - T_exact).max() < 1e-6
+
+
+def test_propagate_refuses_an_initial_matrix_that_is_not_a_state(redfield_n2):
+    # 2 x identity gave |T + T^T - 2| = 2.0, 1.79 and 0.61 at t = 0, 1 and 5
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    for t in (0.0, 1.0, 5.0):
+        with pytest.raises(ValueError, match=r"\|T \+ T\^T - 2\| = 2: it is not"):
+            dyn.propagate_two_point(modes, ns.TwoPointMatrix(2 * np.eye(4)), t)

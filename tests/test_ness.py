@@ -616,3 +616,67 @@ def test_hypersensitivity_signature():
     lrmc = tv_per_h(np.linspace(0.2, 0.4, 161), 80)
     smooth = tv_per_h(np.linspace(0.9, 1.1, 41), 80)
     assert lrmc >= 10.0 * smooth
+
+
+# the per-site loops that magnetization_profile, residual_correlator,
+# correlation_decay and correlation_spectrum replaced: the references
+# their array forms must match bit for bit
+
+
+def loop_magnetization_profile(two_point):
+    B = two_point.B
+    return np.array([B[2 * m, 2 * m + 1] for m in range(two_point.n)])
+
+
+def loop_residual_correlator(C, n):
+    l, m = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    far = np.abs(l - m) > n / 2
+    return float(np.abs(C[far]).mean())
+
+
+def loop_correlation_decay(C):
+    n = C.shape[0]
+    return np.array([np.mean(np.diagonal(C, offset=r)) for r in range(n)])
+
+
+def loop_correlation_spectrum(two_point, block):
+    block = sorted(block)
+    if len(set(block)) != len(block) or not all(1 <= a <= two_point.n for a in block):
+        raise ValueError(f"block sites must be distinct and lie in 1..{two_point.n}")
+    if not block:
+        return np.zeros(0)
+    idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
+    Bsub = two_point.B[np.ix_(idx, idx)]
+    nu2 = np.linalg.eigvalsh(Bsub.T @ Bsub)
+    return np.sqrt(np.maximum(nu2[1::2], 0.0))[::-1]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 53, 100])
+def test_observables_without_site_loops_match_the_loops(n):
+    T = steady_state(mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.9))).two_point
+    C = ns.correlation_matrix(T)
+    assert same_bits(ns.magnetization_profile(T), loop_magnetization_profile(T))
+    assert same_bits(ns.correlation_decay(C), loop_correlation_decay(C))
+    assert same_bits(ns.residual_correlator(C, n), loop_residual_correlator(C, n))
+    half = n // 2
+    for block in (range(1, half + 1), range(half + 1, n + 1), range(1, n + 1),
+                  [n, 1, 3], np.array([2, n - 1]), [2]):
+        assert same_bits(ns.correlation_spectrum(T, block),
+                         loop_correlation_spectrum(T, block))
+
+
+def test_leaf_order_moves_the_steady_state_by_rounding_only(monkeypatch):
+    # 2n = 106 is one dtrsyl at leaves of order 128, and 2n = 506 is split
+    # at both orders
+    for n in (53, 253):
+        model = mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.7))
+        B = steady_state(model).two_point.B
+        with monkeypatch.context() as patch:
+            patch.setattr(ns, "_LEAF_ORDER", 128)
+            ref = steady_state(model).two_point.B
+        assert np.linalg.norm(B - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -629,3 +629,19 @@ def test_exceptional_point_rejected():
     st = sp.assemble_structure_matrix(H, M)
     with pytest.raises(sp.NonDiagonalizableError, match="condition number"):
         sp.normal_modes(st)
+
+
+def test_gram_eigh_memo_keeps_one_hamiltonian_bit_for_bit(monkeypatch):
+    # a temperature sweep's points share K: one eigh, and the bath
+    # vectors of a fresh eigh; another K replaces the kept one
+    params = mdl.ChainParams(53, 0.5, 0.9)
+    models = [mdl.xy_redfield_model(params, beta_L=b, beta_R=5.2) for b in (0.3, 1.0, 3.0)]
+    other = mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.7))
+    fresh = [sp.bath_vectors(m) for m in models + [other, models[0]]]
+    calls = count_eigh(monkeypatch)
+    with sp._gram_eigh_memo():
+        kept = [sp.bath_vectors(m) for m in models + [other, models[0]]]
+    assert len(calls) == 3
+    assert sp._GRAM_EIGH_MEMO is None
+    for zs, ref in zip(kept, fresh):
+        assert all(np.array_equal(z, r) for z, r in zip(zs, ref))
