@@ -39,6 +39,10 @@ __all__ = [
 
 ATOL_ANTISYM = 1e-14
 
+# rows per panel where a 2n x 2n check or update goes panel by panel, so
+# that its temporaries are a few rows of the matrix and not the matrix
+_PANEL_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -146,11 +150,16 @@ class QuadraticModel:
         H = np.asarray(self.H, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2:
             raise ValueError("Hamiltonian matrix must be 2n x 2n")
-        # in real arithmetic: H is purely imaginary and Im H antisymmetric
-        re_max, im_max = np.abs(H.real).max(), np.abs(H.imag).max()
+        # in real arithmetic: H is purely imaginary and Im H antisymmetric;
+        # the maxima by reductions and Im H + Im H^T by row panels, with no
+        # 2n x 2n temporary
+        re_max = max(H.real.max(), -H.real.min())
+        im_max = max(H.imag.max(), -H.imag.min())
         tol = 1e-12 * max(1.0, re_max, im_max)
-        if np.abs(H.imag + H.imag.T).max() > tol:
-            raise ValueError("Hamiltonian matrix must be antisymmetric")
+        for i in range(0, len(H), _PANEL_ROWS):
+            rows = slice(i, i + _PANEL_ROWS)
+            if np.abs(H.imag[rows] + H.imag[:, rows].T).max() > tol:
+                raise ValueError("Hamiltonian matrix must be antisymmetric")
         if 2.0 * re_max > tol:
             raise ValueError("Hamiltonian matrix must be purely imaginary")
         object.__setattr__(self, "H", H)

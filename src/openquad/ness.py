@@ -21,8 +21,16 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._blas import serial_lapack
-from .model import ChainParams, QuadraticModel
-from .spectra import ZERO_RAPIDITY_TOL, NormalModes, StructureMatrix, lyapunov_form
+from .model import _PANEL_ROWS, ChainParams, QuadraticModel
+from .spectra import (
+    ZERO_RAPIDITY_TOL,
+    NormalModes,
+    StructureMatrix,
+    _lyapunov_rows,
+    _real_schur,
+    _x_from_rows,
+    _y_rows,
+)
 
 __all__ = [
     "NonUniqueNESSError",
@@ -110,8 +118,8 @@ class SteadyState:
     residual: float
 
 
-def _check_unique(modes, tol: float = ZERO_RAPIDITY_TOL) -> None:
-    if modes.rapidities.real.min() <= tol:
+def _check_unique(rapidities: np.ndarray, tol: float = ZERO_RAPIDITY_TOL) -> None:
+    if rapidities.real.min() <= tol:
         raise NonUniqueNESSError(
             f"min Re beta <= {tol:g}: steady state is not unique; "
             "two-point matrix undefined"
@@ -130,7 +138,7 @@ def ness_two_point(
     whose finite gap underflows it (relaxation there is still unique,
     just slow).
     """
-    _check_unique(modes, uniqueness_tol)
+    _check_unique(modes.rapidities, uniqueness_tol)
     V = modes.V
     Vmin_odd = V[1::2, 0::2]  # rows of -beta eigenvectors, odd columns
     Vplus_odd = V[0::2, 0::2]  # rows of +beta eigenvectors, odd columns
@@ -147,12 +155,12 @@ def ness_two_point(
 _LEAF_ORDER = 48
 
 
-def _dtrsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Z with A Z + Z B^T = C, by LAPACK's unblocked dtrsyl."""
+def _dtrsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with Z, A Z + Z B^T = C, by LAPACK's unblocked dtrsyl."""
     Z, scale, info = lapack.dtrsyl(A, B, C, tranb="T")
     if info < 0:
         raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
-    return Z / scale
+    np.divide(Z, scale, out=C)
 
 
 def _split(R: np.ndarray) -> int:
@@ -162,26 +170,26 @@ def _split(R: np.ndarray) -> int:
     return k + 1 if R[k, k - 1] != 0.0 else k
 
 
-def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Z with A Z + Z B^T = C for real quasi-upper-triangular A and B,
-    recursively blocked: split the larger of A and B, solve the trailing
-    half first and fold it into the right-hand side of the leading half
-    with one matrix product."""
+def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with Z, A Z + Z B^T = C, for real quasi-upper-triangular
+    A and B, recursively blocked: split the larger of A and B, solve the
+    trailing half first and fold it into the right-hand side of the
+    leading half with one matrix product."""
     if max(len(A), len(B)) <= _LEAF_ORDER:
-        return _dtrsyl(A, B, C)
-    Z = np.empty_like(C)
-    if len(A) >= len(B):
+        _dtrsyl(A, B, C)
+    elif len(A) >= len(B):
         k = _split(A)
-        Z[k:] = _sylvester(A[k:, k:], B, C[k:])
-        Z[:k] = _sylvester(A[:k, :k], B, C[:k] - A[:k, k:] @ Z[k:])
+        _sylvester(A[k:, k:], B, C[k:])
+        C[:k] -= A[:k, k:] @ C[k:]
+        _sylvester(A[:k, :k], B, C[:k])
     else:
         k = _split(B)
-        Z[:, k:] = _sylvester(A, B[k:, k:], C[:, k:])
-        Z[:, :k] = _sylvester(A, B[:k, :k], C[:, :k] - Z[:, k:] @ B[:k, k:].T)
-    return Z
+        _sylvester(A, B[k:, k:], C[:, k:])
+        C[:, :k] -= C[:, k:] @ B[:k, k:].T
+        _sylvester(A, B[:k, :k], C[:, :k])
 
 
-def _lyapunov(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _lyapunov(R: np.ndarray, C: np.ndarray, overwrite_c: bool = False) -> np.ndarray:
     """Z with R Z + Z R^T = C for a real quasi-upper-triangular R and an
     antisymmetric C, recursively blocked (Jonsson & Kagstrom, ACM TOMS 28
     (2002) 392).  With R = [[R11, R12], [0, R22]]:
@@ -190,19 +198,55 @@ def _lyapunov(R: np.ndarray, C: np.ndarray) -> np.ndarray:
         R11 Z12 + Z12 R22^T = C12 - R12 Z22          (Z21 = -Z12^T)
         R11 Z11 + Z11 R11^T = C11 + W - W^T,  W = R12 Z12^T
 
-    so all but the leaves is matrix products.
+    so all but the leaves is matrix products.  Each block of Z is written
+    over its block of C: into C itself with ``overwrite_c``, else into a
+    copy.
     """
+    if not overwrite_c:
+        C = C.copy()
     if len(R) <= _LEAF_ORDER:
-        return _dtrsyl(R, R, C)
+        _dtrsyl(R, R, C)
+        return C
     k = _split(R)
     R11, R12, R22 = R[:k, :k], R[:k, k:], R[k:, k:]
-    Z = np.empty_like(C)
-    Z[k:, k:] = _lyapunov(R22, C[k:, k:])
-    Z[:k, k:] = _sylvester(R11, R22, C[:k, k:] - R12 @ Z[k:, k:])
-    Z[k:, :k] = -Z[:k, k:].T
-    W = R12 @ Z[:k, k:].T
-    Z[:k, :k] = _lyapunov(R11, C[:k, :k] + W - W.T)
-    return Z
+    Z22 = _lyapunov(R22, C[k:, k:], overwrite_c=True)
+    Z12 = C[:k, k:]
+    Z12 -= R12 @ Z22
+    _sylvester(R11, R22, Z12)
+    np.negative(Z12.T, out=C[k:, :k])
+    W = R12 @ Z12.T
+    C11 = C[:k, :k]
+    C11 += W
+    C11 -= W.T
+    _lyapunov(R11, C11, overwrite_c=True)
+    return C
+
+
+def _antisymmetrize(B: np.ndarray) -> None:
+    """B <- (B - B^T) / 2 in place, one pair of blocks at a time."""
+    two_n = len(B)
+    for i in range(0, two_n, _PANEL_ROWS):
+        I = slice(i, i + _PANEL_ROWS)
+        np.multiply(B[I, I] - B[I, I].T, 0.5, out=B[I, I])
+        for j in range(i + _PANEL_ROWS, two_n, _PANEL_ROWS):
+            J = slice(j, j + _PANEL_ROWS)
+            upper = B[I, J] - B[J, I].T
+            B[J, I] -= B[I, J].T
+            B[J, I] *= 0.5
+            np.multiply(upper, 0.5, out=B[I, J])
+
+
+def _two_point_from_b(B: np.ndarray) -> TwoPointMatrix:
+    """TwoPointMatrix of T = 1 + iB, filled in place, that keeps B (made
+    read-only) as its ``B``: T.imag holds B's bits, so B is bitwise the
+    -i (T - 1) that ``TwoPointMatrix.B`` would compute."""
+    T = np.zeros(B.shape, dtype=complex)
+    T.imag[...] = B
+    np.fill_diagonal(T.real, 1.0)
+    two_point = TwoPointMatrix(T)
+    B.flags.writeable = False
+    two_point.__dict__["B"] = B  # where the cached property keeps it
+    return two_point
 
 
 def steady_state(
@@ -217,28 +261,51 @@ def steady_state(
     its work is matrix products; blocks of order <= 48 go to LAPACK's
     dtrsyl.  The 4n x 4n structure matrix is never built.
 
+    At most three dense 2n x 2n real buffers are alive at once, besides
+    the model's H and the returned T: X and Y come from the rows S that
+    the couplings touch (``spectra._lyapunov_rows``), and only Y[S] is
+    kept; the Schur form overwrites X; U^T Y U, of rank 2|S|, is one
+    product of inner dimension 2|S|; the solve writes Z over U^T Y U and
+    B = U Z U^T goes back into that buffer; the residual rebuilds X from
+    H and X[S].  B is handed to the returned ``TwoPointMatrix``.
+
     Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
     ``ness_two_point`` does, and numpy.linalg.LinAlgError when the
     relative residual |X B + B X^T - Y| / (2 |X| |B| + |Y|) (Frobenius
     norms) exceeds 1e-10.
     """
-    form = lyapunov_form(model)
-    _check_unique(form, uniqueness_tol)
-    X, Y, R, U = form.X, form.Y, form.R, form.U
-    # R Z + Z R^T = U^T Y U, with B = U Z U^T; one expression, so that no
-    # name holds U^T Y U or Z alive next to B
+    S, XS, YS = _lyapunov_rows(model)
+    R, U, betas = _real_schur(_x_from_rows(model.H, S, XS))
+    _check_unique(betas, uniqueness_tol)
+    # U^T Y U = [U_S^T | -G^T] [G ; U_S] with G = Y[S] U - Y[S, S] U_S / 2,
+    # since Y is nonzero only in the rows and columns S
+    US = U[S]
+    G = YS @ U - 0.5 * (YS[:, S] @ US)
+    C = np.concatenate([US, -G]).T @ np.concatenate([G, US])
     with serial_lapack(len(R)):
-        B = U @ _lyapunov(R, U.T @ Y @ U) @ U.T
-    B = 0.5 * (B - B.T)
+        _lyapunov(R, C, overwrite_c=True)
+    del R
+    B = np.matmul(U @ C, U.T, out=C)  # B = U Z U^T, over Z
+    del U
+    _antisymmetrize(B)
+    X = _x_from_rows(model.H, S, XS)
+    norm_x = np.linalg.norm(X)
     XB = X @ B  # B X^T = -(X B)^T for antisymmetric B
-    denom = 2.0 * np.linalg.norm(X) * np.linalg.norm(B) + np.linalg.norm(Y)
-    residual = float(np.linalg.norm(XB - XB.T - Y) / denom) if denom > 0 else 0.0
+    del X
+    square = y_square = 0.0
+    for i in range(0, len(B), _PANEL_ROWS):
+        rows = slice(i, i + _PANEL_ROWS)
+        Y = _y_rows(S, YS, rows)
+        square += np.linalg.norm(XB[rows] - XB[:, rows].T - Y) ** 2
+        y_square += np.linalg.norm(Y) ** 2
+    del XB
+    denom = 2.0 * norm_x * np.linalg.norm(B) + np.sqrt(y_square)
+    residual = float(np.sqrt(square) / denom) if denom > 0 else 0.0
     if not residual <= RESIDUAL_TOL:
         raise np.linalg.LinAlgError(
             f"steady-state Lyapunov residual {residual:.3g} exceeds {RESIDUAL_TOL:g}"
         )
-    T = TwoPointMatrix(np.eye(len(B)) + 1j * B)
-    return SteadyState(form.rapidities, T, residual)
+    return SteadyState(betas, _two_point_from_b(B), residual)
 
 
 def _matrix_panel_quad(f, a: float, b: float, tol: float, depth: int = 0):
@@ -524,8 +591,11 @@ def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
         raise ValueError(f"block sites must be distinct and lie in 1..{two_point.n}")
     if not len(sites):
         return np.zeros(0)
-    idx = (2 * sites[:, None] + [-2, -1]).ravel()
-    Bsub = two_point.B[np.ix_(idx, idx)]
+    if sites[-1] - sites[0] == len(sites) - 1:  # one run of sites: a view
+        Bsub = two_point.B[2 * sites[0] - 2 : 2 * sites[-1], 2 * sites[0] - 2 : 2 * sites[-1]]
+    else:
+        idx = (2 * sites[:, None] + [-2, -1]).ravel()
+        Bsub = two_point.B[np.ix_(idx, idx)]
     nu2 = np.linalg.eigvalsh(Bsub.T @ Bsub)  # ascending pairs
     return np.sqrt(np.maximum(nu2[1::2], 0.0))[::-1]
 

@@ -6,7 +6,8 @@ Pipeline:
                                         K = -iH real; g(K^T K) on every coupling
                                         at once, by a Chebyshev series on the
                                         sparse K or one eigh of K^T K (cost rule)
-    M = sum_nu x_nu (x) z_nu            bath matrix
+    M = sum_nu x_nu (x) z_nu            bath matrix (only its rows on the
+                                        couplings' supports, for X and Y)
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     X  --eigvals-->  beta_j             the same rapidities, for the gap alone
@@ -573,35 +574,104 @@ def _schur_eigenvalues(R: np.ndarray) -> np.ndarray:
     return evals
 
 
+def _bath_rows(model: QuadraticModel):
+    """The rows S that the couplings touch, and the rows M[S] of the
+    ``bath_matrix``, bit for bit; every other row of M is zero.
+
+    S is the union of the couplings' supports: rows 1, 2, 2n-1 and 2n on
+    the chain, every row for dense couplings.  Redfield: the outer
+    products x_nu (x) z_nu added on the rows of each x, in the order
+    ``bath_matrix`` adds them.  Lindblad: the einsum of ``bath_matrix``
+    restricted to S x S.
+    """
+    two_n = model.H.shape[0]
+    xs = np.array([c.x for c in model.couplings]).reshape(-1, two_n)
+    S = np.flatnonzero(xs.any(axis=0))
+    MS = np.zeros((len(S), two_n), dtype=complex)
+    if model.is_lindblad:
+        MS[:, S] = np.einsum("nm,nj,mk->jk", model.bath.gamma, xs[:, S], xs[:, S])
+        return S, MS
+    for x, z in zip(xs, bath_vectors(model)):
+        rows = np.flatnonzero(x)
+        MS[np.searchsorted(S, rows)] += np.outer(x[rows], z)
+    return S, MS
+
+
+def _lyapunov_rows(model: QuadraticModel):
+    """S and the rows X[S], Y[S] of the Lyapunov form (``_bath_rows``).
+
+    Off the rows S, M vanishes: X is -4 Im H there, and Y is zero but in
+    the columns S, where antisymmetry gives it (``_x_from_rows``,
+    ``_y_rows``).
+    """
+    S, MS = _bath_rows(model)
+    XS = 4.0 * (MS.real - model.H.imag[S])
+    MiT = np.zeros(MS.shape)  # rows S of Im M^T
+    MiT[:, S] = MS.imag[:, S].T
+    return S, XS, 4.0 * (MS.imag - MiT)
+
+
+def _x_from_rows(H: np.ndarray, S: np.ndarray, XS: np.ndarray) -> np.ndarray:
+    """X = 4 (0 - Im H) with the rows X[S] put in, in Fortran order, so
+    that the Schur form can overwrite it (``_real_schur``)."""
+    X = np.empty(H.shape, order="F")
+    np.subtract(0.0, H.imag, out=X)
+    X *= 4.0
+    X[S] = XS
+    return X
+
+
+def _y_rows(S: np.ndarray, YS: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """The rows ``rows`` of Y from its rows Y[S]: 0 - Y[S]^T in the
+    columns S (the bits of 4 (Im M - Im M^T) there), Y[S] on the rows S,
+    zero elsewhere."""
+    start, stop, _ = rows.indices(YS.shape[1])
+    Y = np.zeros((stop - start, YS.shape[1]))
+    Y[:, S] = 0.0 - YS[:, rows].T
+    inside = (S >= start) & (S < stop)
+    Y[S[inside] - start] = YS[inside]
+    return Y
+
+
 def _lyapunov_matrices(model: QuadraticModel):
     """Real X = 4iH + 2(M + conj M) and Y = -i(4(M + M^dag) - X - X^T).
 
-    Never builds the 4n x 4n structure matrix.  H is purely imaginary, so
-    4iH = -4 Im H, and Y = 4 (Im M - Im M^T).
+    Never builds the 4n x 4n structure matrix, nor the bath matrix M: H
+    is purely imaginary, so 4iH = -4 Im H, and Y = 4 (Im M - Im M^T), and
+    both come from the rows of M that the couplings touch
+    (``_lyapunov_rows``), bit for bit the formula on the whole M.  X is
+    in Fortran order.
     """
-    M = bath_matrix(model)
-    return 4.0 * (M.real - model.H.imag), 4.0 * (M.imag - M.imag.T)
+    S, XS, YS = _lyapunov_rows(model)
+    return _x_from_rows(model.H, S, XS), _y_rows(S, YS)
+
+
+def _real_schur(X: np.ndarray):
+    """R, U and the rapidities eig(X)/2 of the real Schur form
+    X = U R U^T.  LAPACK's gees writes R into X's buffer: X must be a
+    Fortran-ordered float array, and is overwritten."""
+    with serial_lapack(len(X)):
+        R, U = sla.schur(X, output="real", overwrite_a=True)
+    return R, U, 0.5 * _schur_eigenvalues(R)
 
 
 def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
     """Model -> real X, Y, the Schur form of X and the rapidities eig(X)/2."""
     X, Y = _lyapunov_matrices(model)
-    with serial_lapack(len(X)):
-        R, U = sla.schur(X, output="real")
-    return LyapunovForm(X, Y, R, U, 0.5 * _schur_eigenvalues(R))
+    return LyapunovForm(X, Y, *_real_schur(X.copy(order="F")))
 
 
 def rapidities(model: QuadraticModel) -> np.ndarray:
     """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
-    eigenvalues of X alone: no Schur vectors and no Lyapunov solve.
+    eigenvalues of X alone: no Y, no Schur vectors and no Lyapunov solve.
 
-    numpy's eigvals stays in the OpenBLAS of the bath matrix before it,
+    numpy's eigvals stays in the OpenBLAS of the numpy work before it,
     so it needs no thread scope: the scipy LAPACK calls of the solvers
     run in scipy's own OpenBLAS, on one thread up to order 800
     (``_blas.serial_lapack``).
     """
-    X, _ = _lyapunov_matrices(model)
-    return 0.5 * np.linalg.eigvals(X)
+    S, XS, _ = _lyapunov_rows(model)
+    return 0.5 * np.linalg.eigvals(_x_from_rows(model.H, S, XS))
 
 
 def _lyapunov_pair(A: np.ndarray, tol: float):

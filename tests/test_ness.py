@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,51 @@ def test_steady_state_matches_normal_modes_route(model):
     assert np.abs(state.two_point.T - T.T).max() <= 1e-9
     assert sp.spectral_gap(state) == pytest.approx(sp.spectral_gap(modes), rel=1e-8)
     assert state.residual <= 1e-12
+
+
+@pytest.mark.parametrize("build", [mdl.xy_redfield_model, mdl.xy_lindblad_model])
+@pytest.mark.parametrize("h", [0.2, 0.7, 0.75, 1.2])
+def test_steady_state_matches_the_dense_right_hand_side(build, h):
+    # U^T Y U from the rank-2|S| product, against two dense products
+    model = build(mdl.ChainParams(53, 0.5, h))
+    state = steady_state(model, uniqueness_tol=-np.inf)
+    form = sp.lyapunov_form(model)
+    B = form.U @ ns._lyapunov(form.R, form.U.T @ form.Y @ form.U) @ form.U.T
+    B = 0.5 * (B - B.T)
+    assert _relative(state.two_point.B, B) <= 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp.ZeroRapidityWarning)
+        modes = sp.normal_modes(sp.structure_matrix(model))
+    T = ns.ness_two_point(modes, uniqueness_tol=-np.inf)
+    assert np.abs(state.two_point.T - T.T).max() <= 1e-9
+
+
+@pytest.mark.parametrize("build", [mdl.xy_redfield_model, mdl.xy_lindblad_model])
+def test_steady_state_hands_over_the_b_of_its_t(build):
+    two_point = steady_state(build(mdl.ChainParams(30, 0.5, 0.9))).two_point
+    B = two_point.__dict__["B"]  # set by steady_state, not computed from T
+    Z = two_point.T - np.eye(len(B))
+    Z *= -1j
+    assert np.array_equal(B, Z.real)
+    assert np.array_equal(np.signbit(B), np.signbit(Z.real))
+    assert not B.flags.writeable
+    assert np.array_equal(two_point.T.real, np.eye(len(B)))
+
+
+def test_steady_state_memory_is_a_few_dense_buffers():
+    # in units of 2n x 2n doubles: T (two) and B (one) are returned; on the
+    # way R over X, U and the solve's buffer are alive, and scipy's schur
+    # copies X for its workspace query.  Measured 4.1 in all; a solve that
+    # kept M, X, Y, R, U and their products alive peaked at 9.1
+    model = mdl.xy_redfield_model(mdl.ChainParams(200, 0.5, 0.9))
+    steady_state(model)  # first-call allocations
+    tracemalloc.start()
+    try:
+        steady_state(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 400**2 * 8, peak / (400**2 * 8)
 
 
 def test_steady_state_at_the_critical_field_n253():

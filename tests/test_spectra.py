@@ -558,6 +558,53 @@ def test_lyapunov_rapidities_are_the_normal_mode_rapidities(make):
     assert spectrum_deviation(form.rapidities, modes.rapidities) < 1e-10
 
 
+def dense_coupling_models():
+    # random H and two dense complex couplings: every row is in S
+    rng = np.random.default_rng(11)
+    H = 1j * random_antisymmetric(rng, 12, complex_=False)
+    cs = tuple(mdl.CouplingOperator(rng.normal(size=12) + 1j * rng.normal(size=12), b)
+               for b in ("L", "R"))
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return [
+        mdl.QuadraticModel(H, cs, {"L": mdl.RedfieldOhmic(1.0, 0.3),
+                                   "R": mdl.RedfieldOhmic(0.5, 0.2)}),
+        mdl.QuadraticModel(H, cs, mdl.LindbladRates(G @ G.conj().T)),
+    ]
+
+
+LYAPUNOV_ROW_MODELS = [
+    build(mdl.ChainParams(n, 0.5, 0.9))
+    for n in (2, 5, 53, 253)
+    for build in (mdl.xy_redfield_model, mdl.xy_lindblad_model)
+] + dense_coupling_models()
+
+
+@pytest.mark.parametrize(
+    "model", LYAPUNOV_ROW_MODELS,
+    ids=[f"{b}_n{n}" for n in (2, 5, 53, 253) for b in ("redfield", "lindblad")]
+    + ["redfield_dense", "lindblad_dense"],
+)
+def test_lyapunov_matrices_from_the_coupling_rows_are_the_dense_formula(model):
+    # X and Y from the rows S of M only: the bits, signed zeros included, of
+    # the formula on the whole bath matrix
+    M = sp.bath_matrix(model)
+    X, Y = sp._lyapunov_matrices(model)
+    for got, ref in ((X, 4.0 * (M.real - model.H.imag)), (Y, 4.0 * (M.imag - M.imag.T))):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert X.flags.f_contiguous  # for the Schur form to overwrite
+    assert np.array_equal(sp.rapidities(model), 0.5 * np.linalg.eigvals(X))
+
+
+def test_schur_form_overwrites_x():
+    X, _ = sp._lyapunov_matrices(mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9)))
+    ref = X.copy()
+    R, U, rapidities = sp._real_schur(X)
+    assert np.shares_memory(R, X)
+    assert np.abs(U @ R @ U.T - ref).max() < 1e-12
+    assert spectrum_deviation(rapidities, 0.5 * np.linalg.eigvals(ref)) < 1e-12
+
+
 @pytest.mark.parametrize(
     "model",
     [
