@@ -487,10 +487,18 @@ def write_metadata(
 # tasks
 
 
+def _ness_report(cfg: ExperimentConfig, **overrides):
+    """Build, solve and report one model: its params and its
+    ``ObservableReport``.  The model, with its complex 2n x 2n H, is
+    released before the report, so the two are never alive together."""
+    model = build_model(cfg, **overrides)
+    params, state = model.params, steady_state(model)
+    del model
+    return params, observable_report(state.two_point, params, gap=spectral_gap(state))
+
+
 def _task_ness(cfg: ExperimentConfig):
-    model = build_model(cfg)
-    state = steady_state(model)
-    rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
+    _, rep = _ness_report(cfg)
     return ["quantity", "i", "j", "value"], _ness_blocks(rep)
 
 
@@ -532,10 +540,8 @@ def _sweep_point(args):
     """One sweep point; returns observable dict or an error string (never raises)."""
     cfg, overrides = args
     try:
-        model = build_model(cfg, **overrides)
-        state = steady_state(model)
-        rep = observable_report(state.two_point, model.params, gap=spectral_gap(state))
-        n, qmi = model.params.n, rep.mutual_information
+        params, rep = _ness_report(cfg, **overrides)
+        n, qmi = params.n, rep.mutual_information
         return {
             "C_res": rep.residual_correlator,
             "Q_mean": float(rep.heat_current[2:-2].mean()) if n >= 7 else float("nan"),

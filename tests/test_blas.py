@@ -103,3 +103,20 @@ def test_serial_steady_state_matches_the_threaded_one(monkeypatch, n, tol):
     monkeypatch.setattr(_blas, "SERIAL_LAPACK_ORDER", 0)  # scipy's pool threaded
     threaded = steady_state(model).two_point.B
     assert np.abs(serial - threaded).max() <= tol
+
+
+def test_gram_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
+    # orders up to 2 x 253, where numpy's threaded solve and a one-thread
+    # one differ in the last bits; a strided view like a block of B, and a
+    # float32 matrix, which goes to eigvalsh
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((506, 506))
+    cases = [B[:1, :1], B[:7, :5], B[:106, :106], B[:300, :252], B, B[3:259, 3:259],
+             B[:50, :40].astype(np.float32)]
+    for found in (_blas._numpy_dsyevd(), None):
+        monkeypatch.setattr(_blas, "_numpy_dsyevd", lambda: found)
+        for A in cases:
+            before = A.copy()
+            w = _blas.gram_eigenvalues(A)
+            assert w.tobytes() == np.linalg.eigvalsh(A.T @ A).tobytes()
+            assert np.array_equal(A, before)

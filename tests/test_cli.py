@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -471,6 +472,29 @@ def test_ness_task_and_determinism(tmp_path):
     assert lines[0] == "quantity,i,j,value"
     quantities = {line.split(",")[0] for line in lines[1:]}
     assert {"s_z", "C", "C_res", "Q", "H_m", "entropy_total", "qmi"} <= quantities
+
+
+def test_model_is_released_before_the_report(monkeypatch):
+    # the model's complex 2n x 2n H must not be alive while the report runs
+    refs, alive = [], []
+    build, report = cli.build_model, cli.observable_report
+
+    def recording_build(cfg, **overrides):
+        model = build(cfg, **overrides)
+        refs.append(weakref.ref(model))
+        return model
+
+    def checking_report(*args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_model", recording_build)
+    monkeypatch.setattr(cli, "observable_report", checking_report)
+    cfg = cli.ExperimentConfig.from_dict({"task": "ness", "model": {"n": 8}})
+    header, blocks = cli._task_ness(cfg)
+    list(blocks)
+    assert isinstance(cli._sweep_point((cfg, {"h": 0.5})), dict)
+    assert alive == [False, False]
 
 
 def test_sweep_ordering_error_rows_and_workers(tmp_path):
