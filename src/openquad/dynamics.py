@@ -4,17 +4,16 @@ Under a static Liouvillean a Gaussian two-point matrix relaxes as
 T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, with the real 2n x 2n
 X of ``spectra.lyapunov_form`` (Prosen, J. Stat. Mech. P07020 (2010));
 by quantum regression the same rule gives the steady-state dynamical
-correlation functions.  Both run on the eigenpair X = R diag(lambda) G
-read off the normal modes, so e^{-Xt} = R diag(e^{-lambda t}) G.  T_ness
-and the eigenpair do not depend on t; they are computed on the first call
-for a ``NormalModes`` instance and kept on it.  Explicitly time-dependent
-problems are sampled at the midpoint of each step.  ``propagate_schedule``
-steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with the 2n x 2n pair (X, Y)
-of each sample, where Phi and W are the blocks of a Van Loan exponential
-summed by their Taylor series: no 4n x 4n matrix is built or
-exponentiated.  The paper's route, the time-ordered 4n x 4n group element
-U = T exp(2 Int A(t) dt) and its generator C = log(U)/2, stays as the
-cross-check ``time_ordered_propagator``.
+correlation functions.  Both read the eigenpair X = R diag(lambda) G,
+lambda = 2 beta, and T_ness = 1 + iZ that ``spectra.normal_modes`` keeps
+on its ``NormalModes``, so e^{-Xt} = R diag(e^{-lambda t}) G.  Explicitly
+time-dependent problems are sampled at the midpoint of each step.
+``propagate_schedule`` steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with
+the 2n x 2n pair (X, Y) of each sample, where Phi and W are the blocks of
+a Van Loan exponential summed by their Taylor series: no 4n x 4n matrix
+is built or exponentiated.  The paper's route, the time-ordered 4n x 4n
+group element U = T exp(2 Int A(t) dt) and its generator C = log(U)/2,
+stays as the cross-check ``time_ordered_propagator``.
 """
 
 from __future__ import annotations
@@ -75,27 +74,6 @@ class DriveSchedule:
             raise ValueError("horizon and step must be positive")
 
 
-def _relaxation(modes: NormalModes):
-    """T_ness, R, G = R^-1 and lambda = 2 beta with X = R diag(lambda) G.
-
-    In ``spectra.normal_modes`` the -beta rows of V hold R^T/sqrt2 in their
-    odd columns, and the odd and even columns of the +beta rows,
-    (G + iF)/sqrt2 and -(F + iG)/sqrt2, combine to sqrt2 G.  None of it
-    depends on t, so it is computed on first use and kept in the
-    instance ``__dict__`` (as ``functools.cached_property`` does, which
-    also works on a frozen dataclass).  When ``ness_two_point`` refuses a
-    non-unique steady state nothing is stored, so every call refuses it.
-    """
-    cached = modes.__dict__.get("_relaxation")
-    if cached is None:
-        T_ness = ness_two_point(modes).T
-        V = modes.V
-        R = np.sqrt(2.0) * V[1::2, 0::2].T
-        G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
-        cached = modes.__dict__["_relaxation"] = (T_ness, R, G, 2.0 * modes.rapidities)
-    return cached
-
-
 def _check_size(initial: TwoPointMatrix, two_n: int) -> None:
     shape = initial.T.shape
     if shape != (two_n, two_n):
@@ -139,55 +117,12 @@ def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarra
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise ValueError("correlator defined for finite t >= 0")
-    T, R, G, lam = _relaxation(modes)
+    T, R, G = ness_two_point(modes).T, modes.R, modes.G
     ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
     W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
-    e = np.exp(-np.outer(times, lam))
+    e = np.exp(-np.outer(times, 2.0 * modes.rapidities))
     out = T[j - 1, k - 1] * T[l - 1, m - 1] + ((e @ W) * e).sum(axis=1)
     return complex(out[0]) if scalar else out
-
-
-def _real_form(A: np.ndarray, scale: float):
-    """Real matrix W A W^dag for a structure matrix with the conjugation
-    symmetry of a Hermiticity-preserving Liouvillean, else None.
-
-    In the 1-based indices of ``spectra.assemble_structure_matrix`` such
-    an A has A[even, even] = conj A[odd, odd] and A[even, odd] =
-    conj A[odd, even].  With P = A[0::2, 0::2] and Q = A[0::2, 1::2], the
-    unitary W that groups the odd indices before the even ones and then
-    applies [[1, 1], [-i, i]]/sqrt2 gives the real matrix
-    [[Re(P+Q), Im(Q-P)], [Im(P+Q), Re(P-Q)]].  The symmetry is tested
-    with the tolerance of the antisymmetry check.
-    """
-    if A.shape[0] % 2:
-        return None
-    P, Q = A[0::2, 0::2], A[0::2, 1::2]
-    tol = 1e-12 * scale
-    if (np.abs(A[1::2, 1::2] - P.conj()).max() > tol
-            or np.abs(A[1::2, 0::2] - Q.conj()).max() > tol):
-        return None
-    half = len(P)
-    out = np.empty((2 * half, 2 * half))
-    np.add(P.real, Q.real, out=out[:half, :half])
-    np.subtract(Q.imag, P.imag, out=out[:half, half:])
-    np.add(P.imag, Q.imag, out=out[half:, :half])
-    np.subtract(P.real, Q.real, out=out[half:, half:])
-    return out
-
-
-def _complex_form(R: np.ndarray) -> np.ndarray:
-    """W^dag R W: the inverse of ``_real_form``'s transformation."""
-    half = R.shape[0] // 2
-    R11, R12 = R[:half, :half], R[:half, half:]
-    R21, R22 = R[half:, :half], R[half:, half:]
-    P = 0.5 * ((R11 + R22) + 1j * (R21 - R12))
-    Q = 0.5 * ((R11 - R22) + 1j * (R12 + R21))
-    out = np.empty(R.shape, dtype=complex)
-    out[0::2, 0::2] = P
-    out[0::2, 1::2] = Q
-    out[1::2, 0::2] = Q.conj()
-    out[1::2, 1::2] = P.conj()
-    return out
 
 
 def _midpoint_samples(schedule: DriveSchedule):
@@ -217,33 +152,6 @@ def _midpoint_samples(schedule: DriveSchedule):
             if 2.0 * norm * dt >= 0.5:
                 raise StepTooLargeError(f"||2A|| dt = {2 * norm * dt:.3f} >= 0.5 at step {i}")
         yield A, A0, scale
-
-
-def _ordered_product(schedule: DriveSchedule):
-    """U = T exp(2 Int_0^t A(tau) dtau) as an ordered product of midpoint
-    exponentials, and C0 = Int A0.
-
-    Samples with the conjugation symmetry of ``_real_form`` are
-    exponentiated and multiplied as real matrices and U is transformed
-    back once at the end; from the first sample without it on, the
-    product is complex.  The samples are checked by ``_midpoint_samples``.
-    """
-    dt = schedule.dt
-    U = None
-    real = True
-    C0 = 0.0 + 0.0j
-    for A, A0, scale in _midpoint_samples(schedule):
-        gen = _real_form(A, scale) if real else None
-        if gen is None:
-            if real and U is not None:
-                U = _complex_form(U)
-            real = False
-            gen = A
-        with serial_lapack(len(gen)):
-            step = sla.expm(2.0 * dt * gen)
-        U = step if U is None else step @ U  # later times act on the left
-        C0 += complex(A0) * dt
-    return (_complex_form(U) if real else U), C0
 
 
 def _van_loan_step(X: np.ndarray, Y: np.ndarray, dt: float):
@@ -278,12 +186,17 @@ def time_ordered_propagator(schedule: DriveSchedule):
     """U = T exp(2 Int_0^t A(tau) dtau) by an ordered product of midpoint
     exponentials, and its generator (C, C0) with C = log(U)/2, C0 = Int A0.
 
-    Second-order accurate in dt.  Raises StepTooLargeError when
-    ||2 A|| dt >= 0.5 at any midpoint, and BranchAmbiguityError when an
-    eigenvalue of U has phase within 0.1 rad of +-pi (principal log
-    branch undefined).
+    Second-order accurate in dt.  Raises ValueError when a sample is not
+    antisymmetric, StepTooLargeError when ||2 A|| dt >= 0.5 at any
+    midpoint, and BranchAmbiguityError when an eigenvalue of U has phase
+    within 0.1 rad of +-pi (principal log branch undefined).
     """
-    U, C0 = _ordered_product(schedule)
+    U, C0 = None, 0.0 + 0.0j
+    for A, A0, _ in _midpoint_samples(schedule):
+        with serial_lapack(len(A)):
+            step = sla.expm(2.0 * schedule.dt * A)
+        U = step if U is None else step @ U  # later times act on the left
+        C0 += complex(A0) * schedule.dt
     phases = np.angle(np.linalg.eigvals(U))
     if (np.abs(np.abs(phases) - np.pi) < 0.1).any():
         raise BranchAmbiguityError(
@@ -301,19 +214,20 @@ def propagate_two_point(
     the static Liouvillean with the given normal modes.
 
     T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t},
-    with e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X.
-    T_ness, R, G and lambda are computed once per ``modes`` and kept on
-    it, so each call costs three 2n x 2n products.  T(t) -> T_ness at the
-    rate set by the spectral gap.  Raises ValueError unless t is finite
-    and >= 0, ``initial`` is 2n x 2n and it is the two-point matrix of a
-    state (T + T^T = 2 to rounding, as ``propagate_schedule`` checks).
+    with e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X that
+    ``modes`` keeps, lambda = 2 beta: three 2n x 2n products per call.
+    T(t) -> T_ness at the rate set by the spectral gap.  Raises
+    NonUniqueNESSError as ``ness_two_point`` does, and ValueError unless t
+    is finite and >= 0, ``initial`` is 2n x 2n and it is the two-point
+    matrix of a state (T + T^T = 2 to rounding, as ``propagate_schedule``
+    checks).
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
     _check_size(initial, 2 * modes.n)
     _check_state(initial.T)
-    T_ness, R, G, lam = _relaxation(modes)
-    P = (R * np.exp(-t * lam)) @ G
+    T_ness = ness_two_point(modes).T
+    P = (modes.R * np.exp(-t * 2.0 * modes.rapidities)) @ modes.G
     return TwoPointMatrix(T_ness + P @ (initial.T - T_ness) @ P.T)
 
 
@@ -334,7 +248,8 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     Raises ValueError when ``initial`` is not the two-point matrix of a
     state (T + T^T != 2 beyond rounding), and at the first sample,
     before any step, when it is not 2n x 2n; ValueError for a sample
-    that is not antisymmetric or not trace preserving, and
+    that is not square of order 4n, not antisymmetric or not trace
+    preserving, and
     StepTooLargeError when ||2 A||_2 dt >= 0.5 at a midpoint.
     """
     T = initial.T
@@ -344,7 +259,8 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     if np.abs(Z.imag).max() <= tol:
         Z = Z.real.copy()
     for A, _, scale in _midpoint_samples(schedule):
-        _check_size(initial, A.shape[0] // 2)
-        Phi, W = _van_loan_step(*_lyapunov_pair(A, 1e-12 * scale), schedule.dt)
+        X, Y = _lyapunov_pair(A, 1e-12 * scale)
+        _check_size(initial, len(X))
+        Phi, W = _van_loan_step(X, Y, schedule.dt)
         Z = Phi @ Z @ Phi.T + W
     return TwoPointMatrix(one + 1j * Z)

@@ -129,20 +129,15 @@ def _check_unique(rapidities: np.ndarray, tol: float = ZERO_RAPIDITY_TOL) -> Non
 def ness_two_point(
     modes: NormalModes, uniqueness_tol: float = ZERO_RAPIDITY_TOL
 ) -> TwoPointMatrix:
-    """Steady-state T_jk from the normal-mode eigenvectors,
-
-        T_jk = 2 sum_m V[2m, 2j-1] V[2m-1, 2k-1]   (1-based),
-
-    i.e. only odd columns of V enter.  Requires all Re beta_j > 0; the
-    default refusal threshold 1e-10 can be lowered for critical points
-    whose finite gap underflows it (relaxation there is still unique,
-    just slow).
+    """Steady-state T = 1 + iZ with the Z of ``spectra.normal_modes``;
+    in the paper's eigenvectors, T_jk = 2 sum_m V[2m, 2j-1] V[2m-1, 2k-1]
+    (1-based).  Requires all Re beta_j > 0; the default refusal threshold
+    1e-10 can be lowered for critical points whose finite gap underflows
+    it (relaxation there is still unique, just slow).
     """
     _check_unique(modes.rapidities, uniqueness_tol)
-    V = modes.V
-    Vmin_odd = V[1::2, 0::2]  # rows of -beta eigenvectors, odd columns
-    Vplus_odd = V[0::2, 0::2]  # rows of +beta eigenvectors, odd columns
-    T = 2.0 * Vmin_odd.T @ Vplus_odd
+    T = 1j * modes.Z
+    T.flat[:: len(T) + 1] += 1.0
     return TwoPointMatrix(T)
 
 

@@ -12,17 +12,17 @@ Pipeline:
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     X  --eigvals-->  beta_j             the same rapidities, for the gap alone
     (H, M)  -->  (A, A0)                4n x 4n structure matrix
-    A  -->  (X, Y)  --eig-->  (beta, V) normal master modes: one eig of X
-                                        read off A; V V^T = J in closed form
+    A  -->  (X, Y)  --eig-->            normal master modes: one eig of X
+        (beta, R, G = R^-1, Z)          read off A; X Z + Z X^T = Y in its basis
 
 The steady state and the relaxation spectrum come from the real Lyapunov
 form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
 steady state solves X B + B X^T = Y on the same Schur form (see
 ``ness.steady_state``).  The normal modes are needed only where
 eigenvectors are: the dynamics, and the cross-checks of the Lyapunov
-route.  The eigenvector matrix V is row-based: row 2j-1 (1-based) is the
-eigenvector of A with rapidity +beta_j, row 2j the one with -beta_j, and
-V is normalized so that V V^T equals J = diag(sx, sx, ...).  The
+route.  The paper's row-eigenvector matrix ``NormalModes.V`` is built on
+demand: row 2j-1 (1-based) is the eigenvector of A with rapidity +beta_j,
+row 2j the one with -beta_j, and V V^T equals J = diag(sx, sx, ...).  The
 rapidities come in descending order of (Re beta, Im beta).  The modes
 solve X B + B X^T = Y again, by eigenvectors: independent of the Lyapunov
 route are the checks V^T D J V = A, the Green's-function quadrature on A
@@ -132,14 +132,32 @@ class LyapunovForm:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Rapidities beta_j (Re >= 0) and the row-eigenvector matrix V."""
+    """Rapidities beta_j (Re >= 0), the eigenpair X R = R diag(2 beta),
+    G = R^-1, of the X of ``lyapunov_form``, and the steady-state Z with
+    X Z + Z X^T = Y (T = 1 + iZ)."""
 
     rapidities: np.ndarray  # (2n,)
-    V: np.ndarray  # (4n, 4n)
+    R: np.ndarray  # (2n, 2n)
+    G: np.ndarray  # (2n, 2n)
+    Z: np.ndarray  # (2n, 2n)
 
     @property
     def n(self) -> int:
         return len(self.rapidities) // 2
+
+    @property
+    def V(self) -> np.ndarray:
+        """The paper's 4n x 4n row-eigenvector matrix, built on each call.
+
+        With F = G Z, the +beta rows are P = [G + iF | -(F + iG)]/sqrt2
+        and the -beta rows Q = [R^T | iR^T]/sqrt2 (odd | even columns,
+        1-based): P Q^T = G R = 1, P P^T = iG(Z + Z^T)G^T = 0 and
+        Q Q^T = 0, so V V^T = J.
+        """
+        F, G, Rt = self.G @ self.Z, self.G, self.R.T
+        rows = np.stack([np.stack([G + 1j * F, -(F + 1j * G)], axis=2),
+                         np.stack([Rt, 1j * Rt], axis=2)], axis=1)  # [m, +-, k, odd|even]
+        return rows.reshape(2 * len(Rt), -1) / np.sqrt(2.0)
 
 
 def symplectic_form(two_n: int) -> np.ndarray:
@@ -689,8 +707,13 @@ def _lyapunov_pair(A: np.ndarray, tol: float):
     [[0, X^T/2], [-X/2, -iY/2]]; its c.c block vanishes.  Raises
     ValueError when that block exceeds ``tol``.  X and Y are returned
     real when both imaginary parts are within ``tol`` (every
-    Hermiticity-preserving A), else complex.
+    Hermiticity-preserving A), else complex.  Raises ValueError naming
+    the shape unless A is square of order 4n.
     """
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 4:
+        raise ValueError(
+            f"structure matrix has shape {A.shape}: expected a square matrix of order 4n"
+        )
     oo, oe = A[0::2, 0::2], A[0::2, 1::2]
     eo, ee = A[1::2, 0::2], A[1::2, 1::2]
     d, s = oo - ee, oe + eo
@@ -710,13 +733,11 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
     [[0, X^T/2], [-X/2, -iY/2]] (Prosen, arXiv:1005.0763), with the X and Y
     of ``lyapunov_form``.  One eig X R = R diag(lambda) gives beta = lambda/2
     and G = R^-1, and Z = R Z~ R^T with Z~ = G Y G^T / (lambda_i + lambda_j)
-    solves X Z + Z X^T = Y.  With F = G Z = Z~ R^T the rows (odd | even
-    columns) P = [G + iF | -(F + iG)]/sqrt2 (+beta) and Q = [R^T | iR^T]/sqrt2
-    (-beta) have P Q^T = 1 and P P^T = Q Q^T = 0: V V^T = J by construction,
-    and ``ness.ness_two_point`` reads T = 1 + iZ off them.  Real parts of
-    lambda at round-off (1e3 eps |X|_1) are set to 0, and so is Z~_ij where
-    lambda_i + lambda_j and (G Y G^T)_ij are both at round-off (free chain).
-    Raises ValueError when A is not trace preserving (nonzero c.c block),
+    solves X Z + Z X^T = Y; ``ness.ness_two_point`` returns T = 1 + iZ.
+    Real parts of lambda at round-off (1e3 eps |X|_1) are set to 0, and so
+    is Z~_ij where lambda_i + lambda_j and (G Y G^T)_ij are both at
+    round-off (free chain).  Raises ValueError unless A is square of order
+    4n and trace preserving (vanishing c.c block),
     NonDiagonalizableError for a Jordan pair (a vanishing pair sum with
     (G Y G^T)_ij != 0) or a 1-norm condition number of R above 1e12; warns
     ZeroRapidityWarning when min Re beta falls below 1e-10.
@@ -746,21 +767,16 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
             stacklevel=2,
         )
     Yt = G @ Y @ G.T
-    # exactly antisymmetric, so P P^T = i(Z~ + Z~^T) vanishes even where a
-    # small lambda_i + lambda_j would magnify its rounding
-    Yt = 0.5 * (Yt - Yt.T)
+    Yt = 0.5 * (Yt - Yt.T)  # exactly antisymmetric, as Y is
     sums = lam[:, None] + lam[None, :]
     near = np.abs(sums) <= tiny
     if (np.abs(Yt[near]) > roundoff * np.abs(A).sum(axis=0).max()).any():
         raise NonDiagonalizableError("rapidities beta_i + beta_j = 0 form a Jordan pair")
-    F = np.where(near, 0.0, Yt / np.where(near, 1.0, sums)) @ R.T
-    four_n = A.shape[0]
-    V = np.empty((four_n, four_n), dtype=complex)
-    V[0::2, 0::2] = (G + 1j * F) / np.sqrt(2.0)
-    V[0::2, 1::2] = -(F + 1j * G) / np.sqrt(2.0)
-    V[1::2, 0::2] = R.T / np.sqrt(2.0)
-    V[1::2, 1::2] = 1j * R.T / np.sqrt(2.0)
-    return NormalModes(betas, V)
+    Z = R @ np.where(near, 0.0, Yt / np.where(near, 1.0, sums)) @ R.T
+    # exactly antisymmetric, so T + T^T = 2 and V V^T = J even where a small
+    # lambda_i + lambda_j would magnify the rounding of the products
+    Z = 0.5 * (Z - Z.T)
+    return NormalModes(betas, R, G, Z)
 
 
 def spectral_gap(modes) -> float:

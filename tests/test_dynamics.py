@@ -151,10 +151,10 @@ def test_step_guard_uses_the_exact_two_norm():
     A = np.zeros((12, 12))
     A[0, 1:], A[1:, 0] = 1.0, -1.0
     assert 2 * 11 * 0.05 >= 0.5 > 2 * np.linalg.norm(A, 2) * 0.05
-    U, _ = dyn._ordered_product(static_schedule(A, 0.0, 0.5, 0.05))
+    U, _, _ = dyn.time_ordered_propagator(static_schedule(A, 0.0, 0.5, 0.05))
     assert np.abs(U - sla.expm(2 * 0.5 * A)).max() < 1e-12
     with pytest.raises(dyn.StepTooLargeError, match=r"= 0\.663 >= 0\.5 at step 0"):
-        dyn._ordered_product(static_schedule(A, 0.0, 0.5, 0.1))
+        dyn.time_ordered_propagator(static_schedule(A, 0.0, 0.5, 0.1))
 
 
 @pytest.mark.parametrize(
@@ -192,8 +192,8 @@ def test_real_step_matches_complex_step():
 
 
 def test_product_turns_complex_at_an_unsymmetric_sample():
-    # a sample without the conjugation symmetry (still antisymmetric) makes
-    # the rest of the product complex; the real part before it carries over
+    # a sample without the conjugation symmetry of a Hermiticity-preserving
+    # Liouvillean (still antisymmetric) from t = 0.2 on
     physical = lindblad_drive(3)
     rng = np.random.default_rng(7)
     kick = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
@@ -203,27 +203,8 @@ def test_product_turns_complex_at_an_unsymmetric_sample():
         A, A0 = physical(t)
         return (A + kick if t > 0.2 else A), A0
 
-    assert dyn._real_form(physical(0.1)[0], 1.0) is not None
-    assert dyn._real_form(sampler(0.3)[0], 1.0) is None
     U, _, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(sampler, 0.4, 5e-3))
     assert np.abs(U - complex_ordered_product(sampler, 0.4, 5e-3)).max() < 1e-12
-
-
-def real_form_by_blocks(A):
-    """Reference: the real form assembled by ``np.block``."""
-    P, Q = A[0::2, 0::2], A[0::2, 1::2]
-    return np.block([[(P + Q).real, (Q - P).imag], [(P + Q).imag, (P - Q).real]])
-
-
-def test_real_form_matches_the_block_assembly():
-    # every midpoint sample of the n = 24 drive of the benchmark
-    sampler, dt = lindblad_drive(24), 2.5e-3
-    for i in range(200):
-        A = np.asarray(sampler((i + 0.5) * dt)[0], dtype=complex)
-        got = dyn._real_form(A, max(1.0, np.abs(A).max()))
-        ref = real_form_by_blocks(A)
-        assert np.array_equal(got, ref)
-        assert got.tobytes() == ref.tobytes()
 
 
 def test_schedule_rejects_an_initial_state_of_another_size():
@@ -257,7 +238,7 @@ def test_schedule_matches_the_mode_correlation_readout():
     n = 24
     schedule = dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3)
     T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
-    U, _ = dyn._ordered_product(schedule)
+    U, _, _ = dyn.time_ordered_propagator(schedule)
     ref = mode_correlation_readout(U, T0.T)
     assert np.abs(dyn.propagate_schedule(schedule, T0).T - ref).max() < 1e-13
 
@@ -331,7 +312,6 @@ def test_schedule_matches_the_ordered_product_on_a_non_hermitian_drive():
     # at the first step, and the 4n x 4n complex product is the reference
     n = 3
     sampler = non_hermitian_drive(n)
-    assert dyn._real_form(sampler(0.1)[0], 1.0) is None
     T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
     Tt = dyn.propagate_schedule(dyn.DriveSchedule(sampler, 0.4, 5e-3), T0)
     ref = mode_correlation_readout(complex_ordered_product(sampler, 0.4, 5e-3), T0.T)
@@ -351,6 +331,23 @@ def test_schedule_rejects_a_sample_that_is_not_trace_preserving():
     schedule = dyn.DriveSchedule(sampler, 0.5, 2.5e-3)
     with pytest.raises(ValueError, match="not trace preserving"):
         dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(6)))
+
+
+def test_schedule_rejects_a_sample_not_of_order_4n():
+    # antisymmetric and trace preserving, but 6 x 6: with a 3 x 3 initial
+    # matrix it was stepped as a chain of 1.5 sites
+    A = np.zeros((6, 6), dtype=complex)
+    A[0, 1], A[1, 0] = 0.5, -0.5
+    calls = []
+
+    def sampler(t):
+        calls.append(t)
+        return A, 0.0
+
+    schedule = dyn.DriveSchedule(sampler, 0.5, 2.5e-3)
+    with pytest.raises(ValueError, match=r"shape \(6, 6\): expected a square matrix of order 4n"):
+        dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(3)))
+    assert len(calls) == 1
 
 
 def test_schedule_rejects_an_initial_matrix_that_is_not_a_state():
@@ -390,7 +387,7 @@ def test_schedule_exponentiates_nothing(monkeypatch):
     Tt = dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(2 * n)))
     assert calls == []
     assert np.array_equal(Tt.T.real, np.eye(2 * n))
-    dyn._ordered_product(dyn.DriveSchedule(lindblad_drive(n), 5e-3, 2.5e-3))
+    dyn.time_ordered_propagator(dyn.DriveSchedule(lindblad_drive(n), 5e-3, 2.5e-3))
     assert len(calls) == 2  # the counter sees the cross-check route
 
 
@@ -516,26 +513,18 @@ def test_propagate_matches_the_mode_pair_formula():
             assert np.abs(dyn.propagate_two_point(modes, T0, t).T - ref).max() < 1e-12
 
 
-def test_relaxation_data_is_computed_once_per_modes(monkeypatch):
-    calls = []
-    original = dyn.ness_two_point
-
-    def counted(modes, *args, **kwargs):
-        calls.append(modes)
-        return original(modes, *args, **kwargs)
-
-    monkeypatch.setattr(dyn, "ness_two_point", counted)
-    model = mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9))
-    modes = sp.normal_modes(sp.structure_matrix(model))
-    T0 = steady_state(mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.5))).two_point
-    dyn.dynamic_correlator(modes, (1, 2), (3, 4), np.linspace(0.0, 20.0, 11))
-    for t in np.linspace(0.0, 20.0, 20):
-        dyn.propagate_two_point(modes, T0, float(t))
-    assert len(calls) == 1
-    # another NormalModes instance computes its own
-    other = sp.normal_modes(sp.structure_matrix(model))
-    dyn.propagate_two_point(other, T0, 1.0)
-    assert len(calls) == 2
+def test_normal_modes_fields_are_the_readouts_off_V():
+    # the paper's readouts off the 4n x 4n rows: R^T/sqrt2 in the odd
+    # columns of the -beta rows, sqrt2 G from the two column sets of the
+    # +beta rows, and T = 2 (-beta rows)^T (+beta rows) on the odd columns
+    for modes, _ in quench_cases():
+        V = modes.V
+        R = np.sqrt(2.0) * V[1::2, 0::2].T
+        G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
+        T = 2.0 * V[1::2, 0::2].T @ V[0::2, 0::2]
+        assert np.abs(modes.R - R).max() < 1e-12
+        assert np.abs(modes.G - G).max() < 1e-12
+        assert np.abs(ns.ness_two_point(modes).T - T).max() < 1e-12
 
 
 def test_relaxation_refuses_a_non_unique_state_on_every_call():

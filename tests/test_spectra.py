@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -487,6 +488,17 @@ def test_normal_modes_rejects_a_non_trace_preserving_matrix():
         sp.normal_modes(random_antisymmetric(np.random.default_rng(11), 8))
 
 
+@pytest.mark.parametrize("shape", [(6, 6), (8, 4), (8,)])
+def test_normal_modes_rejects_a_matrix_not_of_order_4n(shape):
+    # the antisymmetric, trace-preserving 6 x 6 A was read as 3 rapidities,
+    # n = 1 and a 3 x 3 "two-point matrix"
+    A = np.zeros(shape, dtype=complex)
+    if shape == (6, 6):
+        A[0, 1], A[1, 0] = 0.5, -0.5
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}: expected a square"):
+        sp.normal_modes(A)
+
+
 def test_normal_modes_at_the_critical_field():
     # Redfield n = 253 at h = 0.75, the chain of fig_density_h0.75: the gap
     # 3.18e-10 is the pair sum of two conjugate rapidities, which the
@@ -649,8 +661,13 @@ def test_gap_from_eigenvalues_matches_the_schur_gap(name):
         assert gap == pytest.approx(sp.spectral_gap(sp.lyapunov_form(model)), rel=1e-8)
 
 
+def identity_modes(two_n):
+    """R = G = 1 and Z = 0 for ``NormalModes`` built by hand."""
+    return np.eye(two_n), np.eye(two_n), np.zeros((two_n, two_n))
+
+
 def test_spectral_gap_definition():
-    modes = sp.NormalModes(np.array([1 + 1j, 0.3, 2.0]), np.eye(12))
+    modes = sp.NormalModes(np.array([1 + 1j, 0.3, 2.0]), *identity_modes(3))
     assert sp.spectral_gap(modes) == pytest.approx(0.6)
     assert sp.spectral_gap(modes.rapidities) == pytest.approx(0.6)
     assert sp.spectral_gap(np.array([-1e-15, 0.3])) == 0.0
@@ -669,7 +686,7 @@ def test_liouvillean_eigenvalues_and_selectors(redfield_n2):
     assert (sels.sum(axis=1) % 2 == 0).all()
     with pytest.raises(ValueError):
         sp.even_weight_selectors(5)
-    big = sp.NormalModes(np.ones(18, dtype=complex), np.eye(36))
+    big = sp.NormalModes(np.ones(18, dtype=complex), *identity_modes(18))
     with pytest.raises(ValueError):
         sp.full_liouvillean_spectrum(big)
 
