@@ -51,7 +51,6 @@ from .spectra import (
     normal_modes,
     rapidities,
     spectral_gap,
-    structure_matrix,
 )
 
 __all__ = [
@@ -607,8 +606,11 @@ def _task_gap_scaling(cfg: ExperimentConfig):
 def _task_dynamics(cfg: ExperimentConfig):
     from .dynamics import dynamic_correlator
 
+    # X and Y from the model's coupling rows, with no 4n x 4n matrix; the
+    # model, with its complex 2n x 2n H, is released before the correlator
     model = build_model(cfg)
-    modes = normal_modes(structure_matrix(model))
+    modes = normal_modes(model)
+    del model
     times = np.linspace(0.0, cfg.t_max, cfg.num_times)
     vals = dynamic_correlator(modes, cfg.pairs[0], cfg.pairs[1], times)
     return ["t", "re", "im"], [(times, vals.real, vals.imag)]

@@ -6,7 +6,10 @@ X of ``spectra.lyapunov_form`` (Prosen, J. Stat. Mech. P07020 (2010));
 by quantum regression the same rule gives the steady-state dynamical
 correlation functions.  Both read the eigenpair X = R diag(lambda) G,
 lambda = 2 beta, and T_ness = 1 + iZ that ``spectra.normal_modes`` keeps
-on its ``NormalModes``, so e^{-Xt} = R diag(e^{-lambda t}) G.  Explicitly
+on its ``NormalModes``, so e^{-Xt} = R diag(e^{-lambda t}) G, and both
+work in 2n x 2n buffers: ``propagate_two_point`` in real ones for a
+real generator and state, ``dynamic_correlator`` in a rank-2 form that
+reads two columns of Z and holds a block of times at once.  Explicitly
 time-dependent problems are sampled at the midpoint of each step.
 ``propagate_schedule`` steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with
 the 2n x 2n pair (X, Y) of each sample, where Phi and W are the blocks of
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_lapack
-from .ness import TwoPointMatrix, ness_two_point
+from .ness import TwoPointMatrix, _check_unique
 from .spectra import NormalModes, _lyapunov_pair
 
 __all__ = [
@@ -105,23 +108,44 @@ def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarra
     matrix, from the Wick matrix of w_l w_m rho_ness toward T_lm T_ness.
     With u = G T_ness[:, l|m] their difference maps to u_m u_l^T - u_l u_m^T,
     so C(t) = T_jk T_lm + e(t) . W e(t) with e_r(t) = exp(-lambda_r t) and
-    W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T): one matrix product for all
-    times, with memory linear in their number.  Majorana indices are
-    1-based; every t must be finite and >= 0.
+    W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T).  W has rank 2:
+    C(t) = T_jk T_lm + (e.a)(e.b) - (e.c)(e.d) with a = R_j o u_m,
+    b = R_k o u_l, c = R_j o u_l and d = R_k o u_m, one (block x 2n)
+    by (2n x 4) product per block of times.  Only the columns l, m of
+    T_ness = 1 + iZ enter, and the work and memory are linear in the
+    number of times.  Majorana indices are 1-based; every t must be
+    finite and >= 0.  Raises NonUniqueNESSError as ``ness_two_point``
+    does.
     """
     j, k = pair_jk
     l, m = pair_lm
-    if not all(1 <= idx <= 2 * modes.n for idx in (j, k, l, m)):
-        raise ValueError(f"Majorana indices must lie in 1..{2 * modes.n}")
+    two_n = 2 * modes.n
+    if not all(1 <= idx <= two_n for idx in (j, k, l, m)):
+        raise ValueError(f"Majorana indices must lie in 1..{two_n}")
     scalar = np.ndim(times) == 0
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise ValueError("correlator defined for finite t >= 0")
-    T, R, G = ness_two_point(modes).T, modes.R, modes.G
-    ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
-    W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
-    e = np.exp(-np.outer(times, 2.0 * modes.rapidities))
-    out = T[j - 1, k - 1] * T[l - 1, m - 1] + ((e @ W) * e).sum(axis=1)
+    _check_unique(modes.rapidities)
+    Z, R, G = modes.Z, modes.R, modes.G
+    Tl, Tm = 1j * Z[:, l - 1], 1j * Z[:, m - 1]  # columns of T_ness = 1 + iZ
+    Tl[l - 1] += 1.0
+    Tm[m - 1] += 1.0
+    static = ((j == k) + 1j * Z[j - 1, k - 1]) * Tm[l - 1]
+    ul, um = G @ Tl, G @ Tm
+    factors = np.stack([R[j - 1] * um, R[k - 1] * ul, R[j - 1] * ul, R[k - 1] * um], axis=1)
+    rates = -2.0 * modes.rapidities
+    out = np.empty(len(times), dtype=complex)
+    # one buffer of e(t) for a block of times: about one 2n x 2n matrix, and
+    # at least 4096 entries
+    block = np.empty((min(len(times), max(two_n, 4096 // two_n)), two_n), dtype=complex)
+    for start in range(0, len(times), len(block)):
+        stop = min(start + len(block), len(times))
+        e = block[: stop - start]
+        np.multiply.outer(times[start:stop], rates, out=e)
+        np.exp(e, out=e)
+        p = e @ factors
+        out[start:stop] = static + (p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3])
     return complex(out[0]) if scalar else out
 
 
@@ -129,9 +153,9 @@ def _midpoint_samples(schedule: DriveSchedule):
     """Yield (A, A0, scale) at the midpoints (i + 1/2) dt, each checked.
 
     Raises ValueError unless t_final is an integer number of steps, and
-    when a sample is not antisymmetric; raises StepTooLargeError when
-    ||2 A||_2 dt >= 0.5.  ``scale`` = max(1, max |A_ij|) sets the
-    tolerance of the checks.
+    when a sample is not square of order 4n or not antisymmetric; raises
+    StepTooLargeError when ||2 A||_2 dt >= 0.5.  ``scale`` =
+    max(1, max |A_ij|) sets the tolerance of the checks.
     """
     n_steps = int(round(schedule.t_final / schedule.dt))
     if n_steps < 1 or abs(n_steps * schedule.dt - schedule.t_final) > 1e-9 * schedule.t_final:
@@ -140,6 +164,9 @@ def _midpoint_samples(schedule: DriveSchedule):
     for i in range(n_steps):
         A, A0 = schedule.sampler((i + 0.5) * dt)
         A = np.asarray(A, dtype=complex)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 4:
+            raise ValueError(f"sampled structure matrix has shape {A.shape}: "
+                             "expected a square matrix of order 4n")
         abs_A = np.abs(A)
         scale = max(1.0, abs_A.max())
         if np.abs(A + A.T).max() > 1e-12 * scale:
@@ -187,9 +214,10 @@ def time_ordered_propagator(schedule: DriveSchedule):
     exponentials, and its generator (C, C0) with C = log(U)/2, C0 = Int A0.
 
     Second-order accurate in dt.  Raises ValueError when a sample is not
-    antisymmetric, StepTooLargeError when ||2 A|| dt >= 0.5 at any
-    midpoint, and BranchAmbiguityError when an eigenvalue of U has phase
-    within 0.1 rad of +-pi (principal log branch undefined).
+    square of order 4n or not antisymmetric, StepTooLargeError when
+    ||2 A|| dt >= 0.5 at any midpoint, and BranchAmbiguityError when an
+    eigenvalue of U has phase within 0.1 rad of +-pi (principal log
+    branch undefined).
     """
     U, C0 = None, 0.0 + 0.0j
     for A, A0, _ in _midpoint_samples(schedule):
@@ -213,10 +241,13 @@ def propagate_two_point(
     """Evolve the two-point matrix of a Gaussian state for time t under
     the static Liouvillean with the given normal modes.
 
-    T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t},
-    with e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X that
+    T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, that is
+    Z(t) = Z + P (Z(0) - Z) P^T for T = 1 + iZ, with
+    P = e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X that
     ``modes`` keeps, lambda = 2 beta: three 2n x 2n products per call.
-    T(t) -> T_ness at the rate set by the spectral gap.  Raises
+    When the generator is real (``modes.Z`` real) and so is Z(0) (every
+    physical state), P is taken real and the two products of P (Z(0) - Z) P^T
+    are real.  T(t) -> T_ness at the rate set by the spectral gap.  Raises
     NonUniqueNESSError as ``ness_two_point`` does, and ValueError unless t
     is finite and >= 0, ``initial`` is 2n x 2n and it is the two-point
     matrix of a state (T + T^T = 2 to rounding, as ``propagate_schedule``
@@ -225,10 +256,17 @@ def propagate_two_point(
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
     _check_size(initial, 2 * modes.n)
-    _check_state(initial.T)
-    T_ness = ness_two_point(modes).T
+    tol = _check_state(initial.T)
+    _check_unique(modes.rapidities)
+    Z, one = modes.Z, np.eye(2 * modes.n)
+    Z0 = -1j * (initial.T - one)
     P = (modes.R * np.exp(-t * 2.0 * modes.rapidities)) @ modes.G
-    return TwoPointMatrix(T_ness + P @ (initial.T - T_ness) @ P.T)
+    if np.isrealobj(Z) and np.abs(Z0.imag).max() <= tol:
+        # the imaginary parts are round-off
+        Z0, P = Z0.real, np.ascontiguousarray(P.real)
+    Zt = P @ (Z0 - Z) @ P.T
+    Zt += Z
+    return TwoPointMatrix(one + 1j * Zt)
 
 
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:

@@ -11,9 +11,11 @@ Pipeline:
     (H, M)  -->  (X, Y)                 real 2n x 2n Lyapunov form
     X  --schur-->  (R, U), beta_j       rapidities from R's diagonal blocks
     X  --eigvals-->  beta_j             the same rapidities, for the gap alone
-    (H, M)  -->  (A, A0)                4n x 4n structure matrix
-    A  -->  (X, Y)  --eig-->            normal master modes: one eig of X
-        (beta, R, G = R^-1, Z)          read off A; X Z + Z X^T = Y in its basis
+    (H, M)  -->  (A, A0)                4n x 4n structure matrix (cross-checks)
+    model | A  -->  (X, Y)  --eig-->    normal master modes: one eig of X, with
+        (beta, R, G = R^-1, Z)          X, Y from the coupling rows (a model) or
+                                        read off A; X Z + Z X^T = Y in its basis,
+                                        Z real when X, Y are
 
 The steady state and the relaxation spectrum come from the real Lyapunov
 form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
@@ -26,7 +28,8 @@ row 2j the one with -beta_j, and V V^T equals J = diag(sx, sx, ...).  The
 rapidities come in descending order of (Re beta, Im beta).  The modes
 solve X B + B X^T = Y again, by eigenvectors: independent of the Lyapunov
 route are the checks V^T D J V = A, the Green's-function quadrature on A
-and the dense oracle.
+and the dense oracle.  From a model, the modes and everything downstream
+of them (``dynamics``) stay in 2n x 2n buffers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from ._blas import serial_lapack
-from .model import QuadraticModel
+from .model import _PANEL_ROWS, QuadraticModel
 
 __all__ = [
     "HamiltonianEigensystem",
@@ -559,6 +562,10 @@ def assemble_structure_matrix(H: np.ndarray, M: np.ndarray) -> StructureMatrix:
     two_n = H.shape[0]
     if M.shape != (two_n, two_n):
         raise ValueError("H and M dimensions disagree")
+    # the M terms of every block pair are antisymmetric by construction, so
+    # A is antisymmetric exactly when H is
+    if np.abs(H + H.T).max() > 1e-12 * max(1.0, 2.0 * np.abs(H).max()):
+        raise AssertionError("assembled structure matrix is not antisymmetric")
     A = np.zeros((2 * two_n, 2 * two_n), dtype=complex)
     Mc = M.conj()
     A[0::2, 0::2] = -2j * H - M + M.T
@@ -566,9 +573,6 @@ def assemble_structure_matrix(H: np.ndarray, M: np.ndarray) -> StructureMatrix:
     A[1::2, 0::2] = -1j * (M + Mc.T)
     A[1::2, 1::2] = -2j * H - Mc + Mc.T
     A0 = np.trace(M) + np.trace(Mc)
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A + A.T).max() > 1e-12 * scale:
-        raise AssertionError("assembled structure matrix is not antisymmetric")
     return StructureMatrix(A, complex(A0))
 
 
@@ -726,27 +730,44 @@ def _lyapunov_pair(A: np.ndarray, tol: float):
     return X, Y
 
 
-def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
-    """Diagonalize the structure matrix into normal master modes.
+def _one_norm(X: np.ndarray) -> float:
+    return float(np.abs(X).sum(axis=0).max())
+
+
+def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> NormalModes:
+    """Diagonalize the Liouvillean into normal master modes.
 
     In the pairing c_j = (a_2j-1 +- i a_2j)/sqrt2 a trace-preserving A is
     [[0, X^T/2], [-X/2, -iY/2]] (Prosen, arXiv:1005.0763), with the X and Y
-    of ``lyapunov_form``.  One eig X R = R diag(lambda) gives beta = lambda/2
-    and G = R^-1, and Z = R Z~ R^T with Z~ = G Y G^T / (lambda_i + lambda_j)
+    of ``lyapunov_form``.  Given a ``QuadraticModel``, X and Y are read
+    from the coupling rows as ``lyapunov_form`` reads them, and no 4n x 4n
+    matrix is built; given A (or a ``StructureMatrix``), they are read
+    off A.  One eig X R = R diag(lambda) gives beta = lambda/2 and
+    G = R^-1, and Z = R Z~ R^T with Z~ = G Y G^T / (lambda_i + lambda_j)
     solves X Z + Z X^T = Y; ``ness.ness_two_point`` returns T = 1 + iZ.
-    Real parts of lambda at round-off (1e3 eps |X|_1) are set to 0, and so
-    is Z~_ij where lambda_i + lambda_j and (G Y G^T)_ij are both at
-    round-off (free chain).  Raises ValueError unless A is square of order
-    4n and trace preserving (vanishing c.c block),
-    NonDiagonalizableError for a Jordan pair (a vanishing pair sum with
-    (G Y G^T)_ij != 0) or a 1-norm condition number of R above 1e12; warns
-    ZeroRapidityWarning when min Re beta falls below 1e-10.
+    Z is real when X and Y are (every Hermiticity-preserving Liouvillean),
+    and R is real when every lambda is.  Real parts of lambda at
+    round-off (1e3 eps |X|_1) are set to 0, and so is Z~_ij where
+    lambda_i + lambda_j and (G Y G^T)_ij are both at round-off (free
+    chain).  Raises ValueError unless A is square of order 4n and trace
+    preserving (vanishing c.c block), NonDiagonalizableError for a Jordan
+    pair (a vanishing pair sum with (G Y G^T)_ij above 1e3 eps
+    max(|X|_1, |Y|_1)) or a 1-norm condition number of R above 1e12;
+    warns ZeroRapidityWarning when min Re beta falls below 1e-10.
     """
-    A = np.asarray(struct.A if isinstance(struct, StructureMatrix) else struct)
-    X, Y = _lyapunov_pair(A, 1e-12 * max(1.0, np.abs(A).max()))
+    if isinstance(struct, QuadraticModel):
+        X, Y = _lyapunov_matrices(struct)
+    else:
+        A = np.asarray(struct.A if isinstance(struct, StructureMatrix) else struct)
+        X, Y = _lyapunov_pair(A, 1e-12 * max(1.0, np.abs(A).max()))
+    # X and Y are dropped once used, and Z~ is divided by the pair sums a
+    # panel of rows at a time: no 2n x 2n array of sums or masks is built
+    roundoff, x_norm = 1e3 * _EPS, _one_norm(X)
+    tiny = roundoff * x_norm
+    jordan = roundoff * max(x_norm, _one_norm(Y))
+    real = not (np.iscomplexobj(X) or np.iscomplexobj(Y))
     lam, R = np.linalg.eig(X)
-    roundoff = 1e3 * np.finfo(float).eps
-    tiny = roundoff * np.abs(X).sum(axis=0).max()
+    del X
     lam = np.where(np.abs(lam.real) <= tiny, 1j * lam.imag, lam)
     order = np.lexsort((lam.imag, lam.real))[::-1]  # descending (Re, Im)
     lam, R = lam[order], R[:, order]
@@ -754,7 +775,7 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
         G = np.linalg.inv(R)
     except np.linalg.LinAlgError as exc:
         raise NonDiagonalizableError("X has a singular eigenvector matrix") from exc
-    if np.abs(R).sum(axis=0).max() * np.abs(G).sum(axis=0).max() > COND_LIMIT:
+    if _one_norm(R) * _one_norm(G) > COND_LIMIT:
         raise NonDiagonalizableError(
             "eigenvector matrix condition number exceeds 1e12; structure matrix "
             "is numerically defective"
@@ -767,16 +788,29 @@ def normal_modes(struct: StructureMatrix | np.ndarray) -> NormalModes:
             stacklevel=2,
         )
     Yt = G @ Y @ G.T
-    Yt = 0.5 * (Yt - Yt.T)  # exactly antisymmetric, as Y is
-    sums = lam[:, None] + lam[None, :]
-    near = np.abs(sums) <= tiny
-    if (np.abs(Yt[near]) > roundoff * np.abs(A).sum(axis=0).max()).any():
-        raise NonDiagonalizableError("rapidities beta_i + beta_j = 0 form a Jordan pair")
-    Z = R @ np.where(near, 0.0, Yt / np.where(near, 1.0, sums)) @ R.T
+    del Y
+    Zt = np.empty_like(Yt)
+    eigs = lam if np.iscomplexobj(R) else lam.real  # eig's R is real iff every lambda is
+    for start in range(0, len(lam), _PANEL_ROWS):
+        rows = slice(start, start + _PANEL_ROWS)
+        panel = 0.5 * (Yt[rows] - Yt[:, rows].T)  # exactly antisymmetric, as Y is
+        sums = eigs[rows, None] + eigs
+        near = np.abs(sums) <= tiny
+        if (np.abs(panel[near]) > jordan).any():
+            raise NonDiagonalizableError("rapidities beta_i + beta_j = 0 form a Jordan pair")
+        sums[near] = 1.0
+        panel /= sums
+        panel[near] = 0.0
+        Zt[rows] = panel
+    del Yt
+    Z = R @ Zt
+    del Zt
+    Z = Z @ R.T
+    if real:  # the imaginary part is round-off
+        Z = Z.real
     # exactly antisymmetric, so T + T^T = 2 and V V^T = J even where a small
     # lambda_i + lambda_j would magnify the rounding of the products
-    Z = 0.5 * (Z - Z.T)
-    return NormalModes(betas, R, G, Z)
+    return NormalModes(betas, R, G, 0.5 * (Z - Z.T))
 
 
 def spectral_gap(modes) -> float:

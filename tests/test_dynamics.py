@@ -134,12 +134,13 @@ def test_propagator_second_order_convergence(redfield_n2):
 
 
 def test_propagator_guards():
-    A = np.array([[0.0, 4.0], [-4.0, 0.0]])
+    # two copies of a 2 x 2 generator: a sample is of order 4n
+    A = np.kron(np.eye(2), [[0.0, 4.0], [-4.0, 0.0]])
     with pytest.raises(dyn.StepTooLargeError):
         dyn.time_ordered_propagator(static_schedule(A, 0.0, 1.0, 0.1))
     # eigenvalues of U = exp(2tA) reach phase +-pi at 2t = pi for the
     # rotation generator below: the principal log is refused there
-    Aim = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    Aim = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(dyn.BranchAmbiguityError):
         dyn.time_ordered_propagator(static_schedule(Aim, 0.0, 1.5708, 1e-4))
 
@@ -185,10 +186,22 @@ def lindblad_drive(n):
     return sampler
 
 
+def integrated_midpoint_product(sampler, t_final, dt):
+    """Reference: U from dU/dt = 2 A(t_(i+1/2)) U, integrated over each step
+    by scipy's solve_ivp at rtol = atol = 1e-12 (no matrix exponential)."""
+    U = np.eye(sampler(0.0)[0].shape[0], dtype=complex)
+    for i in range(int(round(t_final / dt))):
+        A = 2.0 * np.asarray(sampler((i + 0.5) * dt)[0], dtype=complex)
+        sol = si.solve_ivp(lambda t, u, A=A: (A @ u.reshape(A.shape)).ravel(), (0.0, dt),
+                           U.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+        U = sol.y[:, -1].reshape(U.shape)
+    return U
+
+
 def test_real_step_matches_complex_step():
     sampler = lindblad_drive(4)
     U, _, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(sampler, 0.5, 5e-3))
-    assert np.abs(U - complex_ordered_product(sampler, 0.5, 5e-3)).max() < 1e-12
+    assert np.abs(U - integrated_midpoint_product(sampler, 0.5, 5e-3)).max() < 1e-12
 
 
 def test_product_turns_complex_at_an_unsymmetric_sample():
@@ -204,7 +217,7 @@ def test_product_turns_complex_at_an_unsymmetric_sample():
         return (A + kick if t > 0.2 else A), A0
 
     U, _, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(sampler, 0.4, 5e-3))
-    assert np.abs(U - complex_ordered_product(sampler, 0.4, 5e-3)).max() < 1e-12
+    assert np.abs(U - integrated_midpoint_product(sampler, 0.4, 5e-3)).max() < 1e-12
 
 
 def test_schedule_rejects_an_initial_state_of_another_size():
@@ -348,6 +361,21 @@ def test_schedule_rejects_a_sample_not_of_order_4n():
     with pytest.raises(ValueError, match=r"shape \(6, 6\): expected a square matrix of order 4n"):
         dyn.propagate_schedule(schedule, ns.TwoPointMatrix(np.eye(3)))
     assert len(calls) == 1
+
+
+def non_square_schedule():
+    return dyn.DriveSchedule(lambda t: (np.zeros((8, 4), dtype=complex), 0.0), 0.5, 2.5e-3)
+
+
+def test_schedule_rejects_a_sample_that_is_not_square():
+    # the antisymmetry check broadcast A + A^T and failed inside numpy
+    with pytest.raises(ValueError, match=r"shape \(8, 4\): expected a square matrix of order 4n"):
+        dyn.propagate_schedule(non_square_schedule(), ns.TwoPointMatrix(np.eye(4)))
+
+
+def test_propagator_rejects_a_sample_that_is_not_square():
+    with pytest.raises(ValueError, match=r"shape \(8, 4\): expected a square matrix of order 4n"):
+        dyn.time_ordered_propagator(non_square_schedule())
 
 
 def test_schedule_rejects_an_initial_matrix_that_is_not_a_state():
@@ -525,6 +553,50 @@ def test_normal_modes_fields_are_the_readouts_off_V():
         assert np.abs(modes.R - R).max() < 1e-12
         assert np.abs(modes.G - G).max() < 1e-12
         assert np.abs(ns.ness_two_point(modes).T - T).max() < 1e-12
+
+
+def correlator_by_one_product(modes, pair_jk, pair_lm, times):
+    """Reference: C(t) = T_jk T_lm + e(t) . W e(t) with the dense
+    W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T), u = G T_ness[:, l|m], and
+    e(t) = exp(-lambda t) for all times in one (times x 2n) array."""
+    j, k = pair_jk
+    l, m = pair_lm
+    T, R, G = ns.ness_two_point(modes).T, modes.R, modes.G
+    ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
+    W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
+    e = np.exp(-np.outer(np.atleast_1d(times), 2.0 * modes.rapidities))
+    return T[j - 1, k - 1] * T[l - 1, m - 1] + ((e @ W) * e).sum(axis=1)
+
+
+def test_correlator_matches_the_one_product_formula():
+    times = np.linspace(0.0, 20.0, 101)
+    pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((2, 6), (5, 1)), ((4, 4), (1, 6)))
+    for modes, _ in quench_cases():
+        for pair_jk, pair_lm in pairs:
+            ref = correlator_by_one_product(modes, pair_jk, pair_lm, times)
+            got = dyn.dynamic_correlator(modes, pair_jk, pair_lm, times)
+            assert np.abs(got - ref).max() < 1e-12
+            scalar = dyn.dynamic_correlator(modes, pair_jk, pair_lm, 0.7)
+            assert isinstance(scalar, complex)
+            assert abs(scalar - correlator_by_one_product(modes, pair_jk, pair_lm, 0.7)[0]) < 1e-12
+
+
+def test_correlator_peak_does_not_grow_with_the_number_of_times():
+    # beyond the returned array (one complex per time), the peak is a block
+    # of times, the same for 101 and 20001 of them
+    n = 20
+    modes = sp.normal_modes(mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.9)))
+    extra = []
+    for count in (101, 20001):
+        times = np.linspace(0.0, 20.0, count)
+        tracemalloc.start()
+        try:
+            out = dyn.dynamic_correlator(modes, (1, 2), (3, 4), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    assert abs(extra[1] - extra[0]) < (2 * n) ** 2 * 16  # one 2n x 2n complex matrix
 
 
 def test_relaxation_refuses_a_non_unique_state_on_every_call():

@@ -728,3 +728,44 @@ def test_gram_eigh_memo_keeps_one_hamiltonian_bit_for_bit(monkeypatch):
     assert sp._GRAM_EIGH_MEMO is None
     for zs, ref in zip(kept, fresh):
         assert all(np.array_equal(z, r) for z, r in zip(zs, ref))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9)),
+        mdl.xy_lindblad_model(mdl.ChainParams(24, 0.5, 0.9)),
+        mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.75)),
+    ],
+    ids=["redfield_n20", "lindblad_n24", "redfield_n6_critical"],
+)
+def test_normal_modes_of_a_model_are_those_of_its_structure_matrix(model):
+    # X and Y from the coupling rows, against X and Y read off the 4n x 4n A
+    got, ref = sp.normal_modes(model), sp.normal_modes(sp.structure_matrix(model))
+    assert np.abs(got.rapidities - ref.rapidities).max() < 1e-12
+    assert np.abs(got.Z - ref.Z).max() < 1e-12
+    assert np.abs(ns.ness_two_point(got).T - ns.ness_two_point(ref).T).max() < 1e-12
+    assert np.isrealobj(got.Z) and np.isrealobj(ref.Z)  # X and Y are real
+
+
+def _model_and_structure(H, M):
+    """A Lindblad model whose bath matrix is the real symmetric M (one
+    coupling per Majorana, rate matrix M), and its structure matrix."""
+    two_n = len(H)
+    couplings = [mdl.CouplingOperator(x, "L") for x in np.eye(two_n)]
+    model = mdl.QuadraticModel(H, couplings, mdl.LindbladRates(M))
+    return model, sp.assemble_structure_matrix(H, M)
+
+
+def test_normal_modes_of_a_model_refuse_as_those_of_its_structure_matrix():
+    # no dissipation: zero rapidities, warned on both inputs
+    H = mdl.build_xy_hamiltonian(mdl.ChainParams(2, 0.5, 0.9))
+    for struct in _model_and_structure(H, np.zeros((4, 4))):
+        with pytest.warns(sp.ZeroRapidityWarning):
+            sp.normal_modes(struct)
+    # the exceptional point of test_exceptional_point_rejected
+    H = np.array([[0.0, -0.125j], [0.125j, 0.0]])
+    M = np.array([[0.25, 0.125], [0.125, 0.25]])
+    for struct in _model_and_structure(H, M):
+        with pytest.raises(sp.NonDiagonalizableError, match="condition number"):
+            sp.normal_modes(struct)
