@@ -12,7 +12,9 @@ threaded and 0.38 s with it on one thread.
 ``serial_lapack`` therefore runs scipy's pool on one thread around the
 scipy LAPACK calls of the solvers, for matrices of order up to
 ``SERIAL_LAPACK_ORDER``; above it the threaded LAPACK wins and nothing
-is changed.  numpy's pool keeps its threads.  A forked sweep worker,
+is changed.  numpy's pool keeps its threads, but for the real
+eigensolve of ``spectra.normal_modes``, which runs in a
+``serial_lapack(order, "numpy")`` block.  A forked sweep worker,
 which runs next to other workers, sets both pools to one thread
 (``single_threaded``).
 
@@ -22,13 +24,17 @@ extension modules link (``scipy_openblas_*``, else the plain
 build).  Where neither exists (MKL, Accelerate, a system BLAS without
 them) every function here does nothing.
 
-``gram_eigenvalues`` calls the LAPACK of numpy's OpenBLAS the same way,
-to make the eigensolve of ``numpy.linalg.eigvalsh`` on a caller's buffer
-instead of on numpy's copy of it.  scipy's dsyevd is no substitute: on
-scipy's threads, right after numpy's product, it doubled the time of a
-25-point sweep at n = 53 (0.27-0.31 s -> 0.56-0.67 s on 2 cores), and on
-one thread its bits differ from numpy's threaded solve at order 252 and
-above (they agree up to 200).
+``gram_eigenvalues`` and ``real_eig`` call the LAPACK of numpy's
+OpenBLAS the same way, to make the eigensolves of ``numpy.linalg.eigvalsh``
+and ``numpy.linalg.eig`` on a caller's buffer instead of on numpy's copy
+of it (and, for eig, without its complex eigenvectors).  scipy's routines
+are no substitute.  On scipy's threads, right after numpy's product,
+dsyevd doubled the time of a 25-point sweep at n = 53 (0.27-0.31 s ->
+0.56-0.67 s on 2 cores), and on one thread its bits differ from numpy's
+threaded solve at order 252 and above (they agree up to 200).  scipy's
+dgeev on one thread was as fast as numpy's, but its first call sets up
+scipy's pool in a process that used only numpy's: 0.9 MB more peak RSS
+on the benchmark's dynamics workload.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "serial_lapack",
     "single_threaded",
     "gram_eigenvalues",
+    "real_eig",
 ]
 
 # largest matrix order whose scipy LAPACK call runs on one thread.  On 2
@@ -89,12 +96,13 @@ def thread_controls(library: str):
 
 
 @contextmanager
-def serial_lapack(order: int):
-    """Run scipy's OpenBLAS on one thread inside the block when ``order``
-    is at most ``SERIAL_LAPACK_ORDER``; the previous count is restored on
-    exit, also when the block raises.  The count is process-wide, so
-    blocks that overlap in several Python threads can leave it at one."""
-    controls = thread_controls("scipy") if order <= SERIAL_LAPACK_ORDER else None
+def serial_lapack(order: int, library: str = "scipy"):
+    """Run the OpenBLAS of ``library`` ("scipy" or "numpy") on one thread
+    inside the block when ``order`` is at most ``SERIAL_LAPACK_ORDER``;
+    the previous count is restored on exit, also when the block raises.
+    The count is process-wide, so blocks that overlap in several Python
+    threads can leave it at one."""
+    controls = thread_controls(library) if order <= SERIAL_LAPACK_ORDER else None
     if controls is None:
         yield
         return
@@ -116,38 +124,63 @@ def single_threaded() -> None:
             controls[1](1)
 
 
-# names of LAPACK's dsyevd in the OpenBLAS of numpy.linalg, each with the
+# names of a LAPACK routine in the OpenBLAS of numpy.linalg, each with the
 # integer width it implies: the ILP64 OpenBLAS of numpy's wheels (with and
-# without the scipy_ prefix), then the LP64 one.  A plain ``dsyevd_`` is
-# not taken: its integers may be either width
-_DSYEVD_NAMES = (
-    ("scipy_dsyevd_64_", ctypes.c_int64),
-    ("dsyevd_64_", ctypes.c_int64),
-    ("scipy_dsyevd_", ctypes.c_int32),
+# without the scipy_ prefix), then the LP64 one.  A plain name such as
+# ``dsyevd_`` is not taken: its integers may be either width
+_LAPACK_NAMES = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("scipy_{}_", ctypes.c_int32),
 )
+
+
+def _numpy_lapack(routine: str):
+    """(function, its integer type) of LAPACK's ``routine`` in the library
+    that numpy.linalg calls, with its return type set, or None when none
+    of ``_LAPACK_NAMES`` is found."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+    except (ImportError, OSError):
+        return None
+    for name, integer in _LAPACK_NAMES:
+        try:
+            function = getattr(lib, name.format(routine))
+        except AttributeError:
+            continue
+        function.restype = None
+        return function, integer
+    return None
 
 
 @functools.cache
 def _numpy_dsyevd():
     """(dsyevd, its integer type) of the LAPACK that numpy.linalg calls,
-    or None when none of ``_DSYEVD_NAMES`` is found."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
-    except (ImportError, OSError):
-        return None
-    for name, integer in _DSYEVD_NAMES:
-        try:
-            dsyevd = getattr(lib, name)
-        except AttributeError:
-            continue
+    or None when it is not found (``_numpy_lapack``)."""
+    found = _numpy_lapack("dsyevd")
+    if found is not None:
+        dsyevd, integer = found
         flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
-        dsyevd.restype = None
         # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info and the
         # lengths of the two strings that gfortran passes last
         dsyevd.argtypes = [flag, flag, number, ptr, number, ptr, ptr, number, ptr,
                            number, number, ctypes.c_size_t, ctypes.c_size_t]
-        return dsyevd, integer
-    return None
+    return found
+
+
+@functools.cache
+def _numpy_dgeev():
+    """(dgeev, its integer type) of the LAPACK that numpy.linalg calls,
+    or None when it is not found (``_numpy_lapack``)."""
+    found = _numpy_lapack("dgeev")
+    if found is not None:
+        dgeev, integer = found
+        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
+        # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
+        # info and the lengths of the two strings
+        dgeev.argtypes = [flag, flag, number, ptr, number, ptr, ptr, ptr, number, ptr,
+                          number, ptr, number, number, ctypes.c_size_t, ctypes.c_size_t]
+    return found
 
 
 def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -184,3 +217,54 @@ def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
     if info.value:
         raise np.linalg.LinAlgError(f"dsyevd failed: info {info.value}")
     return w
+
+
+def real_eig(X: np.ndarray):
+    """Eigenvalues lam and the real eigenvector basis R of a real square X,
+    as numpy's eig computes them but without its complex copy.
+
+    LAPACK's dgeev (right vectors only) returns R real: the eigenvector of
+    a real eigenvalue in its column, and for a conjugate pair the columns
+    (Re r, Im r) of the eigenvector r of the +Im member, which comes
+    first; numpy's eig builds its complex vectors from exactly these
+    columns.  The call is numpy's, with the workspace a query asks for,
+    in numpy's OpenBLAS, on X's own buffer when X is a writeable
+    Fortran-ordered float64 array (X is then overwritten), else on a copy.
+    Where that dgeev is not found, this is numpy's eig with its pairs
+    split.  Raises LinAlgError, as eig does, for a non-square or
+    non-finite X or when the QR iteration fails.
+    """
+    found = _numpy_dgeev()
+    if found is None:
+        lam, v = np.linalg.eig(X)
+        if np.isrealobj(v):
+            return lam.astype(complex), v
+        R = v.real.copy()
+        firsts = np.flatnonzero(lam.imag > 0)
+        R[:, firsts + 1] = v.imag[:, firsts]
+        return lam, R
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+    if not np.isfinite(X).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    dgeev, integer = found
+    A = np.asfortranarray(X, dtype=np.float64)
+    if not A.flags.writeable:
+        A = A.copy(order="F")
+    order = len(A)
+    wr, wi, R, vl = np.empty(order), np.empty(order), np.empty((order, order), order="F"), np.empty(1)
+    info = integer(0)
+
+    def call(lwork: int):
+        work = np.empty(max(lwork, 1))
+        dgeev(b"N", b"V", integer(order), A.ctypes.data, integer(max(order, 1)), wr.ctypes.data,
+              wi.ctypes.data, vl.ctypes.data, integer(1), R.ctypes.data, integer(max(order, 1)),
+              work.ctypes.data, integer(lwork), info, 1, 1)
+        return work
+
+    work = call(-1)  # the workspace query
+    if info.value == 0:
+        call(int(work[0]))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgeev failed: info {info.value}")
+    return wr + 1j * wi, R

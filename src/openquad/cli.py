@@ -70,8 +70,9 @@ SWEEPABLE = ("n", "gamma", "h", "beta_L", "beta_R", "lambda", "delta_beta")
 # largest chain a config may ask for: 10x the n = 1000 laptop target, whose
 # dense 2n x 2n real matrices take 3.2 GB each
 MAX_SITES = 10_000
-# most times a dynamics config may ask for: each times x 2n complex array
-# of the correlator then takes 3.2 GB at n = 100
+# most times a dynamics config may ask for: each time costs the correlator
+# one 16-byte complex entry of its output and the CSV one row of up to
+# about 65 bytes, so 16 MB and about 65 MB at this bound
 MAX_TIMES = 1_000_000
 
 

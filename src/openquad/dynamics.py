@@ -4,12 +4,16 @@ Under a static Liouvillean a Gaussian two-point matrix relaxes as
 T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, with the real 2n x 2n
 X of ``spectra.lyapunov_form`` (Prosen, J. Stat. Mech. P07020 (2010));
 by quantum regression the same rule gives the steady-state dynamical
-correlation functions.  Both read the eigenpair X = R diag(lambda) G,
-lambda = 2 beta, and T_ness = 1 + iZ that ``spectra.normal_modes`` keeps
-on its ``NormalModes``, so e^{-Xt} = R diag(e^{-lambda t}) G, and both
-work in 2n x 2n buffers: ``propagate_two_point`` in real ones for a
-real generator and state, ``dynamic_correlator`` in a rank-2 form that
-reads two columns of Z and holds a block of times at once.  Explicitly
+correlation functions.  Both read the eigenbasis X = R Lambda G,
+G = R^-1, and T_ness = 1 + iZ that ``spectra.normal_modes`` keeps on its
+``NormalModes``: for a real X, R and G are real and Lambda is block
+diagonal, lambda = 2 beta on a 1 x 1 block and [[a, b], [-b, a]] for a
+conjugate pair a +- ib, so e^{-Xt} = R e^{-Lambda t} G with the pair
+blocks e^{-at} rot(bt).  Both work in 2n x 2n buffers:
+``propagate_two_point`` in real products for a real generator and state,
+``dynamic_correlator`` in a rank-2 form that reads two columns of Z,
+rebuilds only the complex eigenvector entries it needs, and holds a block
+of times at once.  Explicitly
 time-dependent problems are sampled at the midpoint of each step.
 ``propagate_schedule`` steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with
 the 2n x 2n pair (X, Y) of each sample, where Phi and W are the blocks of
@@ -30,7 +34,8 @@ import scipy.linalg as sla
 
 from ._blas import serial_lapack
 from .ness import TwoPointMatrix, _check_unique
-from .spectra import NormalModes, _lyapunov_pair
+from .spectra import (_MODES_TO_PAIR, _PAIR_TO_MODES, NormalModes, _lyapunov_pair,
+                      _pair_rows, _pair_starts)
 
 __all__ = [
     "BranchAmbiguityError",
@@ -101,49 +106,77 @@ def _check_state(T: np.ndarray) -> float:
     return tol
 
 
+def _initial_z(initial: TwoPointMatrix, tol: float) -> np.ndarray:
+    """Z(0) = -i(T(0) - 1) of ``initial``: its real B when the imaginary
+    part 1 - Re T(0) is within ``tol``, as for every physical state, else
+    complex."""
+    T = initial.T
+    deviation = T.real.copy()
+    deviation.flat[:: len(T) + 1] -= 1.0
+    if np.abs(deviation, out=deviation).max() <= tol:
+        return initial.B
+    return -1j * (T - np.eye(len(T)))
+
+
 def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarray:
     """Steady-state response C_(j,k),(l,m)(t) = <w_j(t) w_k(t) w_l w_m>.
 
     By quantum regression C_jk(t) at fixed (l, m) relaxes like a two-point
     matrix, from the Wick matrix of w_l w_m rho_ness toward T_lm T_ness.
-    With u = G T_ness[:, l|m] their difference maps to u_m u_l^T - u_l u_m^T,
-    so C(t) = T_jk T_lm + e(t) . W e(t) with e_r(t) = exp(-lambda_r t) and
-    W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T).  W has rank 2:
-    C(t) = T_jk T_lm + (e.a)(e.b) - (e.c)(e.d) with a = R_j o u_m,
-    b = R_k o u_l, c = R_j o u_l and d = R_k o u_m, one (block x 2n)
-    by (2n x 4) product per block of times.  Only the columns l, m of
-    T_ness = 1 + iZ enter, and the work and memory are linear in the
-    number of times.  Majorana indices are 1-based; every t must be
-    finite and >= 0.  Raises NonUniqueNESSError as ``ness_two_point``
-    does.
+    In the complex eigenvectors R_c, G_c = R_c^-1 of X (rebuilt from the
+    blocks of ``modes`` only on the rows and columns read, in O(n^2)),
+    with u = G_c T_ness[:, l|m] their difference maps to
+    u_m u_l^T - u_l u_m^T, so C(t) = T_jk T_lm + e(t) . W e(t) with
+    e_r(t) = exp(-lambda_r t) and W = (R_c,j x R_c,k) o (u_m u_l^T - u_l u_m^T).
+    W has rank 2: C(t) = T_jk T_lm + (e.a)(e.b) - (e.c)(e.d) with
+    a = R_c,j o u_m, b = R_c,k o u_l, c = R_c,j o u_l and d = R_c,k o u_m,
+    one (block x 2n) by (2n x 4) product per block of times; for a real X
+    only the exponentials of the 1 x 1 blocks and the +Im members are
+    computed, those of the -Im members being their conjugates.  Only the
+    columns l, m of T_ness = 1 + iZ enter, and the work and memory are
+    linear in the number of times.
+
+    Majorana indices are 1-based integers in 1..2n.  A scalar t gives a
+    complex; any other ``times`` gives a 1-D complex array with one value
+    per entry of ``times`` in C order (an empty one gives an empty
+    array).  Every t must be finite and >= 0.  Raises NonUniqueNESSError
+    as ``ness_two_point`` does.
     """
     j, k = pair_jk
     l, m = pair_lm
     two_n = 2 * modes.n
-    if not all(1 <= idx <= two_n for idx in (j, k, l, m)):
+    indices = np.asarray((j, k, l, m), dtype=float)
+    if not ((indices == np.round(indices)) & (indices >= 1) & (indices <= two_n)).all():
         raise ValueError(f"Majorana indices must lie in 1..{two_n}")
+    j, k, l, m = indices.astype(int) - 1
     scalar = np.ndim(times) == 0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float).ravel()
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise ValueError("correlator defined for finite t >= 0")
     _check_unique(modes.rapidities)
     Z, R, G = modes.Z, modes.R, modes.G
-    Tl, Tm = 1j * Z[:, l - 1], 1j * Z[:, m - 1]  # columns of T_ness = 1 + iZ
-    Tl[l - 1] += 1.0
-    Tm[m - 1] += 1.0
-    static = ((j == k) + 1j * Z[j - 1, k - 1]) * Tm[l - 1]
-    ul, um = G @ Tl, G @ Tm
-    factors = np.stack([R[j - 1] * um, R[k - 1] * ul, R[j - 1] * ul, R[k - 1] * um], axis=1)
-    rates = -2.0 * modes.rapidities
+    firsts = _pair_starts(modes.rapidities, R)
+    Rj, Rk = _pair_rows(R[[j, k]].T, firsts, _MODES_TO_PAIR.T).T
+    # G T_ness[:, l|m], T_ness = 1 + iZ, in real products for a real Z
+    ul, um = _pair_rows(G[:, [l, m]] + 1j * (G @ Z[:, [l, m]]), firsts, _PAIR_TO_MODES).T
+    static = ((j == k) + 1j * Z[j, k]) * ((l == m) + 1j * Z[l, m])
+    factors = np.stack([Rj * um, Rk * ul, Rj * ul, Rk * um], axis=1)
+    # e(t) in the order (+Im members, 1 x 1 blocks, -Im members): the
+    # -Im members' exponentials are the conjugates of the first ones
+    singles = np.setdiff1d(np.arange(two_n), np.concatenate([firsts, firsts + 1]))
+    order = np.concatenate([firsts, singles, firsts + 1])
+    rates, factors = -2.0 * modes.rapidities[order], factors[order]
+    computed = len(firsts) + len(singles)
     out = np.empty(len(times), dtype=complex)
     # one buffer of e(t) for a block of times: about one 2n x 2n matrix, and
     # at least 4096 entries
-    block = np.empty((min(len(times), max(two_n, 4096 // two_n)), two_n), dtype=complex)
+    block = np.empty((max(1, min(len(times), max(two_n, 4096 // two_n))), two_n), dtype=complex)
     for start in range(0, len(times), len(block)):
         stop = min(start + len(block), len(times))
         e = block[: stop - start]
-        np.multiply.outer(times[start:stop], rates, out=e)
-        np.exp(e, out=e)
+        np.multiply.outer(times[start:stop], rates[:computed], out=e[:, :computed])
+        np.exp(e[:, :computed], out=e[:, :computed])
+        np.conjugate(e[:, : len(firsts)], out=e[:, computed:])
         p = e @ factors
         out[start:stop] = static + (p[:, 0] * p[:, 1] - p[:, 2] * p[:, 3])
     return complex(out[0]) if scalar else out
@@ -243,30 +276,39 @@ def propagate_two_point(
 
     T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, that is
     Z(t) = Z + P (Z(0) - Z) P^T for T = 1 + iZ, with
-    P = e^{-Xt} = R diag(exp(-t lambda)) G from the eigenpair of X that
-    ``modes`` keeps, lambda = 2 beta: three 2n x 2n products per call.
-    When the generator is real (``modes.Z`` real) and so is Z(0) (every
-    physical state), P is taken real and the two products of P (Z(0) - Z) P^T
-    are real.  T(t) -> T_ness at the rate set by the spectral gap.  Raises
-    NonUniqueNESSError as ``ness_two_point`` does, and ValueError unless t
-    is finite and >= 0, ``initial`` is 2n x 2n and it is the two-point
-    matrix of a state (T + T^T = 2 to rounding, as ``propagate_schedule``
-    checks).
+    P = e^{-Xt} = R e^{-Lambda t} G from the blocks of ``modes``: each
+    2 x 2 block of a pair lambda = a +- ib is e^{-at} rot(bt), which mixes
+    the pair's two rows of G in O(n^2), and then three 2n x 2n
+    products, all real for a real generator and a real Z(0) (every
+    physical state).  T(t) -> T_ness at the rate set by the spectral gap.
+    Raises NonUniqueNESSError as ``ness_two_point`` does, and ValueError
+    unless t is finite and >= 0, ``initial`` is 2n x 2n and it is the
+    two-point matrix of a state (T + T^T = 2 to rounding, as
+    ``propagate_schedule`` checks).
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
     _check_size(initial, 2 * modes.n)
     tol = _check_state(initial.T)
     _check_unique(modes.rapidities)
-    Z, one = modes.Z, np.eye(2 * modes.n)
-    Z0 = -1j * (initial.T - one)
-    P = (modes.R * np.exp(-t * 2.0 * modes.rapidities)) @ modes.G
-    if np.isrealobj(Z) and np.abs(Z0.imag).max() <= tol:
-        # the imaginary parts are round-off
-        Z0, P = Z0.real, np.ascontiguousarray(P.real)
-    Zt = P @ (Z0 - Z) @ P.T
-    Zt += Z
-    return TwoPointMatrix(one + 1j * Zt)
+    G = modes.G
+    e = np.exp(-t * 2.0 * modes.rapidities)[:, None]
+    if np.iscomplexobj(G):
+        EG = e * G
+    else:
+        # row c of e^{-Lambda t} G is Re(e_c) G_c + Im(e_c) G_c', with c' the
+        # other member of c's pair (Im(e_c) = 0 on a 1 x 1 block)
+        partner = np.arange(len(G))
+        firsts = _pair_starts(modes.rapidities, modes.R)
+        partner[firsts], partner[firsts + 1] = firsts + 1, firsts
+        EG = e.real * G
+        EG += e.imag * G[partner]
+    P = modes.R @ EG
+    Zt = P @ (_initial_z(initial, tol) - modes.Z) @ P.T
+    Zt += modes.Z
+    T = 1j * Zt
+    T.flat[:: len(T) + 1] += 1.0
+    return TwoPointMatrix(T)
 
 
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:
@@ -290,12 +332,8 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     preserving, and
     StepTooLargeError when ||2 A||_2 dt >= 0.5 at a midpoint.
     """
-    T = initial.T
-    tol = _check_state(T)
-    one = np.eye(len(T))
-    Z = -1j * (T - one)
-    if np.abs(Z.imag).max() <= tol:
-        Z = Z.real.copy()
+    Z = _initial_z(initial, _check_state(initial.T))
+    one = np.eye(len(Z))
     for A, _, scale in _midpoint_samples(schedule):
         X, Y = _lyapunov_pair(A, 1e-12 * scale)
         _check_size(initial, len(X))

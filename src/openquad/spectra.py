@@ -14,8 +14,10 @@ Pipeline:
     (H, M)  -->  (A, A0)                4n x 4n structure matrix (cross-checks)
     model | A  -->  (X, Y)  --eig-->    normal master modes: one eig of X, with
         (beta, R, G = R^-1, Z)          X, Y from the coupling rows (a model) or
-                                        read off A; X Z + Z X^T = Y in its basis,
-                                        Z real when X, Y are
+                                        read off A; X R = R Lambda with real
+                                        2 x 2 blocks for the conjugate pairs of
+                                        a real X, and X Z + Z X^T = Y in that
+                                        basis: R, G, Z real when X, Y are
 
 The steady state and the relaxation spectrum come from the real Lyapunov
 form: X = 4iH + 2(M + conj M) has eigenvalues exactly 2 beta_j, and the
@@ -23,9 +25,10 @@ steady state solves X B + B X^T = Y on the same Schur form (see
 ``ness.steady_state``).  The normal modes are needed only where
 eigenvectors are: the dynamics, and the cross-checks of the Lyapunov
 route.  The paper's row-eigenvector matrix ``NormalModes.V`` is built on
-demand: row 2j-1 (1-based) is the eigenvector of A with rapidity +beta_j,
-row 2j the one with -beta_j, and V V^T equals J = diag(sx, sx, ...).  The
-rapidities come in descending order of (Re beta, Im beta).  The modes
+demand from the complex eigenvectors of X: row 2j-1 (1-based) is the
+eigenvector of A with rapidity +beta_j, row 2j the one with -beta_j, and
+V V^T equals J = diag(sx, sx, ...).  The rapidities come in descending
+order of (Re beta, Im beta), each conjugate pair adjacent.  The modes
 solve X B + B X^T = Y again, by eigenvectors: independent of the Lyapunov
 route are the checks V^T D J V = A, the Green's-function quadrature on A
 and the dense oracle.  From a model, the modes and everything downstream
@@ -43,7 +46,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from ._blas import serial_lapack
+from ._blas import real_eig, serial_lapack
 from .model import _PANEL_ROWS, QuadraticModel
 
 __all__ = [
@@ -135,9 +138,22 @@ class LyapunovForm:
 
 @dataclass(frozen=True)
 class NormalModes:
-    """Rapidities beta_j (Re >= 0), the eigenpair X R = R diag(2 beta),
-    G = R^-1, of the X of ``lyapunov_form``, and the steady-state Z with
-    X Z + Z X^T = Y (T = 1 + iZ)."""
+    """Rapidities beta_j (Re >= 0), the eigenbasis R of the X of
+    ``lyapunov_form`` with G = R^-1, and the steady-state Z with
+    X Z + Z X^T = Y (T = 1 + iZ).
+
+    X R = R Lambda with Lambda block diagonal, so e^{-Xt} =
+    R e^{-Lambda t} G.  For a real X (every Hermiticity-preserving
+    Liouvillean) R, G and Z are real: a real lambda_j = 2 beta_j is a
+    1 x 1 block with its eigenvector in column j, and a conjugate pair
+    lambda = a +- ib (b > 0) is the 2 x 2 block [[a, b], [-b, a]] on
+    columns (f, f + 1), which hold (Re r, Im r) of the eigenvector r of
+    a + ib.  For a complex X, R holds the eigenvectors, Lambda =
+    diag(lambda), and every block is 1 x 1.  The rapidities come in
+    descending order of (Re beta, Im beta), with each conjugate pair of a
+    real X adjacent, +Im first, and ordered by its +Im member, also where
+    the zeroing of round-off real parts makes Re ties exact.
+    """
 
     rapidities: np.ndarray  # (2n,)
     R: np.ndarray  # (2n, 2n)
@@ -152,15 +168,47 @@ class NormalModes:
     def V(self) -> np.ndarray:
         """The paper's 4n x 4n row-eigenvector matrix, built on each call.
 
-        With F = G Z, the +beta rows are P = [G + iF | -(F + iG)]/sqrt2
-        and the -beta rows Q = [R^T | iR^T]/sqrt2 (odd | even columns,
-        1-based): P Q^T = G R = 1, P P^T = iG(Z + Z^T)G^T = 0 and
-        Q Q^T = 0, so V V^T = J.
+        With the complex eigenvectors R_c = R T and G_c = R_c^-1 = T^-1 G
+        (``_pair_rows``) and F = G_c Z, the +beta rows are
+        P = [G_c + iF | -(F + iG_c)]/sqrt2 and the -beta rows
+        Q = [R_c^T | iR_c^T]/sqrt2 (odd | even columns, 1-based):
+        P Q^T = G_c R_c = 1, P P^T = iG_c(Z + Z^T)G_c^T = 0 and Q Q^T = 0,
+        so V V^T = J.
         """
-        F, G, Rt = self.G @ self.Z, self.G, self.R.T
+        firsts = _pair_starts(self.rapidities, self.R)
+        G = _pair_rows(self.G, firsts, _PAIR_TO_MODES)
+        Rt = _pair_rows(self.R.T, firsts, _MODES_TO_PAIR.T)
+        F = G @ self.Z
         rows = np.stack([np.stack([G + 1j * F, -(F + 1j * G)], axis=2),
                          np.stack([Rt, 1j * Rt], axis=2)], axis=1)  # [m, +-, k, odd|even]
         return rows.reshape(2 * len(Rt), -1) / np.sqrt(2.0)
+
+
+# the eigenvectors (r, conj r) of a conjugate pair of a real X and its
+# real columns (Re r, Im r) are related by [r, conj r] = [Re r, Im r] T;
+# coordinates change as x_pair = T x_modes
+_MODES_TO_PAIR = np.array([[1.0, 1.0], [1j, -1j]])
+_PAIR_TO_MODES = 0.5 * np.array([[1.0, -1j], [1.0, 1j]])  # T^-1
+
+
+def _pair_starts(lam: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The first columns f of the 2 x 2 blocks (f, f + 1) of a real
+    eigenbasis R with eigenvalues ``lam`` in ``NormalModes`` order: the
+    +Im member of each pair.  A complex R has none."""
+    if np.iscomplexobj(R):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(lam.imag > 0)
+
+
+def _pair_rows(M: np.ndarray, firsts: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Complex copy of M with each pair of rows (f, f + 1), f in
+    ``firsts``, replaced by B applied to it: O(size of M) work.  Columns
+    go through ``M.T``."""
+    out = M.astype(complex)
+    a, b = M[firsts], M[firsts + 1]
+    out[firsts] = B[0, 0] * a + B[0, 1] * b
+    out[firsts + 1] = B[1, 0] * a + B[1, 1] * b
+    return out
 
 
 def symplectic_form(two_n: int) -> np.ndarray:
@@ -734,6 +782,22 @@ def _one_norm(X: np.ndarray) -> float:
     return float(np.abs(X).sum(axis=0).max())
 
 
+def _eig(X: np.ndarray):
+    """Eigenvalues lambda and eigenbasis R of X (``NormalModes``): for a
+    real X the real basis of LAPACK's dgeev (``_blas.real_eig``, which
+    overwrites a Fortran-ordered X), for a complex X numpy's eig.
+
+    The real eigensolve runs numpy's OpenBLAS on one thread up to order
+    ``SERIAL_LAPACK_ORDER``: on 2 cores, in fresh processes right after a
+    numpy product, it took 20-33 ms on one thread and 32-36 ms on two at
+    order 200, and 0.66-0.72 s against 0.70-0.86 s at order 800.
+    """
+    if np.iscomplexobj(X):
+        return np.linalg.eig(X)
+    with serial_lapack(len(X), "numpy"):
+        return real_eig(X)
+
+
 def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> NormalModes:
     """Diagonalize the Liouvillean into normal master modes.
 
@@ -742,18 +806,21 @@ def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> Norma
     of ``lyapunov_form``.  Given a ``QuadraticModel``, X and Y are read
     from the coupling rows as ``lyapunov_form`` reads them, and no 4n x 4n
     matrix is built; given A (or a ``StructureMatrix``), they are read
-    off A.  One eig X R = R diag(lambda) gives beta = lambda/2 and
-    G = R^-1, and Z = R Z~ R^T with Z~ = G Y G^T / (lambda_i + lambda_j)
-    solves X Z + Z X^T = Y; ``ness.ness_two_point`` returns T = 1 + iZ.
-    Z is real when X and Y are (every Hermiticity-preserving Liouvillean),
-    and R is real when every lambda is.  Real parts of lambda at
-    round-off (1e3 eps |X|_1) are set to 0, and so is Z~_ij where
-    lambda_i + lambda_j and (G Y G^T)_ij are both at round-off (free
-    chain).  Raises ValueError unless A is square of order 4n and trace
-    preserving (vanishing c.c block), NonDiagonalizableError for a Jordan
-    pair (a vanishing pair sum with (G Y G^T)_ij above 1e3 eps
-    max(|X|_1, |Y|_1)) or a 1-norm condition number of R above 1e12;
-    warns ZeroRapidityWarning when min Re beta falls below 1e-10.
+    off A.  One eig X R = R Lambda gives beta = lambda/2 and G = R^-1,
+    and Z = R Z~ R^T with Lambda Z~ + Z~ Lambda^T = G Y G^T solves
+    X Z + Z X^T = Y; ``ness.ness_two_point`` returns T = 1 + iZ.  When X
+    and Y are real (every Hermiticity-preserving Liouvillean) R, G and Z
+    are real, with the 2 x 2 blocks of ``NormalModes``, and every product
+    is real; Z~ is divided by the pair sums lambda_i + lambda_j in the
+    complex eigenvector basis, a panel of rows at a time.  Real parts of
+    lambda at round-off (1e3 eps |X|_1) are set to 0, and so is the
+    complex Z~_ij where lambda_i + lambda_j and (G Y G^T)_ij are both at
+    round-off (free chain).  Raises ValueError unless A is square of
+    order 4n and trace preserving (vanishing c.c block),
+    NonDiagonalizableError for a Jordan pair (a vanishing pair sum with
+    (G Y G^T)_ij above 1e3 eps max(|X|_1, |Y|_1)) or a 1-norm condition
+    number of R above 1e12; warns ZeroRapidityWarning when min Re beta
+    falls below 1e-10.
     """
     if isinstance(struct, QuadraticModel):
         X, Y = _lyapunov_matrices(struct)
@@ -765,11 +832,13 @@ def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> Norma
     roundoff, x_norm = 1e3 * _EPS, _one_norm(X)
     tiny = roundoff * x_norm
     jordan = roundoff * max(x_norm, _one_norm(Y))
-    real = not (np.iscomplexobj(X) or np.iscomplexobj(Y))
-    lam, R = np.linalg.eig(X)
+    lam, R = _eig(X)
     del X
     lam = np.where(np.abs(lam.real) <= tiny, 1j * lam.imag, lam)
-    order = np.lexsort((lam.imag, lam.real))[::-1]  # descending (Re, Im)
+    # descending (Re, Im), a real X's pairs kept together by the Im of
+    # their +Im member and eig's position of it, which comes first
+    lead = np.arange(len(lam)) - (np.isrealobj(R) & (lam.imag < 0))
+    order = np.lexsort((lam.imag, -lead, lam.imag[lead], lam.real))[::-1]
     lam, R = lam[order], R[:, order]
     try:
         G = np.linalg.inv(R)
@@ -790,24 +859,45 @@ def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> Norma
     Yt = G @ Y @ G.T
     del Y
     Zt = np.empty_like(Yt)
-    eigs = lam if np.iscomplexobj(R) else lam.real  # eig's R is real iff every lambda is
-    for start in range(0, len(lam), _PANEL_ROWS):
-        rows = slice(start, start + _PANEL_ROWS)
+    firsts = _pair_starts(lam, R)
+    is_first = np.zeros(len(lam), dtype=bool)
+    is_first[firsts] = True
+    is_second = np.roll(is_first, 1)
+    start = 0
+    while start < len(lam):
+        stop = min(start + _PANEL_ROWS, len(lam))
+        stop += bool(stop < len(lam) and is_first[stop - 1])  # a pair stays in one panel
+        rows = slice(start, stop)
         panel = 0.5 * (Yt[rows] - Yt[:, rows].T)  # exactly antisymmetric, as Y is
-        sums = eigs[rows, None] + eigs
+        # to the complex eigenvectors, T^-1 panel T^-T, on the rows of the
+        # 1 x 1 blocks and the +Im members only: for a real X the row of a
+        # -Im member is the conjugate of its partner's, its columns swapped
+        plus = np.flatnonzero(~is_second[rows])
+        pair = is_first[rows][plus]
+        H = panel[plus].astype(complex)
+        H[pair] = 0.5 * (panel[plus[pair]] - 1j * panel[plus[pair] + 1])
+        H = _pair_rows(H.T, firsts, _PAIR_TO_MODES).T
+        sums = lam[start + plus, None] + lam
         near = np.abs(sums) <= tiny
-        if (np.abs(panel[near]) > jordan).any():
+        if (np.abs(H[near]) > jordan).any():
             raise NonDiagonalizableError("rapidities beta_i + beta_j = 0 form a Jordan pair")
         sums[near] = 1.0
-        panel /= sums
-        panel[near] = 0.0
-        Zt[rows] = panel
+        H /= sums
+        H[near] = 0.0
+        # and back to the blocks of R, T H T^T: a pair's rows are twice the
+        # real part and minus twice the imaginary part of its +Im row
+        H = _pair_rows(H.T, firsts, _MODES_TO_PAIR).T
+        if np.iscomplexobj(Zt):
+            Zt[rows] = H
+        else:
+            H[pair] *= 2.0
+            Zt[start + plus] = H.real
+            Zt[start + plus[pair] + 1] = -H.imag[pair]
+        start = stop
     del Yt
     Z = R @ Zt
     del Zt
     Z = Z @ R.T
-    if real:  # the imaginary part is round-off
-        Z = Z.real
     # exactly antisymmetric, so T + T^T = 2 and V V^T = J even where a small
     # lambda_i + lambda_j would magnify the rounding of the products
     return NormalModes(betas, R, G, 0.5 * (Z - Z.T))

@@ -120,3 +120,46 @@ def test_gram_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
             w = _blas.gram_eigenvalues(A)
             assert w.tobytes() == np.linalg.eigvalsh(A.T @ A).tobytes()
             assert np.array_equal(A, before)
+
+
+def test_real_eig_is_numpy_eig_split_into_real_pairs(monkeypatch):
+    # numpy's eig, with each conjugate pair of vectors r, conj r as the
+    # columns (Re r, Im r), bit for bit: in numpy's dgeev and without it;
+    # a real spectrum (symmetric matrix) and a mixed one.  A Fortran-ordered
+    # X is the workspace, a C-ordered one is left as it was
+    rng = np.random.default_rng(5)
+    S = rng.standard_normal((40, 40))
+    for found in (_blas._numpy_dgeev(), None):
+        monkeypatch.setattr(_blas, "_numpy_dgeev", lambda: found)
+        for X in (S + S.T, S, S[:7, :7].copy()):
+            ref, v = np.linalg.eig(X)
+            pairs = np.flatnonzero(ref.imag > 0)
+            split = v.real.copy()
+            split[:, pairs + 1] = v.imag[:, pairs]
+            before = X.copy()
+            lam, R = _blas.real_eig(X)
+            assert np.array_equal(X, before)
+            assert lam.dtype == complex and np.isrealobj(R)
+            assert np.array_equal(lam, ref) and np.array_equal(R, split)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            _blas.real_eig(np.full((3, 3), np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="must be square"):
+            _blas.real_eig(np.ones((3, 2)))
+        # a read-only Fortran-ordered X is not the workspace either
+        X = np.asfortranarray(S)
+        X.flags.writeable = False
+        lam, _ = _blas.real_eig(X)
+        assert np.array_equal(X, S) and np.array_equal(lam, np.linalg.eig(S)[0])
+        if found is not None:  # a writeable Fortran-ordered X is
+            X = np.asfortranarray(S)
+            _blas.real_eig(X)
+            assert not np.array_equal(X, S)
+
+
+def test_numpy_scope_sets_numpy_pool_only(fake):
+    with _blas.serial_lapack(10, "numpy"):
+        assert fake["numpy"].threads == 1 and fake["scipy"].threads == 2
+    assert fake["numpy"].calls == [1, 4] and fake["scipy"].calls == []
+    with _blas.serial_lapack(_blas.SERIAL_LAPACK_ORDER + 1, "numpy"):
+        assert fake["numpy"].threads == 4
+    assert fake["numpy"].calls == [1, 4]

@@ -56,6 +56,23 @@ def test_correlator_rejects_out_of_range_indices(redfield_n2):
     for pairs in (((0, 2), (3, 4)), ((1, 2), (3, 5))):
         with pytest.raises(ValueError, match="Majorana indices"):
             dyn.dynamic_correlator(modes, *pairs, 0.0)
+    # an index of 1.5 raised numpy's bare IndexError; an integral 2.0 is index 2
+    with pytest.raises(ValueError, match=r"Majorana indices must lie in 1\.\.4"):
+        dyn.dynamic_correlator(modes, (1.5, 2), (3, 4), 0.0)
+    assert dyn.dynamic_correlator(modes, (1, 2.0), (3, 4), 0.7) == \
+        dyn.dynamic_correlator(modes, (1, 2), (3, 4), 0.7)
+
+
+def test_correlator_takes_empty_and_two_dimensional_times(redfield_n2):
+    # [] raised "range() arg 3 must not be zero", a 2 x 3 grid numpy's
+    # broadcast error: one value per time, flattened in C order
+    modes = sp.normal_modes(sp.structure_matrix(redfield_n2))
+    empty = dyn.dynamic_correlator(modes, (1, 2), (3, 4), [])
+    assert empty.shape == (0,) and empty.dtype == complex
+    times = np.linspace(0.0, 5.0, 6)
+    flat = dyn.dynamic_correlator(modes, (1, 2), (3, 4), times)
+    grid = dyn.dynamic_correlator(modes, (1, 2), (3, 4), times.reshape(2, 3))
+    assert grid.shape == (6,) and np.array_equal(grid, flat)
 
 
 def correlator_pair_sum(modes, pair_jk, pair_lm, times):
@@ -519,49 +536,121 @@ def structure_of(X, Y):
 
 
 def quench_cases():
+    """(modes, T0, X, Y): the normal modes of a static generator with its
+    Lyapunov pair, and a state to quench from."""
     for build, n in ((mdl.xy_redfield_model, 20), (mdl.xy_lindblad_model, 24)):
-        modes = sp.normal_modes(sp.structure_matrix(build(mdl.ChainParams(n, 0.5, 0.9))))
-        yield modes, steady_state(build(mdl.ChainParams(n, 0.5, 0.5))).two_point
+        model = build(mdl.ChainParams(n, 0.5, 0.9))
+        form = sp.lyapunov_form(model)
+        T0 = steady_state(build(mdl.ChainParams(n, 0.5, 0.5))).two_point
+        yield sp.normal_modes(sp.structure_matrix(model)), T0, form.X, form.Y
     # the generator C = log(U)/2 of a drive taken as a static Liouvillean
     n = 6
     _, C, _ = dyn.time_ordered_propagator(dyn.DriveSchedule(lindblad_drive(n), 0.5, 2.5e-3))
     T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(n, 0.5, 0.5))).two_point
-    yield sp.normal_modes(sp.StructureMatrix(C, 0.0)), T0
+    yield (sp.normal_modes(sp.StructureMatrix(C, 0.0)), T0,
+           *sp._lyapunov_pair(C, 1e-12 * max(1.0, np.abs(C).max())))
     # C keeps the conjugation symmetry, so its X is real; this X is not
     form = sp.lyapunov_form(mdl.xy_lindblad_model(mdl.ChainParams(3, 0.5, 0.9)))
     X = form.X + 0.05j * np.random.default_rng(7).normal(size=form.X.shape)
     T0 = steady_state(mdl.xy_lindblad_model(mdl.ChainParams(3, 0.5, 0.5))).two_point
-    yield sp.normal_modes(structure_of(X, form.Y)), T0
+    yield sp.normal_modes(structure_of(X, form.Y)), T0, X, form.Y
+
+
+def complex_pair_basis(modes):
+    """The complex eigenvectors R_c of X and G_c = R_c^-1, rebuilt from the
+    blocks of ``modes``: columns (f, f + 1) of a pair of a real R hold
+    (Re r, Im r) of the eigenvector r of the +Im rapidity f, so they
+    become r and conj r."""
+    R = modes.R.astype(complex)
+    if np.isrealobj(modes.R):
+        for f in np.flatnonzero(modes.rapidities.imag > 0):
+            p, q = modes.R[:, f], modes.R[:, f + 1]
+            R[:, f], R[:, f + 1] = p + 1j * q, p - 1j * q
+    return R, np.linalg.inv(R)
+
+
+def block_lambda(modes):
+    """Lambda with X R = R Lambda: diag(2 beta) for a complex R, and for a
+    real one [[a, b], [-b, a]] on the columns (f, f + 1) of each pair
+    2 beta_f = a + ib."""
+    lam = 2.0 * modes.rapidities
+    if np.iscomplexobj(modes.R):
+        return np.diag(lam)
+    L = np.diag(lam.real)
+    for f in np.flatnonzero(lam.imag > 0):
+        L[f, f + 1], L[f + 1, f] = lam[f].imag, -lam[f].imag
+    return L
+
+
+def complex_mode_steady_state(X, Y):
+    """Reference: Z = R Z~ R^T with one complex eig X R = R diag(lambda),
+    G = R^-1 and Z~ = G Y G^T / (lambda_i + lambda_j), real when X and Y
+    are: the normal-mode steady state of complex eigenvectors."""
+    lam, R = np.linalg.eig(X)
+    R = R.astype(complex)
+    G = np.linalg.inv(R)
+    Z = R @ (G @ Y @ G.T / (lam[:, None] + lam)) @ R.T
+    if np.isrealobj(X) and np.isrealobj(Y):
+        Z = Z.real
+    return 0.5 * (Z - Z.T)
+
+
+def real_basis_cases():
+    for modes, _, X, Y in quench_cases():
+        yield modes, X, Y
+    # Redfield n = 100 at h = 0.9: 2 real eigenvalues among the pairs
+    model = mdl.xy_redfield_model(mdl.ChainParams(100, 0.5, 0.9))
+    form = sp.lyapunov_form(model)
+    yield sp.normal_modes(model), form.X, form.Y
+
+
+def test_normal_modes_real_blocks():
+    blocks = set()
+    for modes, X, Y in real_basis_cases():
+        R, G, L = modes.R, modes.G, block_lambda(modes)
+        assert np.isrealobj(R) == np.isrealobj(G) == np.isrealobj(modes.Z) == np.isrealobj(X)
+        scale = np.abs(X).sum(axis=0).max()
+        assert np.abs(X @ R - R @ L).max() < 1e-12 * scale
+        assert np.abs(G @ R - np.eye(len(R))).max() < 1e-12
+        for t in (0.0, 0.3, 2.0, 15.0):
+            assert np.abs(R @ sla.expm(-L * t) @ G - sla.expm(-X * t)).max() < 1e-12
+        assert np.abs(modes.Z - complex_mode_steady_state(X, Y)).max() < 1e-12
+        if np.isrealobj(R):
+            blocks.add(int((modes.rapidities.imag == 0).sum()))
+    assert 2 in blocks  # mixed 1 x 1 and 2 x 2 blocks were seen
 
 
 def test_propagate_matches_the_mode_pair_formula():
-    for modes, T0 in quench_cases():
+    for modes, T0, *_ in quench_cases():
         for t in (0.0, 0.3, 1.0, 2.0, 15.0):
             ref = relaxation_by_mode_pairs(modes, T0, t)
             assert np.abs(dyn.propagate_two_point(modes, T0, t).T - ref).max() < 1e-12
 
 
 def test_normal_modes_fields_are_the_readouts_off_V():
-    # the paper's readouts off the 4n x 4n rows: R^T/sqrt2 in the odd
-    # columns of the -beta rows, sqrt2 G from the two column sets of the
-    # +beta rows, and T = 2 (-beta rows)^T (+beta rows) on the odd columns
-    for modes, _ in quench_cases():
+    # the paper's readouts off the 4n x 4n rows: R_c^T/sqrt2 in the odd
+    # columns of the -beta rows, sqrt2 G_c from the two column sets of the
+    # +beta rows, and T = 2 (-beta rows)^T (+beta rows) on the odd columns,
+    # with R_c, G_c the complex pair basis of the fields
+    for modes, *_ in quench_cases():
         V = modes.V
         R = np.sqrt(2.0) * V[1::2, 0::2].T
         G = (V[0::2, 0::2] + 1j * V[0::2, 1::2]) / np.sqrt(2.0)
         T = 2.0 * V[1::2, 0::2].T @ V[0::2, 0::2]
-        assert np.abs(modes.R - R).max() < 1e-12
-        assert np.abs(modes.G - G).max() < 1e-12
+        Rc, Gc = complex_pair_basis(modes)
+        assert np.abs(Rc - R).max() < 1e-12
+        assert np.abs(Gc - G).max() < 1e-12
         assert np.abs(ns.ness_two_point(modes).T - T).max() < 1e-12
 
 
 def correlator_by_one_product(modes, pair_jk, pair_lm, times):
     """Reference: C(t) = T_jk T_lm + e(t) . W e(t) with the dense
     W = (R_j x R_k) o (u_m u_l^T - u_l u_m^T), u = G T_ness[:, l|m], and
-    e(t) = exp(-lambda t) for all times in one (times x 2n) array."""
+    e(t) = exp(-lambda t) for all times in one (times x 2n) array, with
+    the complex pair basis R, G."""
     j, k = pair_jk
     l, m = pair_lm
-    T, R, G = ns.ness_two_point(modes).T, modes.R, modes.G
+    T, (R, G) = ns.ness_two_point(modes).T, complex_pair_basis(modes)
     ul, um = G @ T[:, l - 1], G @ T[:, m - 1]
     W = np.outer(R[j - 1], R[k - 1]) * (np.outer(um, ul) - np.outer(ul, um))
     e = np.exp(-np.outer(np.atleast_1d(times), 2.0 * modes.rapidities))
@@ -571,7 +660,7 @@ def correlator_by_one_product(modes, pair_jk, pair_lm, times):
 def test_correlator_matches_the_one_product_formula():
     times = np.linspace(0.0, 20.0, 101)
     pairs = (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((2, 6), (5, 1)), ((4, 4), (1, 6)))
-    for modes, _ in quench_cases():
+    for modes, *_ in quench_cases():
         for pair_jk, pair_lm in pairs:
             ref = correlator_by_one_product(modes, pair_jk, pair_lm, times)
             got = dyn.dynamic_correlator(modes, pair_jk, pair_lm, times)

@@ -481,6 +481,27 @@ def test_normal_modes_zero_rapidity_warns():
     assert np.abs(modes.V @ modes.V.T - J).max() < 1e-9
 
 
+def test_normal_modes_keep_conjugate_pairs_adjacent():
+    # descending (Re, Im) by each block's +Im member, the pair (beta,
+    # conj beta) adjacent: also on the free chain, whose real parts are all
+    # zeroed as round-off, so that every Re ties exactly
+    free = sp.assemble_structure_matrix(
+        mdl.build_xy_hamiltonian(mdl.ChainParams(4, 0.5, 0.9)), np.zeros((8, 8), dtype=complex))
+    with pytest.warns(sp.ZeroRapidityWarning):
+        tied = sp.normal_modes(free)
+    assert (tied.rapidities.real == 0).all()
+    damped = sp.normal_modes(mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9)))
+    assert (damped.rapidities.imag == 0).sum() == 2  # two 1 x 1 blocks among the pairs
+    for modes in (tied, damped):
+        beta = modes.rapidities
+        firsts = np.flatnonzero(beta.imag > 0)
+        assert np.array_equal(beta[firsts + 1], beta[firsts].conj())
+        lead = beta.copy()
+        lead[firsts + 1] = beta[firsts]
+        keys = list(zip(lead.real, lead.imag))
+        assert keys == sorted(keys, reverse=True)
+
+
 def test_normal_modes_rejects_a_non_trace_preserving_matrix():
     # a generic antisymmetric matrix has a nonzero c.c block: it is the
     # structure matrix of no master equation
@@ -769,3 +790,15 @@ def test_normal_modes_of_a_model_refuse_as_those_of_its_structure_matrix():
     for struct in _model_and_structure(H, M):
         with pytest.raises(sp.NonDiagonalizableError, match="condition number"):
             sp.normal_modes(struct)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8])
+def test_normal_modes_panels_keep_each_pair_whole(monkeypatch, rows):
+    # panels of 1, 7 and 8 rows: a panel boundary inside a pair moves by one
+    # row, and Z is that of one panel, bit for bit
+    model = mdl.xy_redfield_model(mdl.ChainParams(20, 0.5, 0.9))
+    whole = sp.normal_modes(model)
+    monkeypatch.setattr(sp, "_PANEL_ROWS", rows)
+    panels = sp.normal_modes(model)
+    assert np.array_equal(panels.R, whole.R) and np.array_equal(panels.G, whole.G)
+    assert np.array_equal(panels.Z, whole.Z)
