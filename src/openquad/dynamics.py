@@ -13,8 +13,10 @@ blocks e^{-at} rot(bt).  Both work in 2n x 2n buffers:
 ``propagate_two_point`` in real products for a real generator and state,
 ``dynamic_correlator`` in a rank-2 form that reads two columns of Z,
 rebuilds only the complex eigenvector entries it needs, and holds a block
-of times at once.  Explicitly
-time-dependent problems are sampled at the midpoint of each step.
+of times at once.  The propagators read the Z = -i(T - 1) that a
+``TwoPointMatrix`` holds and return their Z(t) in one, with no complex
+T.  Explicitly time-dependent problems are sampled at the midpoint of
+each step.
 ``propagate_schedule`` steps Z = -i(T - 1) by Z <- Phi Z Phi^T + W with
 the 2n x 2n pair (X, Y) of each sample, where Phi and W are the blocks of
 a Van Loan exponential summed by their Taylor series: no 4n x 4n matrix
@@ -33,7 +35,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._blas import serial_lapack
-from .ness import TwoPointMatrix, _check_unique
+from .ness import TwoPointMatrix, _check_unique, _two_point_from_b
 from .spectra import (_MODES_TO_PAIR, _PAIR_TO_MODES, NormalModes, _lyapunov_pair,
                       _pair_rows, _pair_starts)
 
@@ -83,7 +85,7 @@ class DriveSchedule:
 
 
 def _check_size(initial: TwoPointMatrix, two_n: int) -> None:
-    shape = initial.T.shape
+    shape = initial._z.shape
     if shape != (two_n, two_n):
         raise ValueError(
             f"initial two-point matrix is {' x '.join(map(str, shape))}, "
@@ -91,13 +93,13 @@ def _check_size(initial: TwoPointMatrix, two_n: int) -> None:
         )
 
 
-def _check_state(T: np.ndarray) -> float:
-    """Raise ValueError unless T + T^T = 2 to within 1e-12 max(1, max |T|),
-    as for the two-point matrix of every state; returns that tolerance."""
-    tol = 1e-12 * max(1.0, np.abs(T).max())
-    S = T + T.T
-    S.flat[:: len(T) + 1] -= 2.0
-    deviation = np.abs(S).max()
+def _check_state(initial: TwoPointMatrix) -> float:
+    """Raise ValueError unless the stored Z = -i(T - 1) of ``initial`` has
+    |Z + Z^T| = |T + T^T - 2| <= 1e-12 max(1, max |Z|), as for the
+    two-point matrix of every state; returns that tolerance."""
+    Z = initial._z
+    tol = 1e-12 * max(1.0, np.abs(Z).max())
+    deviation = np.abs(Z + Z.T).max()
     if deviation > tol:
         raise ValueError(
             f"initial two-point matrix has |T + T^T - 2| = {deviation:.3g}: "
@@ -107,15 +109,13 @@ def _check_state(T: np.ndarray) -> float:
 
 
 def _initial_z(initial: TwoPointMatrix, tol: float) -> np.ndarray:
-    """Z(0) = -i(T(0) - 1) of ``initial``: its real B when the imaginary
-    part 1 - Re T(0) is within ``tol``, as for every physical state, else
-    complex."""
-    T = initial.T
-    deviation = T.real.copy()
-    deviation.flat[:: len(T) + 1] -= 1.0
-    if np.abs(deviation, out=deviation).max() <= tol:
+    """Z(0) = -i(T(0) - 1) of ``initial``: its real B when Z is real or
+    its imaginary part 1 - Re T(0) is within ``tol``, as for every
+    physical state, else the stored complex Z."""
+    Z = initial._z
+    if np.isrealobj(Z) or np.abs(Z.imag).max() <= tol:
         return initial.B
-    return -1j * (T - np.eye(len(T)))
+    return Z
 
 
 def dynamic_correlator(modes: NormalModes, pair_jk, pair_lm, times) -> np.ndarray:
@@ -277,10 +277,14 @@ def propagate_two_point(
     T(t) = T_ness + e^{-Xt} (T(0) - T_ness) e^{-X^T t}, that is
     Z(t) = Z + P (Z(0) - Z) P^T for T = 1 + iZ, with
     P = e^{-Xt} = R e^{-Lambda t} G from the blocks of ``modes``: each
-    2 x 2 block of a pair lambda = a +- ib is e^{-at} rot(bt), which mixes
-    the pair's two rows of G in O(n^2), and then three 2n x 2n
-    products, all real for a real generator and a real Z(0) (every
-    physical state).  T(t) -> T_ness at the rate set by the spectral gap.
+    2 x 2 block of a pair lambda = a +- ib is e^{-at} rot(bt).  The
+    product is formed as R (E (G D G^T) E^T) R^T with D = Z(0) - Z and
+    E = e^{-Lambda t}: four 2n x 2n products, all real for a real
+    generator and a real Z(0) (every physical state), and E mixes the
+    pair's two rows, then columns, in O(n^2).  Only two 2n x 2n buffers
+    are allocated, D and one for the products, and D becomes the Z(t)
+    that the returned state holds: no T is built.  T(t) -> T_ness at the
+    rate set by the spectral gap.
     Raises NonUniqueNESSError as ``ness_two_point`` does, and ValueError
     unless t is finite and >= 0, ``initial`` is 2n x 2n and it is the
     two-point matrix of a state (T + T^T = 2 to rounding, as
@@ -289,26 +293,32 @@ def propagate_two_point(
     if not (math.isfinite(t) and t >= 0):
         raise ValueError("propagation defined for finite t >= 0")
     _check_size(initial, 2 * modes.n)
-    tol = _check_state(initial.T)
+    tol = _check_state(initial)
     _check_unique(modes.rapidities)
-    G = modes.G
-    e = np.exp(-t * 2.0 * modes.rapidities)[:, None]
+    R, G = modes.R, modes.G
+    e = np.exp(-t * 2.0 * modes.rapidities)
+    D = _initial_z(initial, tol) - modes.Z
+    W = G @ D
+    np.matmul(W, G.T, out=D)
     if np.iscomplexobj(G):
-        EG = e * G
+        D *= e[:, None]
+        D *= e
     else:
-        # row c of e^{-Lambda t} G is Re(e_c) G_c + Im(e_c) G_c', with c' the
-        # other member of c's pair (Im(e_c) = 0 on a 1 x 1 block)
+        # row c of E M is Re(e_c) M_c + Im(e_c) M_c', with c' the other
+        # member of c's pair (Im(e_c) = 0 on a 1 x 1 block), and column c
+        # of M E^T likewise
         partner = np.arange(len(G))
-        firsts = _pair_starts(modes.rapidities, modes.R)
+        firsts = _pair_starts(modes.rapidities, R)
         partner[firsts], partner[firsts + 1] = firsts + 1, firsts
-        EG = e.real * G
-        EG += e.imag * G[partner]
-    P = modes.R @ EG
-    Zt = P @ (_initial_z(initial, tol) - modes.Z) @ P.T
-    Zt += modes.Z
-    T = 1j * Zt
-    T.flat[:: len(T) + 1] += 1.0
-    return TwoPointMatrix(T)
+        for axis, shape in ((0, (-1, 1)), (1, (1, -1))):
+            np.take(D, partner, axis=axis, out=W, mode="clip")  # unbuffered
+            W *= e.imag.reshape(shape)
+            D *= e.real.reshape(shape)
+            D += W
+    np.matmul(R, D, out=W)
+    np.matmul(W, R.T, out=D)
+    D += modes.Z
+    return _two_point_from_b(D)
 
 
 def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoPointMatrix:
@@ -321,9 +331,10 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     ``_van_loan_step``: 2n x 2n products only, and no 4n x 4n matrix is
     exponentiated.  This is the same midpoint rule as the ordered product
     U of ``time_ordered_propagator``.  Z is real while ``initial`` and
-    the samples are (Hermiticity-preserving drives), else complex.  No
-    generator log(U)/2 is formed, so any horizon the step guard admits
-    is accepted.
+    the samples are (Hermiticity-preserving drives), else complex, and
+    the returned state holds the last Z: no T is built.  No generator
+    log(U)/2 is formed, so any horizon the step guard admits is
+    accepted.
 
     Raises ValueError when ``initial`` is not the two-point matrix of a
     state (T + T^T != 2 beyond rounding), and at the first sample,
@@ -332,11 +343,10 @@ def propagate_schedule(schedule: DriveSchedule, initial: TwoPointMatrix) -> TwoP
     preserving, and
     StepTooLargeError when ||2 A||_2 dt >= 0.5 at a midpoint.
     """
-    Z = _initial_z(initial, _check_state(initial.T))
-    one = np.eye(len(Z))
+    Z = _initial_z(initial, _check_state(initial))
     for A, _, scale in _midpoint_samples(schedule):
         X, Y = _lyapunov_pair(A, 1e-12 * scale)
         _check_size(initial, len(X))
         Phi, W = _van_loan_step(X, Y, schedule.dt)
         Z = Phi @ Z @ Phi.T + W
-    return TwoPointMatrix(one + 1j * Z)
+    return _two_point_from_b(Z)

@@ -72,35 +72,73 @@ class PositivityWarning(UserWarning):
     is not exactly positive (expected at low temperature / strong coupling)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoPointMatrix:
-    """T_jk = <w_j w_k> in the steady state; T = 1 + iB with B real
-    antisymmetric."""
+    """T_jk = <w_j w_k> of a Gaussian state; T = 1 + iB with B real
+    antisymmetric.
 
-    T: np.ndarray
+    Held as Z = -i(T - 1), read-only: real, and then Z = B, for every
+    physical state; complex only when T - 1 has a real part, as for
+    unphysical test matrices and non-Hermitian drives.
+    ``TwoPointMatrix(T)`` computes Z from T; the solvers and propagators
+    hand over their Z through ``_two_point_from_b`` and build no T.
+    ``T`` is rebuilt on each access and not kept, so the observables read
+    Z: a complex 2n x 2n T is twice the size of B.
+    """
 
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=complex)
+    _z: np.ndarray
+
+    def __init__(self, T):
+        T = np.asarray(T, dtype=complex)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError(f"two-point matrix must be square, got shape {T.shape}")
-        object.__setattr__(self, "T", T)
+        Z = T - np.eye(len(T))
+        Z *= -1j
+        self._keep(Z if Z.imag.any() else Z.real.copy())
+
+    def _keep(self, Z: np.ndarray) -> None:
+        Z.flags.writeable = False
+        object.__setattr__(self, "_z", Z)
+        if not np.iscomplexobj(Z):
+            self.__dict__["B"] = Z  # what the cached property would return
 
     @property
     def n(self) -> int:
-        return self.T.shape[0] // 2
+        return len(self._z) // 2
+
+    @property
+    def T(self) -> np.ndarray:
+        """T = 1 + iZ as a new complex 2n x 2n array on each access."""
+        idx = np.arange(len(self._z))
+        return _t_entries(self._z, idx[:, None], idx)
 
     @cached_property
     def B(self) -> np.ndarray:
-        """Real antisymmetric part: B = -i (T - 1).
+        """Real antisymmetric part: B = Re Z = -i (T - 1) with the imaginary
+        part dropped.
 
-        Computed on first use and kept (read-only) in the instance, which
-        is treated as immutable: ``observable_report`` reads it five times.
+        Z itself when Z is real; for a complex Z its real part, copied on
+        first use and kept (read-only) in the instance, which is treated
+        as immutable.
         """
-        Z = self.T - np.eye(self.T.shape[0])
-        Z *= -1j
-        B = Z.real.copy()
+        B = self._z.real.copy()
         B.flags.writeable = False
         return B
+
+
+def _t_entries(Z: np.ndarray, rows, cols) -> np.ndarray:
+    """T[rows, cols] (numpy indexing by two integer arrays) of T = 1 + iZ,
+    with the bits of ``TwoPointMatrix.T``: for a real Z the real parts are
+    exactly 1 on the diagonal of T and +0 off it."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    if np.iscomplexobj(Z):
+        T = 1j * Z[rows, cols]
+        T.real[rows == cols] += 1.0
+    else:
+        T = np.zeros(rows.shape, dtype=complex)
+        T.imag[...] = Z[rows, cols]
+        T.real[rows == cols] = 1.0
+    return T
 
 
 @dataclass(frozen=True)
@@ -131,14 +169,13 @@ def ness_two_point(
 ) -> TwoPointMatrix:
     """Steady-state T = 1 + iZ with the Z of ``spectra.normal_modes``;
     in the paper's eigenvectors, T_jk = 2 sum_m V[2m, 2j-1] V[2m-1, 2k-1]
-    (1-based).  Requires all Re beta_j > 0; the default refusal threshold
+    (1-based).  The state holds a read-only view of ``modes.Z``, with no
+    copy.  Requires all Re beta_j > 0; the default refusal threshold
     1e-10 can be lowered for critical points whose finite gap underflows
     it (relaxation there is still unique, just slow).
     """
     _check_unique(modes.rapidities, uniqueness_tol)
-    T = 1j * modes.Z
-    T.flat[:: len(T) + 1] += 1.0
-    return TwoPointMatrix(T)
+    return _two_point_from_b(modes.Z.view())
 
 
 # order at or below which a triangular Sylvester solve goes to one
@@ -232,15 +269,12 @@ def _antisymmetrize(B: np.ndarray) -> None:
 
 
 def _two_point_from_b(B: np.ndarray) -> TwoPointMatrix:
-    """TwoPointMatrix of T = 1 + iB, filled in place, that keeps B (made
-    read-only) as its ``B``: T.imag holds B's bits, so B is bitwise the
-    -i (T - 1) that ``TwoPointMatrix.B`` would compute."""
-    T = np.zeros(B.shape, dtype=complex)
-    T.imag[...] = B
-    np.fill_diagonal(T.real, 1.0)
-    two_point = TwoPointMatrix(T)
-    B.flags.writeable = False
-    two_point.__dict__["B"] = B  # where the cached property keeps it
+    """TwoPointMatrix of T = 1 + iB that holds B itself, made read-only,
+    as its Z (and, when B is real, as its ``B``); no T is built.  The one
+    way the library builds a state from its B, or from the complex Z of a
+    complex generator or initial state."""
+    two_point = object.__new__(TwoPointMatrix)
+    two_point._keep(B)
     return two_point
 
 
@@ -257,14 +291,14 @@ def steady_state(
     dtrsyl.  The 4n x 4n structure matrix is never built.
 
     At most three dense 2n x 2n real buffers are alive at once, besides
-    the model's H and the returned T: X and Y come from the rows S that
+    the model's H: X and Y come from the rows S that
     the couplings touch (``spectra._lyapunov_rows``), and only Y[S] is
     kept; the Schur form overwrites X, after a workspace query that
     copies nothing (``spectra._real_schur``); U^T Y U, of rank 2|S|, is
     one product of inner dimension 2|S|; the solve writes Z over U^T Y U
     and B = U Z U^T goes back into that buffer; the residual rebuilds X
-    from H and X[S].  B is handed to the returned ``TwoPointMatrix``.
-    The traced peak at n = 200 is 3.5 (2n)^2 doubles, T and B included.
+    from H and X[S].  B is handed to the returned ``TwoPointMatrix``,
+    which builds no T.  The traced peak at n = 200 is 3.5 (2n)^2 doubles.
 
     Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
     ``ness_two_point`` does, and numpy.linalg.LinAlgError when the
@@ -389,11 +423,12 @@ def ness_two_point_green(
 
 
 def quadratic_expectation(two_point: TwoPointMatrix, P: np.ndarray) -> complex:
-    """<w . P w> = sum_jk P_jk T_jk for antisymmetric P."""
+    """<w . P w> = sum_jk P_jk T_jk = tr P + i sum_jk P_jk Z_jk for
+    antisymmetric P."""
     P = np.asarray(P)
     if np.abs(P + P.T).max() > 1e-12 * max(1.0, np.abs(P).max()):
         raise ValueError("coefficient matrix must be antisymmetric")
-    return complex(np.sum(P * two_point.T))
+    return complex(np.trace(P) + 1j * np.sum(P * two_point._z))
 
 
 def commutator_quadratic(P: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -407,9 +442,18 @@ def commutator_quadratic(P: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def wick_four_point(two_point: TwoPointMatrix, j: int, k: int, l: int, m: int) -> complex:
-    """<w_j w_k w_l w_m> by Wick contraction (0-based Majorana indices)."""
-    T = two_point.T
-    return complex(T[j, k] * T[l, m] - T[j, l] * T[k, m] + T[j, m] * T[k, l])
+    """<w_j w_k w_l w_m> by Wick contraction, from six entries of T.
+
+    Majorana indices are 0-based integers in 0..2n-1; anything else
+    (negative, too large or non-integral) raises ValueError.
+    """
+    two_n = len(two_point._z)
+    indices = np.asarray((j, k, l, m), dtype=float)
+    if not ((indices == np.round(indices)) & (indices >= 0) & (indices < two_n)).all():
+        raise ValueError(f"Majorana indices must be integers in 0..{two_n - 1}")
+    j, k, l, m = indices.astype(int)
+    t = _t_entries(two_point._z, [j, l, j, k, j, k], [k, m, l, m, m, l])
+    return complex(t[0] * t[1] - t[2] * t[3] + t[4] * t[5])
 
 
 def _energy_density_block(params: ChainParams) -> np.ndarray:
@@ -429,13 +473,14 @@ def _energy_density_block(params: ChainParams) -> np.ndarray:
     return P
 
 
-def _band_stencil(P: np.ndarray, T: np.ndarray, count: int) -> np.ndarray:
-    """sum_jk P_jk T_jk over the windows T[2m:2m+k, 2m:2m+k], m < count.
-    Each window's product is summed as one row, in the order ``np.sum`` of
-    that window alone uses (an einsum would change the last digits)."""
+def _band_stencil(P: np.ndarray, two_point: TwoPointMatrix, count: int) -> np.ndarray:
+    """sum_jk P_jk T_jk over the windows T[2m:2m+k, 2m:2m+k], m < count,
+    each formed as 1 + iB from the band of the stored Z.  Each window's
+    product is summed as one row, in the order ``np.sum`` of that window
+    alone uses (an einsum would change the last digits)."""
     k = len(P)
     idx = 2 * np.arange(count)[:, None] + np.arange(k)
-    windows = T[idx[:, :, None], idx[:, None, :]]
+    windows = _t_entries(two_point._z, idx[:, :, None], idx[:, None, :])
     return (P * windows).reshape(count, k * k).sum(axis=1)
 
 
@@ -467,23 +512,25 @@ def heat_current_profile(two_point: TwoPointMatrix, params: ChainParams) -> np.n
     """<Q_m> for m = 1..n-2, with Q_m = i [H_m, H_m+1].
 
     Q_m lives on the six Majoranas w_2m-1..w_2m+4 that the two densities
-    share, so its 6 x 6 block is built once and slid along the band of T.
+    share, so its 6 x 6 block is built once and slid along the band of
+    T = 1 + iB.
     """
     if params.n < 3:
         raise ValueError("heat current needs n >= 3")
     block = _energy_density_block(params)
     Q = 1j * commutator_quadratic(np.pad(block, (0, 2)), np.pad(block, (2, 0)))
-    vals = _band_stencil(Q, two_point.T, params.n - 2)
+    vals = _band_stencil(Q, two_point, params.n - 2)
     for m in np.flatnonzero(np.abs(vals.imag) > 1e-9 * np.maximum(1, np.abs(vals))):
         warnings.warn(f"heat current Q_{m + 1} has imaginary part {vals[m].imag:.2e}")
     return vals.real.copy()
 
 
 def energy_density_profile(two_point: TwoPointMatrix, params: ChainParams) -> np.ndarray:
-    """<H_m> for m = 1..n-1, the 4 x 4 block of H_m slid along the band of T."""
+    """<H_m> for m = 1..n-1, the 4 x 4 block of H_m slid along the band of
+    T = 1 + iB."""
     if params.n < 2:
         raise ValueError("energy densities need n >= 2")
-    vals = _band_stencil(_energy_density_block(params), two_point.T, params.n - 1)
+    vals = _band_stencil(_energy_density_block(params), two_point, params.n - 1)
     return vals.real.copy()
 
 
@@ -511,37 +558,48 @@ def spin_spin_correlator(two_point: TwoPointMatrix, l: int, m: int) -> float:
 
         C_lm = <w_2l-1 w_2m-1><w_2l w_2m> - <w_2l-1 w_2m><w_2l w_2m-1>
 
-    for l != m, and 1 - s_z(l)^2 on the diagonal.
+    for l != m, and 1 - s_z(l)^2 on the diagonal; the four entries of T
+    are formed from Z.
     """
     n = two_point.n
     if not (1 <= l <= n and 1 <= m <= n):
         raise ValueError("site indices out of range")
-    T = two_point.T
     if l == m:
         sz = two_point.B[2 * l - 2, 2 * l - 1]
         return float(1.0 - sz**2)
     a, b = 2 * l - 2, 2 * m - 2
-    val = T[a, b] * T[a + 1, b + 1] - T[a, b + 1] * T[a + 1, b]
-    return float(val.real)
+    t = _t_entries(two_point._z, [a, a + 1, a, a + 1], [b, b + 1, b + 1, b])
+    return float((t[0] * t[1] - t[2] * t[3]).real)
 
 
 def correlation_matrix(two_point: TwoPointMatrix) -> np.ndarray:
     """All connected sz-sz correlations C_lm as an n x n symmetric matrix,
     contiguous float64.
 
-    Re(Too Tee - Toe Teo) is formed one panel of rows at a time, so only a
-    panel of the complex products is alive; each entry is the complex
-    product and difference of the whole-matrix formula, bit for bit.
+    Re(Too Tee - Toe Teo) is formed one panel of rows at a time, and each
+    entry has the bits of the complex product and difference of the
+    whole-matrix formula on ``TwoPointMatrix.T``.  For a real Z = B the
+    off-diagonal T = iB gives Re((iBoo)(iBee) - (iBoe)(iBeo)) =
+    Boe Beo - Boo Bee in real products, plus 0.0, which turns a -0 into
+    the +0 of the complex route; a complex Z forms complex panels.
     """
-    T = two_point.T
+    Z = two_point._z
     n = two_point.n
     C = np.empty((n, n))
+    first, second = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)  # of each site
     for i in range(0, n, _PANEL_ROWS):
-        odd = slice(2 * i, 2 * (i + _PANEL_ROWS), 2)
-        even = slice(2 * i + 1, 2 * (i + _PANEL_ROWS), 2)
-        panel = T[odd, 0::2] * T[even, 1::2]
-        panel -= T[odd, 1::2] * T[even, 0::2]
-        C[i : i + _PANEL_ROWS] = panel.real
+        rows = slice(i, i + _PANEL_ROWS)
+        if np.iscomplexobj(Z):
+            o, e = first[rows, None], second[rows, None]
+            panel = _t_entries(Z, o, first) * _t_entries(Z, e, second)
+            panel -= _t_entries(Z, o, second) * _t_entries(Z, e, first)
+            C[rows] = panel.real
+        else:
+            odd = slice(2 * i, 2 * (i + _PANEL_ROWS), 2)
+            even = slice(2 * i + 1, 2 * (i + _PANEL_ROWS), 2)
+            panel = Z[odd, 1::2] * Z[even, 0::2]
+            panel -= Z[odd, 0::2] * Z[even, 1::2]
+            np.add(panel, 0.0, out=C[rows])
     sz = magnetization_profile(two_point)
     np.fill_diagonal(C, 1.0 - sz**2)
     return C
@@ -694,8 +752,9 @@ def observable_report(
     a run computes its observables.  The whole-chain correlation spectrum
     gives the total entropy and the positivity excess.
 
-    Besides T and B it holds the n x n C (formed a panel of rows at a
-    time) and one Bsub^T Bsub at a time, which the eigensolve overwrites.
+    Besides B it holds the n x n C (formed a panel of rows at a time) and
+    one Bsub^T Bsub at a time, which the eigensolve overwrites; no
+    complex 2n x 2n T is built.
     It needs no model, only ``params``: the CLI releases the model, and
     its complex 2n x 2n H, before calling it.
     """

@@ -14,6 +14,7 @@ from openquad import oracle as orc
 from openquad import spectra as sp
 from openquad import steady_state
 from openquad.cli import ExperimentConfig, build_model
+from openquad.dynamics import propagate_two_point
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -756,3 +757,157 @@ def test_leaf_order_moves_the_steady_state_by_rounding_only(monkeypatch):
             patch.setattr(ns, "_LEAF_ORDER", 128)
             ref = steady_state(model).two_point.B
         assert np.linalg.norm(B - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+# the readers as they were written on a stored complex T, kept as the
+# reference for the readers that form their entries of T from B
+
+def t_magnetization_profile(two_point):
+    return (-1j * np.diagonal(two_point.T, 1)[0::2]).real
+
+
+def t_band_stencil(P, T, count):
+    k = len(P)
+    idx = 2 * np.arange(count)[:, None] + np.arange(k)
+    windows = T[idx[:, :, None], idx[:, None, :]]
+    return (P * windows).reshape(count, k * k).sum(axis=1)
+
+
+def t_energy_density_profile(two_point, params):
+    return t_band_stencil(ns._energy_density_block(params), two_point.T, params.n - 1).real
+
+
+def t_heat_current_profile(two_point, params):
+    block = ns._energy_density_block(params)
+    Q = 1j * ns.commutator_quadratic(np.pad(block, (0, 2)), np.pad(block, (2, 0)))
+    return t_band_stencil(Q, two_point.T, params.n - 2).real
+
+
+def t_spin_spin_correlator(two_point, l, m):
+    T = two_point.T
+    if l == m:
+        return float(1.0 - t_magnetization_profile(two_point)[l - 1] ** 2)
+    a, b = 2 * l - 2, 2 * m - 2
+    return float((T[a, b] * T[a + 1, b + 1] - T[a, b + 1] * T[a + 1, b]).real)
+
+
+def t_wick_four_point(two_point, j, k, l, m):
+    T = two_point.T
+    return complex(T[j, k] * T[l, m] - T[j, l] * T[k, m] + T[j, m] * T[k, l])
+
+
+REDFIELD_N53 = mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.7))
+LINDBLAD_N20 = mdl.xy_lindblad_model(mdl.ChainParams(20, 0.2, 1.05))
+B_STORED_STATES = {  # each producer of a state from B, on the chain
+    "steady_redfield_n53": lambda: steady_state(REDFIELD_N53).two_point,
+    "steady_lindblad_n20": lambda: steady_state(LINDBLAD_N20).two_point,
+    "normal_modes_n53": lambda: ns.ness_two_point(sp.normal_modes(REDFIELD_N53)),
+    "propagated_n20": lambda: propagate_two_point(
+        sp.normal_modes(LINDBLAD_N20), ns.TwoPointMatrix(np.eye(40)), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", B_STORED_STATES)
+def test_readers_of_b_match_the_formulas_on_t(name):
+    two_point = B_STORED_STATES[name]()
+    params = (LINDBLAD_N20 if name.endswith("n20") else REDFIELD_N53).params
+    assert np.isrealobj(two_point._z) and two_point.B is two_point._z
+    n = params.n
+    assert np.array_equal(ns.magnetization_profile(two_point),
+                          t_magnetization_profile(two_point))
+    C = ns.correlation_matrix(two_point)
+    assert same_bits(C, whole_matrix_correlations(two_point))
+    assert same_bits(np.signbit(C), np.signbit(whole_matrix_correlations(two_point)))
+    dens = t_energy_density_profile(two_point, params)
+    heat = t_heat_current_profile(two_point, params)
+    assert np.array_equal(ns.energy_density_profile(two_point, params), dens)
+    assert np.array_equal(ns.heat_current_profile(two_point, params), heat)
+    for l, m in ((1, 1), (1, 2), (2, 1), (3, n), (n, n - 1)):
+        assert np.array_equal(ns.spin_spin_correlator(two_point, l, m),
+                              t_spin_spin_correlator(two_point, l, m))
+    for idx in ((0, 1, 2, 3), (3, 2, 1, 0), (0, 0, 1, 1), (5, 2, 5, 2 * n - 1)):
+        assert np.array_equal(ns.wick_four_point(two_point, *idx),
+                              t_wick_four_point(two_point, *idx))
+    rep = ns.observable_report(two_point, params)
+    assert np.array_equal(rep.s_z, t_magnetization_profile(two_point))
+    assert np.array_equal(rep.correlations, whole_matrix_correlations(two_point))
+    assert rep.residual_correlator == ns.residual_correlator(
+        whole_matrix_correlations(two_point), n)
+    assert np.array_equal(rep.heat_current, heat)
+    assert np.array_equal(rep.energy_density, dens)
+    assert np.array_equal(rep.energy_fluctuation, ns._relative_fluctuation(dens))
+
+
+def test_correlation_matrix_keeps_the_signed_zeros_of_the_complex_product():
+    # a B with exact zeros of both signs: the real products of B give -0
+    # where the complex product of T = 1 + iB gives +0
+    rng = np.random.default_rng(8)
+    B = rng.choice([0.0, -0.0, 0.5, -0.5], size=(80, 80))
+    B = np.triu(B, 1) - np.triu(B, 1).T
+    T = np.zeros(B.shape, dtype=complex)
+    T.imag[...] = B
+    np.fill_diagonal(T.real, 1.0)
+    two_point = ns.TwoPointMatrix(T)
+    assert np.isrealobj(two_point._z) and same_bits(two_point.B, B)
+    C, ref = ns.correlation_matrix(two_point), whole_matrix_correlations(two_point)
+    assert same_bits(np.signbit(C), np.signbit(ref)) and same_bits(C, ref)
+
+
+def test_state_readers_build_no_t(monkeypatch):
+    model = mdl.xy_redfield_model(mdl.ChainParams(12, 0.5, 0.9))
+    state = steady_state(model)
+    modes_state = ns.ness_two_point(sp.normal_modes(model))
+
+    def refuse(self):
+        raise AssertionError("T was built")
+
+    monkeypatch.setattr(ns.TwoPointMatrix, "T", property(refuse))
+    for two_point in (state.two_point, modes_state):
+        ns.observable_report(two_point, model.params, gap=sp.spectral_gap(state))
+        ns.spin_spin_correlator(two_point, 2, 5)
+        ns.wick_four_point(two_point, 0, 3, 4, 7)
+        ns.quadratic_expectation(two_point, random_antisymmetric(
+            np.random.default_rng(1), 24, complex_=False))
+
+
+def test_t_is_rebuilt_on_each_access_and_not_kept(redfield_n3):
+    two_point = steady_state(redfield_n3).two_point
+    T = two_point.T
+    assert two_point.T is not T and same_bits(two_point.T, T)
+    assert "T" not in vars(two_point)
+    assert not two_point._z.flags.writeable
+
+
+@pytest.mark.parametrize("make", ["steady_state", "ness_two_point"])
+def test_t_of_a_solved_state_round_trips_bit_for_bit(make):
+    model = mdl.xy_redfield_model(mdl.ChainParams(30, 0.5, 0.9))
+    if make == "steady_state":
+        two_point = steady_state(model).two_point
+    else:
+        two_point = ns.ness_two_point(sp.normal_modes(model))
+    B, T = two_point.B, two_point.T
+    assert B.dtype == np.float64 and not B.flags.writeable
+    assert same_bits(T.imag, B) and same_bits(T.real, np.eye(len(B)))
+    again = ns.TwoPointMatrix(T)
+    assert np.isrealobj(again._z)
+    assert same_bits(again.B, B) and same_bits(again.T, T)
+
+
+def test_a_t_with_a_real_part_off_one_is_held_complex():
+    # T - 1 with a real part has a complex Z; B is its real part
+    rng = np.random.default_rng(3)
+    B = random_antisymmetric(rng, 6, complex_=False)
+    T = np.eye(6) + 1j * B
+    T[0, 1] += 1e-3
+    two_point = ns.TwoPointMatrix(T)
+    assert np.iscomplexobj(two_point._z)
+    assert np.array_equal(two_point.B, B) and np.abs(two_point.T - T).max() <= 1e-15
+
+
+@pytest.mark.parametrize("indices", [(-1, 0, 1, 2), (0, 1, 2, 6), (0, 1.5, 2, 3)],
+                         ids=["negative", "out_of_range", "non_integral"])
+def test_wick_four_point_refuses_an_index_outside_the_majoranas(redfield_n3, indices):
+    # -1 wrapped to index 5, 6 and 1.5 raised numpy's IndexError
+    two_point = steady_state(redfield_n3).two_point
+    with pytest.raises(ValueError, match=r"Majorana indices must be integers in 0\.\.5"):
+        ns.wick_four_point(two_point, *indices)
