@@ -1,40 +1,44 @@
-"""Thread counts of the two OpenBLAS copies that numpy and scipy load.
+"""numpy's OpenBLAS: its thread count, and the LAPACK routines of the
+solvers, called in it.
 
-The numpy and scipy wheels each bundle their own OpenBLAS, each with a
-thread pool as large as the machine.  After a call the idle workers of a
-pool keep spinning for a while, so a scipy LAPACK call made right after
-numpy BLAS work (or the other way round) runs its threads against the
-other pool's spinning ones: on 2 cores the Schur form of a 106 x 106
-matrix after a numpy product took 10 ms threaded and 5.6 ms on one
-thread, and a 25-point sweep at n = 53 took 1.14 s with scipy's pool
-threaded and 0.38 s with it on one thread.
+Every LAPACK call of the solvers runs in the OpenBLAS that numpy's wheel
+bundles: numpy.linalg's own routines, and the four below, which call
+that library's LAPACK through ctypes.  scipy's wheel bundles a second
+OpenBLAS with a second thread pool as large as the machine.  After a
+call the idle workers of a pool keep spinning for a while, so two pools
+in one process fought: on 2 cores a 25-point sweep at n = 53 took 1.14 s
+with scipy's pool threaded next to numpy's and 0.38 s with it on one
+thread.  With one pool there is nothing to fight, and a run never
+imports scipy.linalg (0.29 s of a 0.46 s ``import openquad.cli`` on 2
+cores) or sets up scipy's pool (the peak RSS of a Redfield n = 1000
+``openquad run`` fell from 234 to 203 MB).
 
-``serial_lapack`` therefore runs scipy's pool on one thread around the
-scipy LAPACK calls of the solvers, for matrices of order up to
-``SERIAL_LAPACK_ORDER``; above it the threaded LAPACK wins and nothing
-is changed.  numpy's pool keeps its threads, but for the real
-eigensolve of ``spectra.normal_modes``, which runs in a
-``serial_lapack(order, "numpy")`` block.  A forked sweep worker,
-which runs next to other workers, sets both pools to one thread
-(``single_threaded``).
-
-The thread controls are looked up by name in the libraries the two
-extension modules link (``scipy_openblas_*``, else the plain
+``serial_lapack`` runs numpy's pool on one thread around the Schur form
+of the steady state and the real eigensolve of ``spectra.normal_modes``,
+for matrices of order up to ``SERIAL_LAPACK_ORDER``; above it the
+threaded LAPACK wins and nothing is changed.  Every other call keeps
+the pool's threads.  A forked sweep worker, which runs next to other
+workers, sets the pool to one thread for good (``single_threaded``).
+The thread controls are looked up by name in the library numpy's
+extension module links (``scipy_openblas_*``, else the plain
 ``openblas_*`` names, with or without the ``64_`` suffix of the ILP64
 build).  Where neither exists (MKL, Accelerate, a system BLAS without
-them) every function here does nothing.
+them) the thread functions do nothing.
 
-``gram_eigenvalues`` and ``real_eig`` call the LAPACK of numpy's
-OpenBLAS the same way, to make the eigensolves of ``numpy.linalg.eigvalsh``
-and ``numpy.linalg.eig`` on a caller's buffer instead of on numpy's copy
-of it (and, for eig, without its complex eigenvectors).  scipy's routines
-are no substitute.  On scipy's threads, right after numpy's product,
-dsyevd doubled the time of a 25-point sweep at n = 53 (0.27-0.31 s ->
-0.56-0.67 s on 2 cores), and on one thread its bits differ from numpy's
-threaded solve at order 252 and above (they agree up to 200).  scipy's
-dgeev on one thread was as fast as numpy's, but its first call sets up
-scipy's pool in a process that used only numpy's: 0.9 MB more peak RSS
-on the benchmark's dynamics workload.
+``gram_eigenvalues`` and ``real_eig`` make the eigensolves of
+``numpy.linalg.eigvalsh`` and ``numpy.linalg.eig`` (dsyevd, dgeev) on a
+caller's buffer instead of on numpy's copy of it (and, for eig, without
+its complex eigenvectors); ``real_schur`` (dgees) and
+``triangular_sylvester`` (dtrsyl) are the Schur form and the Sylvester
+leaves that numpy.linalg lacks.  Where numpy's LAPACK lacks a routine
+(MKL or Accelerate builds), each falls back to numpy.linalg's or
+scipy's.  scipy's are no substitute where numpy's are found: on scipy's
+threads, right after numpy's product, dsyevd doubled the time of a
+25-point sweep at n = 53 (0.27-0.31 s -> 0.56-0.67 s on 2 cores), on one
+thread its bits differ from numpy's threaded solve at order 252 and
+above, and the first scipy LAPACK call of a process that used only
+numpy's sets up scipy's pool (0.9 MB more peak RSS on the benchmark's
+dynamics workload).
 """
 
 from __future__ import annotations
@@ -53,28 +57,32 @@ __all__ = [
     "single_threaded",
     "gram_eigenvalues",
     "real_eig",
+    "real_schur",
+    "triangular_sylvester",
 ]
 
-# largest matrix order whose scipy LAPACK call runs on one thread.  On 2
-# cores a Redfield steady_state was 1.15-1.4x faster with one thread at
-# 2n = 600-800 and as fast at 2n = 1000, and at 2n = 2000 the Schur form
-# alone took 9.8 s on one thread against 6.9 s threaded (h = 1.2; 5.6 s
-# against 4.7 s at h = 0.7); every shipped config has 2n <= 506
+# largest matrix order whose Schur form (and real eigensolve) runs on one
+# thread.  numpy's dgees on the Redfield X, on 2 cores in fresh processes
+# right after building X, one thread against two (medians of 3; h = 1.2,
+# then h = 0.7): 0.29 / 0.29 s and 0.24 / 0.17 s at 2n = 506, 0.64 / 0.64 s
+# and 0.50 / 0.55 s at 800, 0.98 / 0.84 s and 0.75 / 0.90 s at 1000, and
+# 5.7 / 4.2 s and 5.2 / 3.9 s at 2000.  Between 506 and 1000 the two are
+# within the spread of the runs, and threads win from 2000; one thread
+# wins at the orders of the sweeps: 4.8-8.3 ms against 7.6-8.3 ms at
+# 2n = 106 (medians of 20 right after a product, 3 processes each).
+# Every shipped config has 2n <= 506
 SERIAL_LAPACK_ORDER = 800
 
-# extension module whose linked OpenBLAS each library's calls run in
-# (numpy before 2.0 keeps it under numpy.core)
-_EXTENSIONS = {
-    "numpy": ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"),
-    "scipy": ("scipy.linalg._flapack",),
-}
+# extension module whose linked OpenBLAS numpy's calls run in (numpy
+# before 2.0 keeps it under numpy.core)
+_EXTENSIONS = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
 
 
 @functools.cache
-def thread_controls(library: str):
-    """(get, set) thread-count functions of the OpenBLAS that ``library``
-    ("numpy" or "scipy") calls, or None when it has none."""
-    for name in _EXTENSIONS[library]:
+def thread_controls():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None
+    when it has none."""
+    for name in _EXTENSIONS:
         try:
             lib = ctypes.CDLL(importlib.import_module(name).__file__)
             break
@@ -96,13 +104,12 @@ def thread_controls(library: str):
 
 
 @contextmanager
-def serial_lapack(order: int, library: str = "scipy"):
-    """Run the OpenBLAS of ``library`` ("scipy" or "numpy") on one thread
-    inside the block when ``order`` is at most ``SERIAL_LAPACK_ORDER``;
-    the previous count is restored on exit, also when the block raises.
-    The count is process-wide, so blocks that overlap in several Python
-    threads can leave it at one."""
-    controls = thread_controls(library) if order <= SERIAL_LAPACK_ORDER else None
+def serial_lapack(order: int):
+    """Run numpy's OpenBLAS on one thread inside the block when ``order``
+    is at most ``SERIAL_LAPACK_ORDER``; the previous count is restored on
+    exit, also when the block raises.  The count is process-wide, so
+    blocks that overlap in several Python threads can leave it at one."""
+    controls = thread_controls() if order <= SERIAL_LAPACK_ORDER else None
     if controls is None:
         yield
         return
@@ -116,12 +123,11 @@ def serial_lapack(order: int, library: str = "scipy"):
 
 
 def single_threaded() -> None:
-    """Set numpy's and scipy's OpenBLAS to one thread for good: the
-    initializer of a forked sweep worker."""
-    for library in _EXTENSIONS:
-        controls = thread_controls(library)
-        if controls is not None:
-            controls[1](1)
+    """Set numpy's OpenBLAS to one thread for good: the initializer of a
+    forked sweep worker."""
+    controls = thread_controls()
+    if controls is not None:
+        controls[1](1)
 
 
 # names of a LAPACK routine in the OpenBLAS of numpy.linalg, each with the
@@ -181,6 +187,19 @@ def _numpy_dgeev():
         dgeev.argtypes = [flag, flag, number, ptr, number, ptr, ptr, ptr, number, ptr,
                           number, ptr, number, number, ctypes.c_size_t, ctypes.c_size_t]
     return found
+
+
+def _workspace(X: np.ndarray) -> np.ndarray:
+    """The square, finite X as the Fortran-ordered float64 array that
+    LAPACK overwrites: X itself when it is one and writeable, else a
+    copy.  Raises LinAlgError, as numpy.linalg does, for a non-square or
+    non-finite X."""
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
+    if not np.isfinite(X).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    A = np.asfortranarray(X, dtype=np.float64)
+    return A if A.flags.writeable else A.copy(order="F")
 
 
 def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -243,14 +262,8 @@ def real_eig(X: np.ndarray):
         firsts = np.flatnonzero(lam.imag > 0)
         R[:, firsts + 1] = v.imag[:, firsts]
         return lam, R
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise np.linalg.LinAlgError("Last 2 dimensions of the array must be square")
-    if not np.isfinite(X).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     dgeev, integer = found
-    A = np.asfortranarray(X, dtype=np.float64)
-    if not A.flags.writeable:
-        A = A.copy(order="F")
+    A = _workspace(X)
     order = len(A)
     wr, wi, R, vl = np.empty(order), np.empty(order), np.empty((order, order), order="F"), np.empty(1)
     info = integer(0)
@@ -268,3 +281,106 @@ def real_eig(X: np.ndarray):
     if info.value:
         raise np.linalg.LinAlgError(f"dgeev failed: info {info.value}")
     return wr + 1j * wi, R
+
+
+@functools.cache
+def _numpy_dgees():
+    """(dgees, its integer type) of the LAPACK that numpy.linalg calls,
+    or None when it is not found (``_numpy_lapack``)."""
+    found = _numpy_lapack("dgees")
+    if found is not None:
+        dgees, integer = found
+        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
+        # jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs, work,
+        # lwork, bwork, info and the lengths of the two strings
+        dgees.argtypes = [flag, flag, ptr, number, ptr, number, number, ptr, ptr, ptr,
+                          number, ptr, number, ptr, number, ctypes.c_size_t, ctypes.c_size_t]
+    return found
+
+
+@functools.cache
+def _numpy_dtrsyl():
+    """(dtrsyl, its integer type) of the LAPACK that numpy.linalg calls,
+    or None when it is not found (``_numpy_lapack``)."""
+    found = _numpy_lapack("dtrsyl")
+    if found is not None:
+        dtrsyl, integer = found
+        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
+        # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale, info and
+        # the lengths of the two strings
+        dtrsyl.argtypes = [flag, flag, number, number, number, ptr, number, ptr, number,
+                           ptr, number, ctypes.POINTER(ctypes.c_double), number,
+                           ctypes.c_size_t, ctypes.c_size_t]
+    return found
+
+
+def real_schur(X: np.ndarray):
+    """R and U of the real Schur form X = U R U^T of a real square X, as
+    ``scipy.linalg.schur(X, output="real")`` computes them.
+
+    The call is LAPACK's dgees with Schur vectors and no sorting, with the
+    workspace a query asks for, in numpy's OpenBLAS.  R is written over
+    X's buffer when X is a writeable Fortran-ordered float64 array, else
+    over a copy.  Where numpy's dgees is not found, this is scipy's schur,
+    with the same overwrite rule.  Raises LinAlgError for a non-square or
+    non-finite X or when the QR iteration fails.
+    """
+    A = _workspace(X)
+    found = _numpy_dgees()
+    if found is None:
+        import scipy.linalg
+
+        return scipy.linalg.schur(A, output="real", overwrite_a=True, check_finite=False)
+    dgees, integer = found
+    order = len(A)
+    wr, wi, U = np.empty(order), np.empty(order), np.empty((order, order), order="F")
+    sdim, info = integer(0), integer(0)
+
+    def call(lwork: int):
+        work = np.empty(max(lwork, 1))
+        dgees(b"V", b"N", None, integer(order), A.ctypes.data, integer(max(order, 1)), sdim,
+              wr.ctypes.data, wi.ctypes.data, U.ctypes.data, integer(max(order, 1)),
+              work.ctypes.data, integer(lwork), None, info, 1, 1)
+        return work
+
+    work = call(-1)  # the workspace query
+    if info.value == 0:
+        call(int(work[0]))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgees failed: info {info.value}")
+    return A, U
+
+
+def triangular_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Z and scale with A Z + Z B^T = scale C, for real quasi-upper-
+    triangular A and B in LAPACK's Schur canonical form: LAPACK's unblocked
+    dtrsyl with tranb = 'T', as ``scipy.linalg.lapack.dtrsyl(A, B, C,
+    tranb="T")`` calls it, in numpy's OpenBLAS.
+
+    Z is a new Fortran-ordered array; A, B and C are not written.  The
+    scale (at most 1) is dtrsyl's guard against overflow.  Close
+    eigenvalues of A and -B are perturbed, as dtrsyl does, and are no
+    error.  Where numpy's dtrsyl is not found, this is scipy's.  Raises
+    ValueError unless A, B and C have the shapes (m, m), (n, n), (m, n),
+    and LinAlgError when dtrsyl reports an illegal argument.
+    """
+    m, n = C.shape
+    if A.shape != (m, m) or B.shape != (n, n):
+        raise ValueError(f"shapes {A.shape}, {B.shape}, {C.shape} are not (m, m), (n, n), (m, n)")
+    found = _numpy_dtrsyl()
+    if found is None:
+        from scipy.linalg import lapack
+
+        Z, scale, info = lapack.dtrsyl(A, B, C, tranb="T")
+    else:
+        dtrsyl, integer = found
+        A, B = np.asfortranarray(A, dtype=np.float64), np.asfortranarray(B, dtype=np.float64)
+        Z = np.array(C, dtype=np.float64, order="F")
+        scale, info = ctypes.c_double(1.0), integer(0)
+        dtrsyl(b"N", b"T", integer(1), integer(m), integer(n), A.ctypes.data,
+               integer(max(m, 1)), B.ctypes.data, integer(max(n, 1)), Z.ctypes.data,
+               integer(max(m, 1)), scale, info, 1, 1)
+        scale, info = scale.value, info.value
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
+    return Z, scale

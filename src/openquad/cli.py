@@ -24,7 +24,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,6 @@ from .model import (
     xy_redfield_model,
 )
 from .ness import NonUniqueNESSError, observable_report, steady_state
-from .oracle import DegenerateKernelError
 from .spectra import (
     NonDiagonalizableError,
     _gram_eigh_memo,
@@ -577,8 +575,12 @@ def _task_sweep(cfg: ExperimentConfig, workers: int):
     processes = min(workers, _usable_cpus(), len(jobs))
     with _gram_eigh_memo():
         if processes > 1:
+            import multiprocessing
+
             # the workers share the CPUs, so none of them runs BLAS threads
-            with get_context("fork").Pool(processes, initializer=single_threaded) as pool:
+            with multiprocessing.get_context("fork").Pool(
+                processes, initializer=single_threaded
+            ) as pool:
                 results = pool.map(_sweep_point, jobs)
         else:
             results = [_sweep_point(j) for j in jobs]
@@ -696,6 +698,8 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
+    from .oracle import DegenerateKernelError
+
     try:
         primary = run(raw, args.output_dir, args.workers, args.fmt)
     except ConfigError as exc:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
-from ._blas import gram_eigenvalues, serial_lapack
+from ._blas import gram_eigenvalues, triangular_sylvester
 from .model import _PANEL_ROWS, ChainParams, QuadraticModel
 from .spectra import (
     ZERO_RAPIDITY_TOL,
@@ -180,18 +179,22 @@ def ness_two_point(
 
 # order at or below which a triangular Sylvester solve goes to one
 # unblocked dtrsyl.  Measured on 2 cores for 2n = 106, 400, 506 and 2000
-# (inside ``serial_lapack``, right after ``lyapunov_form``), leaves of
-# order <= 48 beat 64-96 and 128 at every size: 1.5 -> 1.0 ms at 2n = 106,
-# 31 -> 23 ms at 506 and 0.71 -> 0.51-0.63 s at 2000.  B moves by at most
-# 6e-14 relative against leaves of order 128
+# (right after ``lyapunov_form``), leaves of order <= 48 beat 64-96 and
+# 128 at every size: 1.5 -> 1.0 ms at 2n = 106, 31 -> 23 ms at 506 and
+# 0.71 -> 0.51-0.63 s at 2000.  B moves by at most 6e-14 relative against
+# leaves of order 128.  The leaves (level-1/2 work) and the products of
+# the recursion run in numpy's OpenBLAS with no thread scope: on 2 cores
+# the whole blocked solve took 1.0 / 19 / 75 ms at 2n = 106 / 506 / 1000
+# (min of 7) with the leaves unscoped, 1.4 / 30 / 87 ms with each leaf
+# on one thread and 1.5 / 24 / 85 ms with the whole solve on one thread;
+# at 2000 the three (0.41 / 0.37 / 0.40 s) are within the runs' spread
 _LEAF_ORDER = 48
 
 
 def _dtrsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
-    """Overwrite C with Z, A Z + Z B^T = C, by LAPACK's unblocked dtrsyl."""
-    Z, scale, info = lapack.dtrsyl(A, B, C, tranb="T")
-    if info < 0:
-        raise np.linalg.LinAlgError(f"dtrsyl: illegal argument {-info}")
+    """Overwrite C with Z, A Z + Z B^T = C, by LAPACK's unblocked dtrsyl
+    (``_blas.triangular_sylvester``)."""
+    Z, scale = triangular_sylvester(A, B, C)
     np.divide(Z, scale, out=C)
 
 
@@ -288,7 +291,9 @@ def steady_state(
     by Bartels-Stewart on the real Schur form X = U R U^T that also gives
     the rapidities.  The triangular solve on R is recursively blocked, so
     its work is matrix products; blocks of order <= 48 go to LAPACK's
-    dtrsyl.  The 4n x 4n structure matrix is never built.
+    dtrsyl.  The Schur form and the leaves run in numpy's LAPACK
+    (``_blas.real_schur``, ``_blas.triangular_sylvester``), like the rest
+    of the solve.  The 4n x 4n structure matrix is never built.
 
     At most three dense 2n x 2n real buffers are alive at once, besides
     the model's H: X and Y come from the rows S that
@@ -313,8 +318,7 @@ def steady_state(
     US = U[S]
     G = YS @ U - 0.5 * (YS[:, S] @ US)
     C = np.concatenate([US, -G]).T @ np.concatenate([G, US])
-    with serial_lapack(len(R)):
-        _lyapunov(R, C, overwrite_c=True)
+    _lyapunov(R, C, overwrite_c=True)
     del R
     B = np.matmul(U @ C, U.T, out=C)  # B = U Z U^T, over Z
     del U

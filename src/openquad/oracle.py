@@ -11,7 +11,6 @@ operator-parity projector.  Guarded to small n.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import ChainParams, QuadraticModel
 
@@ -251,7 +250,9 @@ def oracle_reduced(rho: np.ndarray, block, n: int) -> np.ndarray:
 
 def oracle_evolve(liouv: DenseLiouvillean, rho0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = exp(t L) rho0 via the dense matrix exponential."""
-    return unvec(sla.expm(t * liouv.L) @ vec(rho0))
+    from scipy.linalg import expm
+
+    return unvec(expm(t * liouv.L) @ vec(rho0))
 
 
 def two_point_matrix(rho: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
@@ -266,7 +267,9 @@ def two_point_matrix(rho: np.ndarray, ws: list[np.ndarray]) -> np.ndarray:
 
 
 def gibbs_state(Hs: np.ndarray, beta: float) -> np.ndarray:
-    rho = sla.expm(-beta * Hs)
+    from scipy.linalg import expm
+
+    rho = expm(-beta * Hs)
     return rho / np.trace(rho)
 
 

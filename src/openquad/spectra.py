@@ -43,10 +43,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
-from ._blas import real_eig, serial_lapack
+from ._blas import real_eig, real_schur, serial_lapack
 from .model import _PANEL_ROWS, QuadraticModel
 
 __all__ = [
@@ -249,6 +247,8 @@ def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     eigenvalues, where a plain Hermitian eigensolver would mix the
     (u, u*) partners.
     """
+    import scipy.linalg as sla
+
     K = _real_antisymmetric(H)
     two_n = K.shape[0]
     n = two_n // 2
@@ -441,8 +441,8 @@ def _gram_eigh(K: np.ndarray):
         memo.clear()
     K = np.ascontiguousarray(K)
     # numpy's eigh (divide and conquer) stays in the OpenBLAS of the product
-    # before it.  scipy's eigh would run in scipy's own copy, whose threads,
-    # unless held to one by ``_blas.serial_lapack``, compete with numpy's
+    # before it, the one pool the solvers use (``_blas``).  scipy's eigh
+    # would run in scipy's own copy, whose threads compete with numpy's
     # still-spinning ones (1.3x slower end to end on the gap scan, 2 cores)
     s, Q = np.linalg.eigh(K.T @ K)
     if memo is not None:
@@ -719,17 +719,12 @@ def _lyapunov_matrices(model: QuadraticModel):
 
 def _real_schur(X: np.ndarray):
     """R, U and the rapidities eig(X)/2 of the real Schur form
-    X = U R U^T.  LAPACK's gees writes R into X's buffer: X must be a
-    Fortran-ordered float array, and is overwritten.
-
-    The workspace size comes from a query without Schur vectors on X
-    itself: ``schur``'s own query copies X and allocates a U-sized array.
-    dgees asks the same optimal size with and without vectors (every
-    order up to 2100 with scipy's OpenBLAS 0.3.30), so R and U keep the
-    bits of ``schur`` with its own query."""
-    query = lapack.dgees(lambda re, im: None, X, compute_v=0, lwork=-1, overwrite_a=1)
+    X = U R U^T.  R is written into X's buffer (``_blas.real_schur``, in
+    numpy's OpenBLAS): X must be a Fortran-ordered float array, and is
+    overwritten.  The Schur form runs numpy's pool on one thread up to
+    order ``SERIAL_LAPACK_ORDER`` (``_blas.serial_lapack``)."""
     with serial_lapack(len(X)):
-        R, U = sla.schur(X, output="real", lwork=int(query[-2][0]), overwrite_a=True)
+        R, U = real_schur(X)
     return R, U, 0.5 * _schur_eigenvalues(R)
 
 
@@ -743,10 +738,9 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
     eigenvalues of X alone: no Y, no Schur vectors and no Lyapunov solve.
 
-    numpy's eigvals stays in the OpenBLAS of the numpy work before it,
-    so it needs no thread scope: the scipy LAPACK calls of the solvers
-    run in scipy's own OpenBLAS, on one thread up to order 800
-    (``_blas.serial_lapack``).
+    numpy's eigvals runs on numpy's threads, as the numpy work before it
+    does: the gap scan's products and eigensolves share one pool, and
+    none of them is held to one thread (``_blas.serial_lapack``).
     """
     S, XS, _ = _lyapunov_rows(model)
     return 0.5 * np.linalg.eigvals(_x_from_rows(model.H, S, XS))
@@ -794,7 +788,7 @@ def _eig(X: np.ndarray):
     """
     if np.iscomplexobj(X):
         return np.linalg.eig(X)
-    with serial_lapack(len(X), "numpy"):
+    with serial_lapack(len(X)):
         return real_eig(X)
 
 

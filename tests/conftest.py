@@ -33,3 +33,30 @@ def random_structure(rng, n):
     H = 1j * random_antisymmetric(rng, 2 * n, complex_=False)
     G = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
     return sp.assemble_structure_matrix(H, G @ G.conj().T).A
+
+
+def scipy_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS that scipy.linalg
+    links, or None when it has none.  The library's own code never calls
+    scipy's LAPACK on a production path, so it looks up only numpy's
+    (``openquad._blas.thread_controls``); the tests that compare with
+    scipy's routines hold scipy's pool with these."""
+    import ctypes
+
+    import scipy.linalg
+
+    try:
+        lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import subprocess
 import sys
 import tempfile
@@ -561,7 +562,7 @@ def test_sweep_pool_size_is_capped(tmp_path, monkeypatch, workers, cpus, expecte
     class Context:
         Pool = SerialPool
 
-    monkeypatch.setattr(cli, "get_context", lambda method: Context())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     payload = {"task": "sweep", "model": {"n": 4},
                "sweep": {"parameter": "h", "values": [0.3, 0.5, 0.7, 0.9, 1.1]}}
@@ -651,12 +652,13 @@ def test_gap_scaling_task(tmp_path):
 
 
 def test_gap_scaling_reads_eigenvalues_only(tmp_path, monkeypatch):
-    # the gap scan stays in numpy's BLAS: a Schur form (scipy's LAPACK, with
-    # Schur vectors) anywhere on its path would raise here
+    # the gap scan reads eigenvalues only: a Schur form (with Schur vectors,
+    # numpy's or scipy's) anywhere on its path would raise here
     def refuse(*args, **kwargs):
         raise AssertionError("the gap scan must not take a Schur form")
 
     monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    monkeypatch.setattr(spectra, "real_schur", refuse)
     payload = {
         "task": "gap_scaling",
         "model": {"n": 16, "gamma": 0.5, "h": 0.9},
@@ -665,6 +667,34 @@ def test_gap_scaling_reads_eigenvalues_only(tmp_path, monkeypatch):
     }
     assert cli.main(["run", str(write_config(tmp_path, payload))]) == 0
     assert (tmp_path / "gap" / "gap_scaling.csv").exists()
+
+
+def test_runs_never_import_scipy_linalg(tmp_path):
+    # every solver LAPACK call is numpy's (openquad._blas): importing the
+    # package and the CLI, and running a ness, sweep, gap_scaling or
+    # dynamics task, leaves scipy.linalg unloaded
+    tasks = [
+        {"task": "ness", "model": {"n": 6, "gamma": 0.5, "h": 0.9}},
+        {"task": "sweep", "model": {"n": 4},
+         "sweep": {"parameter": "h", "values": [0.5, 0.9]}},
+        {"task": "gap_scaling", "model": {"n": 8, "gamma": 0.5, "h": 0.9}, "sizes": [4, 5, 6, 8]},
+        {"task": "dynamics", "model": {"n": 3, "gamma": 0.5, "h": 0.9},
+         "dynamics": {"pairs": [[1, 2], [3, 4]], "t_max": 5.0, "num_times": 11}},
+    ]
+    script = (
+        "import json, sys\n"
+        "import openquad, openquad.cli\n"
+        "loaded = ['import'] if 'scipy.linalg' in sys.modules else []\n"
+        "for i, payload in enumerate(json.loads(sys.argv[1])):\n"
+        "    openquad.cli.run(payload, output_dir=f'{sys.argv[2]}/{i}')\n"
+        "    if 'scipy.linalg' in sys.modules and not loaded:\n"
+        "        loaded.append(payload['task'])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(tasks), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_dynamics_task(tmp_path):
@@ -763,18 +793,18 @@ def test_nothing_is_kept_after_a_sweep(tmp_path, monkeypatch):
 
 @contextlib.contextmanager
 def blas_on_one_thread():
-    """Both OpenBLAS pools on one thread, as in a forked sweep worker."""
-    controls = [_blas.thread_controls(lib) for lib in ("numpy", "scipy")]
-    if None in controls:
+    """numpy's OpenBLAS pool, the one a solve uses, on one thread, as in a
+    forked sweep worker."""
+    controls = _blas.thread_controls()
+    if controls is None:
         pytest.skip("no OpenBLAS thread controls")
-    previous = [get() for get, _ in controls]
+    get, set_ = controls
+    previous = get()
     try:
-        for _, set_ in controls:
-            set_(1)
+        set_(1)
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
+        set_(previous)
 
 
 def test_forked_temperature_sweep_writes_the_bytes_of_a_serial_one(tmp_path):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lapack
 
 from conftest import random_antisymmetric, random_structure
@@ -71,13 +72,13 @@ def test_steady_state_requires_unique_steady_state():
 
 
 def test_steady_state_rejects_large_residual(redfield_n2, monkeypatch):
-    solve = lapack.dtrsyl
+    solve = ns.triangular_sylvester
 
     def perturbed(*args, **kwargs):
-        Z, scale, info = solve(*args, **kwargs)
-        return 1.001 * Z, scale, info
+        Z, scale = solve(*args, **kwargs)
+        return 1.001 * Z, scale
 
-    monkeypatch.setattr(lapack, "dtrsyl", perturbed)
+    monkeypatch.setattr(ns, "triangular_sylvester", perturbed)
     with pytest.raises(np.linalg.LinAlgError):
         steady_state(redfield_n2)
 
@@ -138,14 +139,34 @@ def test_blocked_lyapunov_solve_honours_the_dtrsyl_scale(monkeypatch):
     # overflow) must be divided by its own scale
     model = mdl.xy_redfield_model(mdl.ChainParams(96, 0.5, 0.75))
     B = steady_state(model).two_point.B
-    solve = lapack.dtrsyl
+    solve = ns.triangular_sylvester
 
     def scaled(*args, **kwargs):
-        Z, scale, info = solve(*args, **kwargs)
-        return 0.5 * Z / scale, 0.5, info
+        Z, scale = solve(*args, **kwargs)
+        return 0.5 * Z / scale, 0.5
 
-    monkeypatch.setattr(lapack, "dtrsyl", scaled)
+    monkeypatch.setattr(ns, "triangular_sylvester", scaled)
     assert np.array_equal(steady_state(model).two_point.B, B)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.9)),
+     mdl.xy_lindblad_model(mdl.ChainParams(200, 0.2, 1.05))],
+    ids=["redfield_n53", "lindblad_n200"],
+)
+def test_steady_state_calls_no_scipy_lapack(monkeypatch, model):
+    # the Schur form and the dtrsyl leaves run in numpy's LAPACK
+    # (``openquad._blas``): scipy's would raise here
+    reference = steady_state(model).two_point.B
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve must not call scipy's LAPACK")
+
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
+    monkeypatch.setattr(lapack, "dgees", refuse)
+    monkeypatch.setattr(lapack, "dtrsyl", refuse)
+    assert np.abs(steady_state(model).two_point.B - reference).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
