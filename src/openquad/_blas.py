@@ -13,11 +13,18 @@ imports scipy.linalg (0.29 s of a 0.46 s ``import openquad.cli`` on 2
 cores) or sets up scipy's pool (the peak RSS of a Redfield n = 1000
 ``openquad run`` fell from 234 to 203 MB).
 
-``serial_lapack`` runs numpy's pool on one thread around the Schur form
-of the steady state and the real eigensolve of ``spectra.normal_modes``,
-for matrices of order up to ``SERIAL_LAPACK_ORDER``; above it the
-threaded LAPACK wins and nothing is changed.  Every other call keeps
-the pool's threads.  A forked sweep worker, which runs next to other
+Every eigensolve below runs numpy's pool on one thread for matrices of
+order up to ``SERIAL_LAPACK_ORDER``, and each routine applies that rule
+itself (``serial_lapack``): the Schur form of the steady state (dgees),
+the real eigensolves of ``spectra.normal_modes`` and of
+``spectra.rapidities`` (dgeev with and without vectors), and the
+eigensolves of A^T A of the bath (dsyevd with vectors, with its product
+A^T A) and of the entropies (dsyevd without vectors).  At these orders the
+pool's threads cost more than they save, and a threaded eigensolve right
+after a product sometimes stalls behind the product's spinning workers.
+Above the cutoff the threaded LAPACK wins and nothing is changed.  The
+other BLAS products and the dtrsyl leaves of the Lyapunov solve keep the
+pool's threads.  A forked sweep worker, which runs next to other
 workers, sets the pool to one thread for good (``single_threaded``).
 The thread controls are looked up by name in the library numpy's
 extension module links (``scipy_openblas_*``, else the plain
@@ -25,14 +32,15 @@ extension module links (``scipy_openblas_*``, else the plain
 build).  Where neither exists (MKL, Accelerate, a system BLAS without
 them) the thread functions do nothing.
 
-``gram_eigenvalues`` and ``real_eig`` make the eigensolves of
-``numpy.linalg.eigvalsh`` and ``numpy.linalg.eig`` (dsyevd, dgeev) on a
-caller's buffer instead of on numpy's copy of it (and, for eig, without
-its complex eigenvectors); ``real_schur`` (dgees) and
-``triangular_sylvester`` (dtrsyl) are the Schur form and the Sylvester
-leaves that numpy.linalg lacks.  Where numpy's LAPACK lacks a routine
-(MKL or Accelerate builds), each falls back to numpy.linalg's or
-scipy's.  scipy's are no substitute where numpy's are found: on scipy's
+``gram_eigenvalues``, ``gram_eigh``, ``real_eigenvalues`` and
+``real_eig`` make the eigensolves of numpy.linalg's ``eigvalsh``,
+``eigh``, ``eigvals`` and ``eig`` (dsyevd, dgeev) on a caller's buffer
+instead of on numpy's copy of it (and, for eig, without its complex
+eigenvectors); ``real_schur`` (dgees) and ``triangular_sylvester``
+(dtrsyl) are the Schur form and the Sylvester leaves that numpy.linalg
+lacks.  Where numpy's LAPACK lacks a routine (MKL or Accelerate builds),
+each falls back to numpy.linalg's or scipy's, under the same thread
+rule.  scipy's are no substitute where numpy's are found: on scipy's
 threads, right after numpy's product, dsyevd doubled the time of a
 25-point sweep at n = 53 (0.27-0.31 s -> 0.56-0.67 s on 2 cores), on one
 thread its bits differ from numpy's threaded solve at order 252 and
@@ -46,6 +54,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import importlib
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -56,21 +65,35 @@ __all__ = [
     "serial_lapack",
     "single_threaded",
     "gram_eigenvalues",
+    "gram_eigh",
+    "real_eigenvalues",
     "real_eig",
     "real_schur",
     "triangular_sylvester",
 ]
 
-# largest matrix order whose Schur form (and real eigensolve) runs on one
-# thread.  numpy's dgees on the Redfield X, on 2 cores in fresh processes
-# right after building X, one thread against two (medians of 3; h = 1.2,
-# then h = 0.7): 0.29 / 0.29 s and 0.24 / 0.17 s at 2n = 506, 0.64 / 0.64 s
-# and 0.50 / 0.55 s at 800, 0.98 / 0.84 s and 0.75 / 0.90 s at 1000, and
-# 5.7 / 4.2 s and 5.2 / 3.9 s at 2000.  Between 506 and 1000 the two are
-# within the spread of the runs, and threads win from 2000; one thread
-# wins at the orders of the sweeps: 4.8-8.3 ms against 7.6-8.3 ms at
-# 2n = 106 (medians of 20 right after a product, 3 processes each).
-# Every shipped config has 2n <= 506
+# largest matrix order whose eigensolves run on one thread.  Timed on 2
+# cores in fresh processes right after a numpy product, one thread against
+# two:
+# - dgees, the Schur form of the Redfield X (medians of 3; h = 1.2, then
+#   h = 0.7): 0.29 / 0.29 s and 0.24 / 0.17 s at 2n = 506, 0.64 / 0.64 s
+#   and 0.50 / 0.55 s at 800, 0.98 / 0.84 s and 0.75 / 0.90 s at 1000, and
+#   5.7 / 4.2 s and 5.2 / 3.9 s at 2000; 4.8-8.3 ms against 7.6-8.3 ms at
+#   2n = 106 (medians of 20, 3 processes each).
+# - The next three as medians of 7 calls in each of 3 processes, ranges
+#   over the processes.  dgeev without vectors (the gap scan): 5.3-7.9 /
+#   6.3-6.9 ms at 128, 25-39 / 30-37 ms at 256, 141-237 / 150-239 ms at
+#   506, 380-462 / 356-363 ms at 800.
+# - dsyevd with vectors, with its product (the bath): 1.3-2.1 / 1.2-1.4 ms
+#   at 128, where one first call on two threads took 236 ms, 5.5-5.7 /
+#   5.4-5.9 ms at 256, 26-38 / 20-21 ms at 506, 91-102 / 61-76 ms at 800.
+# - dsyevd without vectors (the entropies): 0.7-1.0 / 0.9-1.1 ms at 128,
+#   3.8-4.4 / 3.3-4.0 ms at 256, 14-18 / 14-16 ms at 506, 47-65 / 35-40 ms
+#   at 800.
+# Up to 256 one thread and two are even or one thread wins, and it avoids
+# the stalls; above, threads win for dsyevd.  The bath takes its eigh only
+# below about n = 110-130 on the chain (``spectra._ohmic_bath_vectors``),
+# and every shipped config has 2n <= 506, so one cutoff is kept
 SERIAL_LAPACK_ORDER = 800
 
 # extension module whose linked OpenBLAS numpy's calls run in (numpy
@@ -103,23 +126,41 @@ def thread_controls():
     return None
 
 
+# the scopes open in this process, and the count the first one saved
+_SCOPE_LOCK = threading.Lock()
+_scope_depth = 0
+_scope_saved = 0
+
+
 @contextmanager
 def serial_lapack(order: int):
     """Run numpy's OpenBLAS on one thread inside the block when ``order``
-    is at most ``SERIAL_LAPACK_ORDER``; the previous count is restored on
-    exit, also when the block raises.  The count is process-wide, so
-    blocks that overlap in several Python threads can leave it at one."""
+    is at most ``SERIAL_LAPACK_ORDER``.
+
+    Scopes nest, also across Python threads: the first one to open saves
+    the count and sets one thread, the last one to close restores the
+    saved count, also when its block raises.  The count is process-wide,
+    so a scope that opens while another thread's is open runs its block
+    on one thread too.
+    """
+    global _scope_depth, _scope_saved
     controls = thread_controls() if order <= SERIAL_LAPACK_ORDER else None
     if controls is None:
         yield
         return
     get, set_ = controls
-    previous = get()
-    set_(1)
+    with _SCOPE_LOCK:
+        if not _scope_depth:
+            _scope_saved = get()
+            set_(1)
+        _scope_depth += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _SCOPE_LOCK:
+            _scope_depth -= 1
+            if not _scope_depth:
+                set_(_scope_saved)
 
 
 def single_threaded() -> None:
@@ -202,22 +243,20 @@ def _workspace(X: np.ndarray) -> np.ndarray:
     return A if A.flags.writeable else A.copy(order="F")
 
 
-def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of A^T A for a real A: bit for bit
-    ``np.linalg.eigvalsh(A.T @ A)``, without eigvalsh's copy of A^T A.
+def _symmetric_eigensolve(G: np.ndarray, jobz: bytes):
+    """numpy.linalg's dsyevd (``jobz`` b"N": eigvalsh, b"V": eigh) of the
+    product G = A^T A, made on G's buffer.
 
     numpy computes A^T A by syrk and mirrors the triangle, so the product
     is exactly symmetric and its C-ordered buffer is itself in Fortran
-    order.  eigvalsh's call (dsyevd without vectors, on the lower
-    triangle, with the workspace a query asks for) is made on that
-    buffer, in numpy's OpenBLAS and on its threads.  Where that dsyevd
-    is not found, or A^T A is not a contiguous float64 array, this is
-    eigvalsh.
+    order.  eigvalsh's and eigh's call (dsyevd on the lower triangle,
+    with the workspace a query asks for) is made on that buffer, which
+    the vectors then overwrite.  Where that dsyevd is not found, or G is
+    not a contiguous float64 array, this is eigvalsh or eigh.
     """
-    G = A.T @ A
     found = _numpy_dsyevd()
     if found is None or G.dtype != np.float64 or not G.flags.c_contiguous:
-        return np.linalg.eigvalsh(G)
+        return np.linalg.eigh(G) if jobz == b"V" else np.linalg.eigvalsh(G)
     dsyevd, integer = found
     order = len(G)
     w = np.empty(order)
@@ -225,7 +264,7 @@ def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
 
     def call(lwork: int, liwork: int):
         work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), dtype=integer)
-        dsyevd(b"N", b"L", integer(order), G.ctypes.data, integer(max(order, 1)),
+        dsyevd(jobz, b"L", integer(order), G.ctypes.data, integer(max(order, 1)),
                w.ctypes.data, work.ctypes.data, integer(lwork),
                iwork.ctypes.data, integer(liwork), info, 1, 1)
         return work, iwork
@@ -235,7 +274,80 @@ def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
         call(int(work[0]), int(iwork[0]))
     if info.value:
         raise np.linalg.LinAlgError(f"dsyevd failed: info {info.value}")
-    return w
+    # the vectors are the columns of the Fortran-ordered buffer; eigh returns
+    # them C-ordered, and the products of a Fortran-ordered Q differ from
+    # those of eigh's in the last bits, so they are copied as eigh does
+    return (w, G.T.copy()) if jobz == b"V" else w
+
+
+def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of A^T A for a real A: bit for bit
+    ``np.linalg.eigvalsh(A.T @ A)`` with the eigensolve under
+    ``serial_lapack``, without eigvalsh's copy of A^T A
+    (``_symmetric_eigensolve``).  The product keeps the pool's threads."""
+    G = A.T @ A
+    with serial_lapack(len(G)):
+        return _symmetric_eigensolve(G, b"N")
+
+
+def gram_eigh(A: np.ndarray):
+    """Ascending eigenvalues s and orthonormal eigenvectors Q (columns) of
+    A^T A for a real A: bit for bit ``np.linalg.eigh(A.T @ A)``, product
+    and eigensolve under ``serial_lapack``, without eigh's copy of A^T A
+    (``_symmetric_eigensolve``)."""
+    with serial_lapack(A.shape[1]):
+        return _symmetric_eigensolve(A.T @ A, b"V")
+
+
+def _dgeev(X: np.ndarray, jobvr: bytes):
+    """wr, wi and (``jobvr`` b"V") the right vectors R of numpy.linalg's
+    dgeev on X's buffer or a copy (``_workspace``), after a workspace
+    query; None for R with ``jobvr`` b"N".  dgeev must be found."""
+    dgeev, integer = _numpy_dgeev()
+    A = _workspace(X)
+    order = len(A)
+    vectors = jobvr == b"V"
+    wr, wi, vl = np.empty(order), np.empty(order), np.empty(1)
+    R = np.empty((order, order), order="F") if vectors else np.empty(1)
+    ldvr = max(order, 1) if vectors else 1
+    info = integer(0)
+
+    def call(lwork: int):
+        work = np.empty(max(lwork, 1))
+        dgeev(b"N", jobvr, integer(order), A.ctypes.data, integer(max(order, 1)), wr.ctypes.data,
+              wi.ctypes.data, vl.ctypes.data, integer(1), R.ctypes.data, integer(ldvr),
+              work.ctypes.data, integer(lwork), info, 1, 1)
+        return work
+
+    work = call(-1)  # the workspace query
+    if info.value == 0:
+        call(int(work[0]))
+    if info.value:
+        raise np.linalg.LinAlgError(f"dgeev failed: info {info.value}")
+    return wr, wi, R if vectors else None
+
+
+def real_eigenvalues(X: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real square X: bit for bit ``np.linalg.eigvals(X)``
+    under ``serial_lapack``, real when all of them are, as eigvals returns
+    them.
+
+    The call is eigvals' (dgeev without vectors, with the workspace a
+    query asks for), on one thread up to order ``SERIAL_LAPACK_ORDER``,
+    on X's own buffer when X is a writeable Fortran-ordered float64 array
+    (X is then overwritten), else on a copy.  Where that dgeev is not
+    found, this is eigvals.  Raises LinAlgError, as eigvals does, for a
+    non-square or non-finite X or when the QR iteration fails.
+    """
+    with serial_lapack(len(X)):
+        if _numpy_dgeev() is None:
+            return np.linalg.eigvals(X)
+        wr, wi, _ = _dgeev(X, b"N")
+    if not wi.any():
+        return wr
+    lam = np.empty(len(wr), dtype=complex)
+    lam.real, lam.imag = wr, wi
+    return lam
 
 
 def real_eig(X: np.ndarray):
@@ -247,40 +359,24 @@ def real_eig(X: np.ndarray):
     (Re r, Im r) of the eigenvector r of the +Im member, which comes
     first; numpy's eig builds its complex vectors from exactly these
     columns.  The call is numpy's, with the workspace a query asks for,
-    in numpy's OpenBLAS, on X's own buffer when X is a writeable
-    Fortran-ordered float64 array (X is then overwritten), else on a copy.
-    Where that dgeev is not found, this is numpy's eig with its pairs
-    split.  Raises LinAlgError, as eig does, for a non-square or
-    non-finite X or when the QR iteration fails.
+    in numpy's OpenBLAS on one thread up to order ``SERIAL_LAPACK_ORDER``,
+    on X's own buffer when X is a writeable Fortran-ordered float64 array
+    (X is then overwritten), else on a copy.  Where that dgeev is not
+    found, this is numpy's eig with its pairs split.  Raises LinAlgError,
+    as eig does, for a non-square or non-finite X or when the QR
+    iteration fails.
     """
-    found = _numpy_dgeev()
-    if found is None:
+    with serial_lapack(len(X)):
+        if _numpy_dgeev() is not None:
+            wr, wi, R = _dgeev(X, b"V")
+            return wr + 1j * wi, R
         lam, v = np.linalg.eig(X)
-        if np.isrealobj(v):
-            return lam.astype(complex), v
-        R = v.real.copy()
-        firsts = np.flatnonzero(lam.imag > 0)
-        R[:, firsts + 1] = v.imag[:, firsts]
-        return lam, R
-    dgeev, integer = found
-    A = _workspace(X)
-    order = len(A)
-    wr, wi, R, vl = np.empty(order), np.empty(order), np.empty((order, order), order="F"), np.empty(1)
-    info = integer(0)
-
-    def call(lwork: int):
-        work = np.empty(max(lwork, 1))
-        dgeev(b"N", b"V", integer(order), A.ctypes.data, integer(max(order, 1)), wr.ctypes.data,
-              wi.ctypes.data, vl.ctypes.data, integer(1), R.ctypes.data, integer(max(order, 1)),
-              work.ctypes.data, integer(lwork), info, 1, 1)
-        return work
-
-    work = call(-1)  # the workspace query
-    if info.value == 0:
-        call(int(work[0]))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dgeev failed: info {info.value}")
-    return wr + 1j * wi, R
+    if np.isrealobj(v):
+        return lam.astype(complex), v
+    R = v.real.copy()
+    firsts = np.flatnonzero(lam.imag > 0)
+    R[:, firsts + 1] = v.imag[:, firsts]
+    return lam, R
 
 
 @functools.cache
@@ -319,33 +415,35 @@ def real_schur(X: np.ndarray):
     ``scipy.linalg.schur(X, output="real")`` computes them.
 
     The call is LAPACK's dgees with Schur vectors and no sorting, with the
-    workspace a query asks for, in numpy's OpenBLAS.  R is written over
-    X's buffer when X is a writeable Fortran-ordered float64 array, else
-    over a copy.  Where numpy's dgees is not found, this is scipy's schur,
-    with the same overwrite rule.  Raises LinAlgError for a non-square or
-    non-finite X or when the QR iteration fails.
+    workspace a query asks for, in numpy's OpenBLAS on one thread up to
+    order ``SERIAL_LAPACK_ORDER``.  R is written over X's buffer when X is
+    a writeable Fortran-ordered float64 array, else over a copy.  Where
+    numpy's dgees is not found, this is scipy's schur, with the same
+    overwrite rule.  Raises LinAlgError for a non-square or non-finite X
+    or when the QR iteration fails.
     """
-    A = _workspace(X)
-    found = _numpy_dgees()
-    if found is None:
-        import scipy.linalg
+    with serial_lapack(len(X)):
+        A = _workspace(X)
+        found = _numpy_dgees()
+        if found is None:
+            import scipy.linalg
 
-        return scipy.linalg.schur(A, output="real", overwrite_a=True, check_finite=False)
-    dgees, integer = found
-    order = len(A)
-    wr, wi, U = np.empty(order), np.empty(order), np.empty((order, order), order="F")
-    sdim, info = integer(0), integer(0)
+            return scipy.linalg.schur(A, output="real", overwrite_a=True, check_finite=False)
+        dgees, integer = found
+        order = len(A)
+        wr, wi, U = np.empty(order), np.empty(order), np.empty((order, order), order="F")
+        sdim, info = integer(0), integer(0)
 
-    def call(lwork: int):
-        work = np.empty(max(lwork, 1))
-        dgees(b"V", b"N", None, integer(order), A.ctypes.data, integer(max(order, 1)), sdim,
-              wr.ctypes.data, wi.ctypes.data, U.ctypes.data, integer(max(order, 1)),
-              work.ctypes.data, integer(lwork), None, info, 1, 1)
-        return work
+        def call(lwork: int):
+            work = np.empty(max(lwork, 1))
+            dgees(b"V", b"N", None, integer(order), A.ctypes.data, integer(max(order, 1)), sdim,
+                  wr.ctypes.data, wi.ctypes.data, U.ctypes.data, integer(max(order, 1)),
+                  work.ctypes.data, integer(lwork), None, info, 1, 1)
+            return work
 
-    work = call(-1)  # the workspace query
-    if info.value == 0:
-        call(int(work[0]))
+        work = call(-1)  # the workspace query
+        if info.value == 0:
+            call(int(work[0]))
     if info.value:
         raise np.linalg.LinAlgError(f"dgees failed: info {info.value}")
     return A, U

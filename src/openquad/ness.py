@@ -647,7 +647,8 @@ def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
     Read off one real symmetric eigensolve: Bsub^T Bsub = -Bsub^2 has
     each nu_j^2 twice, and nu_j is the square root of every other one.
     The eigensolve overwrites Bsub^T Bsub (``_blas.gram_eigenvalues``),
-    with the bits of ``np.linalg.eigvalsh`` and without its copy.
+    with the bits of ``np.linalg.eigvalsh`` on one thread and without its
+    copy.
     nu_j^2 is accurate to eps |Bsub|^2, so nu_j only to about sqrt(eps)
     (1e-8) absolute where it is near 0; the entropies, the mutual
     information and the positivity excess depend smoothly on nu^2 there

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._blas import real_eig, real_schur, serial_lapack
+from ._blas import gram_eigh, real_eig, real_eigenvalues, real_schur
 from .model import _PANEL_ROWS, QuadraticModel
 
 __all__ = [
@@ -439,12 +439,13 @@ def _gram_eigh(K: np.ndarray):
         if key in memo:
             return memo[key]
         memo.clear()
-    K = np.ascontiguousarray(K)
-    # numpy's eigh (divide and conquer) stays in the OpenBLAS of the product
-    # before it, the one pool the solvers use (``_blas``).  scipy's eigh
-    # would run in scipy's own copy, whose threads compete with numpy's
-    # still-spinning ones (1.3x slower end to end on the gap scan, 2 cores)
-    s, Q = np.linalg.eigh(K.T @ K)
+    # numpy's dsyevd (divide and conquer) on the buffer of the product, both
+    # on one thread at the orders of the shipped configs (``_blas.gram_eigh``):
+    # a threaded eigh right after the product once took 236 ms at 2n = 128,
+    # against about 2 ms on one thread.  scipy's eigh would run in scipy's
+    # own OpenBLAS, whose threads compete with numpy's still-spinning ones
+    # (1.3x slower end to end on the gap scan, 2 cores)
+    s, Q = gram_eigh(np.ascontiguousarray(K))
     if memo is not None:
         memo[key] = s, Q
     return s, Q
@@ -722,9 +723,8 @@ def _real_schur(X: np.ndarray):
     X = U R U^T.  R is written into X's buffer (``_blas.real_schur``, in
     numpy's OpenBLAS): X must be a Fortran-ordered float array, and is
     overwritten.  The Schur form runs numpy's pool on one thread up to
-    order ``SERIAL_LAPACK_ORDER`` (``_blas.serial_lapack``)."""
-    with serial_lapack(len(X)):
-        R, U = real_schur(X)
+    order ``SERIAL_LAPACK_ORDER``."""
+    R, U = real_schur(X)
     return R, U, 0.5 * _schur_eigenvalues(R)
 
 
@@ -738,12 +738,14 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
     eigenvalues of X alone: no Y, no Schur vectors and no Lyapunov solve.
 
-    numpy's eigvals runs on numpy's threads, as the numpy work before it
-    does: the gap scan's products and eigensolves share one pool, and
-    none of them is held to one thread (``_blas.serial_lapack``).
+    The eigenvalues are numpy's eigvals (LAPACK's dgeev without vectors),
+    made on X's own buffer and, like every eigensolve of the solvers, on
+    one thread up to order ``SERIAL_LAPACK_ORDER``
+    (``_blas.real_eigenvalues``): at the gap scans' 2n <= 192 the threads
+    of numpy's pool cost more than they save.
     """
     S, XS, _ = _lyapunov_rows(model)
-    return 0.5 * np.linalg.eigvals(_x_from_rows(model.H, S, XS))
+    return 0.5 * real_eigenvalues(_x_from_rows(model.H, S, XS))
 
 
 def _lyapunov_pair(A: np.ndarray, tol: float):
@@ -788,8 +790,7 @@ def _eig(X: np.ndarray):
     """
     if np.iscomplexobj(X):
         return np.linalg.eig(X)
-    with serial_lapack(len(X)):
-        return real_eig(X)
+    return real_eig(X)
 
 
 def normal_modes(struct: StructureMatrix | np.ndarray | QuadraticModel) -> NormalModes:

@@ -1,4 +1,7 @@
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +10,7 @@ from scipy.linalg import lapack
 from conftest import scipy_thread_controls
 from openquad import _blas
 from openquad import model as mdl
+from openquad import spectra as sp
 from openquad import steady_state
 from openquad.validation import spectrum_deviation
 
@@ -53,6 +57,63 @@ def test_scope_toggles_nothing_above_the_cutoff(fake):
         assert fake.threads == 1
 
 
+def test_scopes_nest(fake):
+    with _blas.serial_lapack(10):
+        with _blas.serial_lapack(10):
+            assert fake.threads == 1
+        assert fake.threads == 1
+    assert fake.threads == 4 and fake.calls == [1, 4]
+
+
+def run_threads(target, count):
+    threads = [threading.Thread(target=target) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_scopes_overlapping_in_two_threads_restore_the_count(fake):
+    # the second scope opens while the first is open, and the first closes
+    # while the second is open: the count is set once and restored once
+    barrier = threading.Barrier(2, timeout=10)
+    seen = []
+
+    def scoped():
+        with _blas.serial_lapack(10):
+            barrier.wait()
+            seen.append(fake.threads)
+            barrier.wait()
+
+    run_threads(scoped, 2)
+    assert seen == [1, 1]
+    assert fake.threads == 4 and fake.calls == [1, 4]
+
+
+def test_scopes_of_many_threads_alternate_the_count(fake):
+    # more threads than cores, switching often: every set of one thread is
+    # followed by a restore before the next, and the count ends where it began
+    barrier = threading.Barrier(4, timeout=10)
+    seen = []
+
+    def scoped():
+        barrier.wait()
+        for _ in range(2000):
+            with _blas.serial_lapack(10):
+                seen.append(fake.threads)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads(scoped, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8000 and set(seen) == {1}
+    assert fake.threads == 4
+    assert fake.calls == [1, 4] * (len(fake.calls) // 2)
+
+
 def test_worker_initializer_sets_both_pools_to_one_thread(fake):
     # numpy's pool is the only one a solve uses, so it is the one a forked
     # sweep worker sets
@@ -77,6 +138,12 @@ def test_real_scope_restores_the_previous_count():
         set_(original)
 
 
+def clear_lookups():
+    for lookup in (_blas.thread_controls, _blas._numpy_dsyevd, _blas._numpy_dgeev,
+                   _blas._numpy_dgees, _blas._numpy_dtrsyl):
+        lookup.cache_clear()
+
+
 def missing_library(path):
     raise OSError(f"cannot load {path}")
 
@@ -86,8 +153,9 @@ def missing_library(path):
     ids=["library_missing", "symbols_missing"],
 )
 def test_failed_lookup_is_a_silent_no_op(monkeypatch, library):
+    # the LAPACK lookups fail too, and are not kept for later tests
     monkeypatch.setattr(_blas.ctypes, "CDLL", library)
-    _blas.thread_controls.cache_clear()
+    clear_lookups()
     try:
         assert _blas.thread_controls() is None
         with _blas.serial_lapack(10):
@@ -95,7 +163,7 @@ def test_failed_lookup_is_a_silent_no_op(monkeypatch, library):
         _blas.single_threaded()
         assert state.residual < 1e-14
     finally:
-        _blas.thread_controls.cache_clear()
+        clear_lookups()
 
 
 @pytest.mark.parametrize("n, tol", [(53, 1e-12), (253, 1e-10)])
@@ -109,18 +177,18 @@ def test_serial_steady_state_matches_the_threaded_one(monkeypatch, n, tol):
 
 def test_gram_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
     # orders up to 2 x 253, where numpy's threaded solve and a one-thread
-    # one differ in the last bits; a strided view like a block of B, and a
-    # float32 matrix, which goes to eigvalsh
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((506, 506))
-    cases = [B[:1, :1], B[:7, :5], B[:106, :106], B[:300, :252], B, B[3:259, 3:259],
-             B[:50, :40].astype(np.float32)]
+    # one differ in the last bits, against eigvalsh under the same thread
+    # scope (the product outside it); a strided view like a block of B,
+    # and a float32 matrix, which goes to eigvalsh
     for found in (_blas._numpy_dsyevd(), None):
         monkeypatch.setattr(_blas, "_numpy_dsyevd", lambda: found)
-        for A in cases:
+        for A in gram_cases():
             before = A.copy()
             w = _blas.gram_eigenvalues(A)
-            assert w.tobytes() == np.linalg.eigvalsh(A.T @ A).tobytes()
+            G = A.T @ A
+            with _blas.serial_lapack(len(G)):
+                ref = np.linalg.eigvalsh(G)
+            assert w.tobytes() == ref.tobytes()
             assert np.array_equal(A, before)
 
 
@@ -156,6 +224,129 @@ def test_real_eig_is_numpy_eig_split_into_real_pairs(monkeypatch):
             X = np.asfortranarray(S)
             _blas.real_eig(X)
             assert not np.array_equal(X, S)
+
+
+def gram_cases():
+    """Matrices A of the Gram eigensolves: orders up to 2 x 253, a strided
+    view like a block of B, and a float32 matrix, which goes to numpy."""
+    B = np.random.default_rng(3).standard_normal((506, 506))
+    return [B[:1, :1], B[:7, :5], B[:106, :106], B[:300, :252], B, B[3:259, 3:259],
+            B[:50, :40].astype(np.float32)]
+
+
+def test_gram_eigh_is_eigh_bit_for_bit(monkeypatch):
+    # against eigh under the same thread scope (the product inside it), in
+    # numpy's dsyevd and without it; the vectors C-ordered, as eigh
+    # returns them
+    for found in (_blas._numpy_dsyevd(), None):
+        monkeypatch.setattr(_blas, "_numpy_dsyevd", lambda: found)
+        for A in gram_cases():
+            before = A.copy()
+            s, Q = _blas.gram_eigh(A)
+            with _blas.serial_lapack(A.shape[1]):
+                s_ref, Q_ref = np.linalg.eigh(A.T @ A)
+            assert s.tobytes() == s_ref.tobytes() and Q.tobytes() == Q_ref.tobytes()
+            assert Q.flags.c_contiguous and np.array_equal(A, before)
+
+
+def test_real_eigenvalues_are_eigvals_bit_for_bit(monkeypatch):
+    # against eigvals under the same thread scope, in numpy's dgeev and
+    # without it: a real spectrum is returned real, as eigvals returns it.
+    # A Fortran-ordered X is the workspace, a C-ordered one is left as it was
+    rng = np.random.default_rng(9)
+    S = rng.standard_normal((96, 96))
+    X_gap = np.ascontiguousarray(
+        sp._lyapunov_matrices(mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.9)))[0])
+    for found in (_blas._numpy_dgeev(), None):
+        monkeypatch.setattr(_blas, "_numpy_dgeev", lambda: found)
+        for X in (S, S + S.T, S[:16, :16].copy(), np.ones((1, 1)), X_gap):
+            with _blas.serial_lapack(len(X)):
+                ref = np.linalg.eigvals(X)
+            before = X.copy()
+            lam = _blas.real_eigenvalues(X)
+            assert lam.dtype == ref.dtype and lam.tobytes() == ref.tobytes()
+            assert np.array_equal(X, before)
+        with pytest.raises(np.linalg.LinAlgError, match="must be square"):
+            _blas.real_eigenvalues(np.ones((3, 2)))
+        if found is not None:
+            X = np.asfortranarray(S)
+            _blas.real_eigenvalues(X)
+            assert not np.array_equal(X, S)
+
+
+# each eigensolve of the solvers: a call at order 20, the LAPACK routine it
+# makes in numpy's LAPACK, and the routine it falls back to without it
+X20 = np.random.default_rng(13).standard_normal((20, 20))
+MODEL10 = mdl.xy_lindblad_model(mdl.ChainParams(10, 0.5, 0.9))  # no eigh in its bath
+RULE_CASES = {
+    "rapidities": (lambda: sp.rapidities(MODEL10), "_numpy_dgeev", np.linalg, "eigvals"),
+    "_gram_eigh": (lambda: sp._gram_eigh(X20), "_numpy_dsyevd", np.linalg, "eigh"),
+    "gram_eigenvalues": (lambda: _blas.gram_eigenvalues(X20), "_numpy_dsyevd",
+                         np.linalg, "eigvalsh"),
+    "real_eig": (lambda: _blas.real_eig(X20), "_numpy_dgeev", np.linalg, "eig"),
+    "real_schur": (lambda: _blas.real_schur(X20), "_numpy_dgees", scipy.linalg, "schur"),
+}
+
+
+def spy_on_lapack(monkeypatch, fake, case, found, action=None):
+    """Make the case's LAPACK routine (found) or its fallback record the
+    fake pool's thread count when it is called, then do ``action``."""
+    _, lookup, module, name = RULE_CASES[case]
+    seen = []
+
+    def spy(routine):
+        def call(*args, **kwargs):
+            seen.append(fake.threads)
+            if action is not None:
+                action()
+            return routine(*args, **kwargs)
+        return call
+
+    if found:
+        routine, integer = getattr(_blas, lookup)()
+        monkeypatch.setattr(_blas, lookup, lambda: (spy(routine), integer))
+    else:
+        monkeypatch.setattr(_blas, lookup, lambda: None)
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    return seen
+
+
+@pytest.mark.parametrize("found", [True, False], ids=["numpy_lapack", "fallback"])
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_eigensolves_run_on_one_thread_up_to_the_cutoff(monkeypatch, fake, case, found):
+    call = RULE_CASES[case][0]
+    seen = spy_on_lapack(monkeypatch, fake, case, found)
+    call()
+    assert seen and set(seen) == {1}
+    assert fake.threads == 4 and fake.calls == [1, 4]
+    # above the cutoff the count is not touched
+    monkeypatch.setattr(_blas, "SERIAL_LAPACK_ORDER", 19)
+    seen.clear()
+    call()
+    assert seen and set(seen) == {4}
+    assert fake.calls == [1, 4]
+
+
+def failing():
+    raise np.linalg.LinAlgError("the LAPACK call failed")
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_failed_eigensolves_restore_the_count(monkeypatch, fake, case):
+    spy_on_lapack(monkeypatch, fake, case, True, failing)
+    with pytest.raises(np.linalg.LinAlgError, match="call failed"):
+        RULE_CASES[case][0]()
+    assert fake.threads == 4 and fake.calls == [1, 4]
+
+
+def test_non_finite_x_restores_the_count(fake):
+    bad = X20.copy(order="F")
+    bad[3, 5] = np.nan
+    for solve in (_blas.real_eigenvalues, _blas.real_eig, _blas.real_schur):
+        fake.calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            solve(bad)
+        assert fake.threads == 4 and fake.calls == [1, 4]
 
 
 def test_numpy_scope_sets_numpy_pool_only():
@@ -264,13 +455,10 @@ def test_steady_state_falls_back_to_scipys_routines(monkeypatch, model):
     counted(scipy.linalg, "schur")
     counted(lapack, "dtrsyl")
     monkeypatch.setattr(_blas, "_numpy_lapack", lambda routine: None)
-    caches = (_blas._numpy_dsyevd, _blas._numpy_dgeev, _blas._numpy_dgees, _blas._numpy_dtrsyl)
-    for cache in caches:
-        cache.cache_clear()
+    clear_lookups()
     try:
         B = steady_state(model).two_point.B
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        clear_lookups()
     assert calls.count("schur") == 1 and "dtrsyl" in calls
     assert np.abs(B - reference).max() <= 1e-12

@@ -745,14 +745,15 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def count_eigh(monkeypatch):
+    """Record each eigh of K^T K the bath makes (``_blas.gram_eigh``)."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = spectra.gram_eigh
 
     def counting_eigh(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(spectra, "gram_eigh", counting_eigh)
     return calls
 
 

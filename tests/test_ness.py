@@ -14,6 +14,7 @@ from openquad import ness as ns
 from openquad import oracle as orc
 from openquad import spectra as sp
 from openquad import steady_state
+from openquad._blas import serial_lapack
 from openquad.cli import ExperimentConfig, build_model
 from openquad.dynamics import propagate_two_point
 
@@ -745,7 +746,9 @@ def loop_correlation_spectrum(two_point, block):
         return np.zeros(0)
     idx = np.concatenate([[2 * a - 2, 2 * a - 1] for a in block])
     Bsub = two_point.B[np.ix_(idx, idx)]
-    nu2 = np.linalg.eigvalsh(Bsub.T @ Bsub)
+    G = Bsub.T @ Bsub
+    with serial_lapack(len(G)):  # the thread rule of every eigensolve
+        nu2 = np.linalg.eigvalsh(G)
     return np.sqrt(np.maximum(nu2[1::2], 0.0))[::-1]
 
 

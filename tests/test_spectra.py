@@ -12,6 +12,7 @@ from conftest import random_antisymmetric, random_structure, scipy_thread_contro
 from openquad import model as mdl
 from openquad import ness as ns
 from openquad import spectra as sp
+from openquad._blas import serial_lapack
 from openquad.cli import ExperimentConfig, build_model
 from openquad.validation import spectrum_deviation
 
@@ -139,14 +140,7 @@ def test_bath_vectors_one_eigensolve_per_model(monkeypatch):
     model = mdl.xy_redfield_model(
         mdl.ChainParams(96, 0.5, 0.75), kappas=(1.0, 0.7, 1.0, 0.4)
     )
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = count_eigh(monkeypatch)
     zs = sp.bath_vectors(model)
     assert len(model.couplings) == len(zs) == 4
     assert len(calls) == 1
@@ -211,14 +205,15 @@ def test_bath_vector_at_a_very_low_temperature(monkeypatch):
 
 
 def count_eigh(monkeypatch):
+    """Record each eigh of K^T K the bath makes (``_blas.gram_eigh``)."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh = sp.gram_eigh
 
     def counting_eigh(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(sp, "gram_eigh", counting_eigh)
     return calls
 
 
@@ -627,7 +622,9 @@ def test_lyapunov_matrices_from_the_coupling_rows_are_the_dense_formula(model):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
     assert X.flags.f_contiguous  # for the Schur form to overwrite
-    assert np.array_equal(sp.rapidities(model), 0.5 * np.linalg.eigvals(X))
+    with serial_lapack(len(X)):  # the thread rule of every eigensolve
+        ref = 0.5 * np.linalg.eigvals(X)
+    assert np.array_equal(sp.rapidities(model), ref)
 
 
 def test_schur_form_overwrites_x():
