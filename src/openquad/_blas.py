@@ -26,6 +26,11 @@ Above the cutoff the threaded LAPACK wins and nothing is changed.  The
 other BLAS products and the dtrsyl leaves of the Lyapunov solve keep the
 pool's threads.  A forked sweep worker, which runs next to other
 workers, sets the pool to one thread for good (``single_threaded``).
+A gap scan, whose eigensolves are independent, runs them side by side
+on helper threads, each on one thread, under one scope that the
+calling thread holds over the whole section
+(``_real_eigenvalues_side_by_side``): the count is never set while a
+helper is inside BLAS.
 The thread controls are looked up by name in the library numpy's
 extension module links (``scipy_openblas_*``, else the plain
 ``openblas_*`` names, with or without the ``64_`` suffix of the ILP64
@@ -348,6 +353,71 @@ def real_eigenvalues(X: np.ndarray) -> np.ndarray:
     lam = np.empty(len(wr), dtype=complex)
     lam.real, lam.imag = wr, wi
     return lam
+
+
+def _eigenvalues_or_error(X: np.ndarray):
+    """``real_eigenvalues(X)``, or the exception it raised."""
+    try:
+        return real_eigenvalues(X)
+    except Exception as exc:  # handed to the caller, which decides what is raised
+        return exc
+
+
+def _real_eigenvalues_side_by_side(matrices, order: int, threads: int) -> list:
+    """``real_eigenvalues`` of each matrix that the iterable ``matrices``
+    yields, in input order, with up to ``threads`` eigensolves in flight.
+
+    Each entry is the eigenvalues, or the exception the eigensolve raised;
+    an exception that ``matrices`` yields in place of a matrix is its own
+    entry, so the caller decides which failure it reports.  ``order``
+    bounds the order of every matrix.
+
+    The eigensolves run on helper threads, as many as the least of
+    ``threads`` and numpy's pool count at entry: the LAPACK call releases
+    the GIL, so each helper keeps one core busy while the calling thread
+    draws the next matrix.  That matrix waits for a free helper, so at
+    most one matrix more than there are helpers is alive.  The calling
+    thread holds one ``serial_lapack`` scope over the whole section: the
+    pool count is set to one before the first helper starts and restored
+    after the last has returned, so it never changes while a helper is
+    inside BLAS.  With one helper, no thread controls (where the scope
+    could not hold the pool to one thread) or ``order`` above
+    ``SERIAL_LAPACK_ORDER`` (where the pool's threads win), the
+    eigensolves run one after another on the calling thread.
+    """
+    controls = thread_controls()
+    if controls is not None:
+        threads = min(threads, controls[0]())
+    if controls is None or threads <= 1 or order > SERIAL_LAPACK_ORDER:
+        return [item if isinstance(item, Exception) else _eigenvalues_or_error(item)
+                for item in matrices]
+    _numpy_dgeev()  # the lookup, once, before any helper calls it
+    results, helpers = [], []
+    free = threading.Semaphore(threads)
+
+    def solve(index: int, box: list):
+        # the matrix is taken out of its box, so it is freed when its
+        # eigensolve returns, before the slot is, not when the thread ends
+        try:
+            results[index] = _eigenvalues_or_error(box.pop())
+        finally:
+            free.release()
+
+    with serial_lapack(order):
+        try:
+            for item in matrices:
+                if isinstance(item, Exception):
+                    results.append(item)
+                    continue
+                results.append(None)
+                free.acquire()
+                helper = threading.Thread(target=solve, args=(len(results) - 1, [item]))
+                helper.start()
+                helpers.append(helper)
+        finally:
+            for helper in helpers:
+                helper.join()
+    return results
 
 
 def real_eig(X: np.ndarray):

@@ -5,7 +5,11 @@ Reads a JSON experiment description, builds the model, runs one task
 primary data file (CSV or JSON) plus a metadata sidecar.  Outputs are
 deterministic: identical config, code version and --workers give
 identical bytes (forked sweep workers run BLAS on one thread, so their
-rows may differ from a serial run's in the last bits).
+rows may differ from a serial run's in the last bits).  A gap scan
+solves its sizes side by side on helper threads, as many as numpy's
+BLAS pool has threads and the CPUs allow, and writes the bytes of a
+scan that solves them one after another; --workers does not apply to
+it.
 
     openquad run config.json [--output-dir DIR] [--workers N]
                              [--format csv|json] [--seed S]
@@ -30,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._blas import single_threaded
+from ._blas import _real_eigenvalues_side_by_side, single_threaded
 from .model import (
     DEFAULT_BETA_L,
     DEFAULT_BETA_R,
@@ -46,8 +50,8 @@ from .ness import NonUniqueNESSError, observable_report, steady_state
 from .spectra import (
     NonDiagonalizableError,
     _gram_eigh_memo,
+    _x_matrix,
     normal_modes,
-    rapidities,
     spectral_gap,
 )
 
@@ -597,10 +601,33 @@ def _task_sweep(cfg: ExperimentConfig, workers: int):
 
 
 def _task_gap_scaling(cfg: ExperimentConfig):
+    """The gap of each size and the power law fitted to them.
+
+    The gap needs only the eigenvalues of X (``spectra.rapidities``): no
+    Schur vectors, no Lyapunov solve and no uniqueness refusal.  This
+    thread builds each size's X, largest first, while the eigensolves of
+    the sizes already built run side by side, each on one thread and one
+    core (``_blas._real_eigenvalues_side_by_side``); it reads every gap
+    itself.  A failure is raised as the first one in ascending order of
+    the sizes, as a scan one size after another would raise it.
+    """
     sizes = sorted(cfg.sizes)
-    # the gap needs only the eigenvalues of X: no Schur vectors, no
-    # Lyapunov solve and no uniqueness refusal
-    gaps = [spectral_gap(rapidities(build_model(cfg, n=n))) for n in sizes]
+
+    def matrices():
+        for n in reversed(sizes):
+            try:
+                yield _x_matrix(build_model(cfg, n=n))
+            except Exception as exc:  # raised below, in the order of the sizes
+                yield exc
+
+    eigenvalues = _real_eigenvalues_side_by_side(
+        matrices(), 2 * sizes[-1], min(_usable_cpus(), len(sizes))
+    )
+    gaps = []
+    for entry in reversed(eigenvalues):
+        if isinstance(entry, Exception):
+            raise entry
+        gaps.append(spectral_gap(0.5 * entry))
     expo, pref, resid = fit_power_law(sizes, gaps)
     rows = [[n, g, expo, pref, resid] for n, g in zip(sizes, gaps)]
     return ["n", "gap", "fit_exponent", "fit_prefactor", "fit_residual"], rows

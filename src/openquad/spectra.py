@@ -319,7 +319,8 @@ def _diagonals(K: np.ndarray):
         diags.append((rows, cols, values))
         row_sums[rows] += np.abs(values[:, 0])
         col_sums[cols] += np.abs(values[:, 0])
-    return diags, float(row_sums.max() * col_sums.max()) if diags else 0.0
+    # as Python floats, so a product beyond float range is inf without a warning
+    return diags, float(row_sums.max()) * float(col_sums.max()) if diags else 0.0
 
 
 def _apply(diags, V: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -482,7 +483,8 @@ def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
     of a dense eigh of K^T K, and by that eigh otherwise (dense K, small
     2n, very low temperature).  Inside ``_gram_eigh_memo`` (a sweep) that
     eigh is done once per Hamiltonian: points that change only the
-    temperatures or the couplings reuse it, bit for bit.
+    temperatures or the couplings reuse it, bit for bit.  A K whose
+    |K|_1 |K|_inf overflows is refused (ValueError).
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -494,6 +496,8 @@ def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
     X = np.concatenate([xs.real, xs.imag[complex_rows]]).T
     col_betas = betas + [betas[i] for i in complex_rows]
     diags, L = _diagonals(K)
+    if not np.isfinite(L):  # K^T K and its series bound lie beyond float range
+        raise ValueError("Ohmic bath: |H|_1 |H|_inf of the Hamiltonian overflows")
     use_series = False
     if L > 0:
         terms = max(_series_terms(b, L) for b in set(betas))
@@ -734,6 +738,13 @@ def lyapunov_form(model: QuadraticModel) -> LyapunovForm:
     return LyapunovForm(X, Y, *_real_schur(X.copy(order="F")))
 
 
+def _x_matrix(model: QuadraticModel) -> np.ndarray:
+    """X of ``lyapunov_form`` alone, in Fortran order, from the coupling
+    rows: the matrix whose eigenvalues are twice the rapidities."""
+    S, XS, _ = _lyapunov_rows(model)
+    return _x_from_rows(model.H, S, XS)
+
+
 def rapidities(model: QuadraticModel) -> np.ndarray:
     """The 2n rapidities beta_j = eig(X)/2 of ``lyapunov_form``, from the
     eigenvalues of X alone: no Y, no Schur vectors and no Lyapunov solve.
@@ -741,11 +752,11 @@ def rapidities(model: QuadraticModel) -> np.ndarray:
     The eigenvalues are numpy's eigvals (LAPACK's dgeev without vectors),
     made on X's own buffer and, like every eigensolve of the solvers, on
     one thread up to order ``SERIAL_LAPACK_ORDER``
-    (``_blas.real_eigenvalues``): at the gap scans' 2n <= 192 the threads
-    of numpy's pool cost more than they save.
+    (``_blas.real_eigenvalues``).  A gap scan builds the same X
+    (``_x_matrix``) and solves its sizes side by side, each on one thread
+    (``_blas._real_eigenvalues_side_by_side``).
     """
-    S, XS, _ = _lyapunov_rows(model)
-    return 0.5 * real_eigenvalues(_x_from_rows(model.H, S, XS))
+    return 0.5 * real_eigenvalues(_x_matrix(model))
 
 
 def _lyapunov_pair(A: np.ndarray, tol: float):

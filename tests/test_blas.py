@@ -1,6 +1,8 @@
 
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +349,107 @@ def test_non_finite_x_restores_the_count(fake):
         with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
             solve(bad)
         assert fake.threads == 4 and fake.calls == [1, 4]
+
+
+def spy_on_threads(monkeypatch):
+    """Record the thread of each ``_blas.real_eigenvalues`` call."""
+    threads = []
+    solve = _blas.real_eigenvalues
+
+    def spy(X):
+        threads.append(threading.get_ident())
+        return solve(X)
+
+    monkeypatch.setattr(_blas, "real_eigenvalues", spy)
+    return threads
+
+
+def test_side_by_side_eigenvalues_are_the_serial_ones_in_order(monkeypatch, fake):
+    # more helpers than cores, switching often: each entry lands at its
+    # index with the bits of a serial eigensolve, a failed eigensolve and a
+    # matrix that failed to build are their own entries, and the count
+    # is set to one before the first helper and restored after the last
+    rng = np.random.default_rng(5)
+    matrices = [rng.standard_normal((order, order)) for order in rng.integers(2, 60, 48)]
+    matrices[7][1, 1] = np.nan
+    refused = ValueError("the matrix failed to build")
+    items = matrices[:20] + [refused] + matrices[20:]
+    expected = [refused if item is refused else None if i == 7 else
+                _blas.real_eigenvalues(item.copy()) for i, item in enumerate(items)]
+    fake.calls.clear()
+    seen = spy_on_lapack(monkeypatch, fake, "rapidities", True)
+    threads = spy_on_threads(monkeypatch)
+    active = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = _blas._real_eigenvalues_side_by_side(iter(items), 60, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == active
+    assert fake.threads == 4 and fake.calls == [1, 4]
+    # a workspace query and the call for each finite matrix
+    assert len(seen) == 2 * (len(matrices) - 1) and set(seen) == {1}
+    assert len(threads) == len(matrices) and threading.get_ident() not in threads
+    assert len(results) == len(items)
+    assert isinstance(results[7], np.linalg.LinAlgError) and results[20] is refused
+    for i, (got, want) in enumerate(zip(results, expected)):
+        if i not in (7, 20):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class LingeringSemaphore(threading.Semaphore):
+    """A semaphore whose releasing thread goes on for a while, as a helper
+    thread may after it frees its slot and before it ends."""
+
+    def release(self, n=1):
+        super().release(n)
+        time.sleep(0.005)
+
+
+def test_side_by_side_keeps_at_most_threads_plus_one_matrices_alive(monkeypatch, fake):
+    # before the next matrix is built, at most one per helper is alive, also
+    # while a helper that freed its slot has not ended yet
+    monkeypatch.setattr(threading, "Semaphore", LingeringSemaphore)
+    rng = np.random.default_rng(6)
+    refs, alive = [], []
+
+    def matrices():
+        for _ in range(24):
+            alive.append(sum(ref() is not None for ref in refs))
+            X = np.asfortranarray(rng.standard_normal((40, 40)))
+            refs.append(weakref.ref(X))
+            yield X
+
+    results = _blas._real_eigenvalues_side_by_side(matrices(), 40, 3)
+    assert len(results) == 24 and max(alive) <= 3
+    assert fake.calls == [1, 4]
+
+
+@pytest.mark.parametrize("case", ["one_helper", "one_pool_thread", "no_controls",
+                                  "above_the_cutoff"])
+def test_side_by_side_runs_serially(monkeypatch, fake, case):
+    # the eigensolves run on the calling thread, each under its own scope
+    # (none above the cutoff), when there is no second helper or the pool
+    # cannot be held to one thread
+    threads, order = 2, 30
+    if case == "one_helper":
+        threads = 1
+    elif case == "one_pool_thread":
+        fake.threads = 1
+    elif case == "no_controls":
+        monkeypatch.setattr(_blas, "thread_controls", lambda: None)
+    else:
+        monkeypatch.setattr(_blas, "SERIAL_LAPACK_ORDER", order - 1)
+    calls = spy_on_threads(monkeypatch)
+    X = np.random.default_rng(7).standard_normal((order, order))
+    results = _blas._real_eigenvalues_side_by_side([X, X, X], order, threads)
+    assert calls == [threading.get_ident()] * 3
+    assert all(r.tobytes() == results[0].tobytes() for r in results)
+    if case in ("one_helper", "one_pool_thread"):
+        assert fake.calls == [1, fake.threads] * 3
+    else:
+        assert fake.calls == []
 
 
 def test_numpy_scope_sets_numpy_pool_only():

@@ -5,6 +5,7 @@ import multiprocessing
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -793,16 +794,16 @@ def test_nothing_is_kept_after_a_sweep(tmp_path, monkeypatch):
 
 
 @contextlib.contextmanager
-def blas_on_one_thread():
-    """numpy's OpenBLAS pool, the one a solve uses, on one thread, as in a
-    forked sweep worker."""
+def blas_pool(threads):
+    """numpy's OpenBLAS pool, the one a solve uses, on ``threads`` threads
+    (one: as in a forked sweep worker)."""
     controls = _blas.thread_controls()
     if controls is None:
         pytest.skip("no OpenBLAS thread controls")
     get, set_ = controls
     previous = get()
     try:
-        set_(1)
+        set_(threads)
         yield
     finally:
         set_(previous)
@@ -814,6 +815,116 @@ def test_forked_temperature_sweep_writes_the_bytes_of_a_serial_one(tmp_path):
     raw = json.loads((CONFIG_DIR / "fig_deltabeta.json").read_text())
     raw["sweep"]["values"] = [0.05, 0.3, 0.8, 1.6]
     forked = cli.run(raw, output_dir=str(tmp_path / "w2"), workers=2)
-    with blas_on_one_thread():
+    with blas_pool(1):
         serial = cli.run(raw, output_dir=str(tmp_path / "w1"), workers=1)
     assert forked.read_bytes() == serial.read_bytes()
+
+
+# ------------------------------------------------ gap scans side by side
+
+
+def spy_on_eigensolves(monkeypatch, failing_orders=()):
+    """Record the thread of each eigensolve of X (``_blas.real_eigenvalues``);
+    those of the given orders raise LinAlgError naming the order."""
+    threads = []
+    solve = _blas.real_eigenvalues
+
+    def spy(X):
+        threads.append(threading.get_ident())
+        if len(X) in failing_orders:
+            raise np.linalg.LinAlgError(f"eigensolve of order {len(X)} failed")
+        return solve(X)
+
+    monkeypatch.setattr(_blas, "real_eigenvalues", spy)
+    return threads
+
+
+def scan(raw, directory, threads):
+    """``cli.main`` on the config ``raw`` with numpy's pool on ``threads``
+    threads: its exit code and stderr.  The pool count and the number of
+    Python threads after the run are those before it."""
+    config = directory / "config.json"
+    directory.mkdir()
+    config.write_text(json.dumps(raw))
+    active = threading.active_count()
+    err = io.StringIO()
+    with blas_pool(threads):
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(config), "--output-dir", str(directory)])
+        assert _blas.thread_controls()[0]() == threads
+    assert threading.active_count() == active
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("h", ["0.3", "0.75", "0.8"])
+def test_side_by_side_gap_scan_writes_the_rows_of_a_serial_one(tmp_path, monkeypatch, h):
+    # the sizes solved side by side, each on one thread, give the bytes of a
+    # scan that solves them one after another with the pool on one thread
+    raw = json.loads((CONFIG_DIR / f"fig_gap_h{h}.json").read_text())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    threads = spy_on_eigensolves(monkeypatch)
+    assert scan(raw, tmp_path / "side_by_side", 2)[0] == 0
+    assert set(threads) - {threading.get_ident()}, "no eigensolve ran on a helper"
+    threads.clear()
+    assert scan(raw, tmp_path / "serial", 1)[0] == 0
+    assert set(threads) == {threading.get_ident()}
+    side_by_side, serial = (tmp_path / side / "gap_scaling.csv" for side in ("side_by_side", "serial"))
+    assert side_by_side.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "h, failing, message",
+    [(0.9, {24}, "order 24 failed"),
+     (0.9, {40, 96}, "order 40 failed"),
+     (0.9, {16, 24, 40, 96}, "order 16 failed"),
+     (1e160, (), "overflows")],
+    ids=["one", "two", "all", "overflow"],
+)
+def test_a_failed_size_is_reported_as_a_serial_scan_reports_it(
+    tmp_path, monkeypatch, h, failing, message
+):
+    # the first failure in ascending order of the sizes, whether its
+    # eigensolve ran on a helper or its X failed to build on this thread
+    raw = {"task": "gap_scaling", "model": {"n": 8, "gamma": 0.5, "h": h},
+           "sizes": [8, 12, 20, 48]}
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    spy_on_eigensolves(monkeypatch, failing)
+    side_by_side = scan(raw, tmp_path / "side_by_side", 2)
+    serial = scan(raw, tmp_path / "serial", 1)
+    assert side_by_side == serial
+    code, err = serial
+    assert code == 3 and len(err.splitlines()) == 1, err
+    assert message in err
+    assert not (tmp_path / "serial" / "gap_scaling.csv").exists()
+
+
+def test_gap_scan_builds_and_reads_every_size_on_the_calling_thread(tmp_path, monkeypatch):
+    # the bath memo, build_model and the spans of the traced benchmark are
+    # single-threaded: the helpers run the eigensolve alone
+    seen = {"build_model": [], "spectral_gap": []}
+    for name in seen:
+        def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            seen[_name].append(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    threads = spy_on_eigensolves(monkeypatch)
+    raw = json.loads((CONFIG_DIR / "fig_gap_h0.8.json").read_text())
+    assert scan(raw, tmp_path / "gap", 2)[0] == 0
+    sizes = len(raw["sizes"])
+    assert len(threads) == sizes and set(threads) - {threading.get_ident()}
+    for calls in seen.values():
+        assert calls == [threading.get_ident()] * sizes
+
+
+@pytest.mark.parametrize("task", ["ness", "gap_scaling"])
+def test_hamiltonian_beyond_float_range_exit_3(tmp_path, task):
+    # |K|_1 |K|_inf of the bath overflows: refused, not an OverflowError
+    cfg = write_config(tmp_path, {"task": task, "model": {"n": 8, "gamma": 0.5, "h": 1e160},
+                                  "output": {"directory": str(tmp_path / "out")}})
+    proc = run_cli("run", str(cfg))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numerical failure (ValueError): Ohmic bath: |H|_1 |H|_inf of the Hamiltonian overflows"
+    ]

@@ -612,8 +612,8 @@ def test_cached_B_has_the_bytes_of_the_uncached_formula():
     T[2, 4] = complex(3.0, -0.0)
     T[3, 5] = complex(np.inf, 1.0)
     T[4, 0] = complex(-2.0, np.nan)
-    two_point = ns.TwoPointMatrix(T)
     with np.errstate(invalid="ignore"):
+        two_point = ns.TwoPointMatrix(T)
         ref = np.ascontiguousarray(uncached_B(two_point))
         assert two_point.B.tobytes() == ref.tobytes()
 
