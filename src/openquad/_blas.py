@@ -3,7 +3,9 @@ solvers, called in it.
 
 Every LAPACK call of the solvers runs in the OpenBLAS that numpy's wheel
 bundles: numpy.linalg's own routines, and the four below, which call
-that library's LAPACK through ctypes.  scipy's wheel bundles a second
+that library's LAPACK through ctypes.  ``_lapack`` finds each of those
+routines once and types its arguments from one table, ``_SIGNATURES``,
+so a wrong type raises at the first call.  scipy's wheel bundles a second
 OpenBLAS with a second thread pool as large as the machine.  After a
 call the idle workers of a pool keep spinning for a while, so two pools
 in one process fought: on 2 cores a 25-point sweep at n = 53 took 1.14 s
@@ -187,52 +189,37 @@ _LAPACK_NAMES = (
 )
 
 
-def _numpy_lapack(routine: str):
+# the arguments of each routine, one letter each: f a flag (char *), i a
+# pointer to an integer, p an array, d a pointer to a double.  gfortran
+# passes the lengths of the two flags after them
+_SIGNATURES = {
+    "dsyevd": "ffipippipii",  # jobz uplo n a lda w work lwork iwork liwork info
+    "dgeev": "ffipipppipipii",  # jobvl jobvr n a lda wr wi vl ldvl vr ldvr work lwork info
+    "dgees": "ffpipiipppipipi",  # jobvs sort select n a lda sdim wr wi vs ldvs work
+                                 # lwork bwork info
+    "dtrsyl": "ffiiipipipidi",  # trana tranb isgn m n a lda b ldb c ldc scale info
+}
+
+
+@functools.cache
+def _lapack(routine: str):
     """(function, its integer type) of LAPACK's ``routine`` in the library
-    that numpy.linalg calls, with its return type set, or None when none
+    that numpy.linalg calls, typed by ``_SIGNATURES``, or None when none
     of ``_LAPACK_NAMES`` is found."""
     try:
         lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
     except (ImportError, OSError):
         return None
     for name, integer in _LAPACK_NAMES:
-        try:
-            function = getattr(lib, name.format(routine))
-        except AttributeError:
+        function = getattr(lib, name.format(routine), None)
+        if function is None:
             continue
+        types = {"f": ctypes.c_char_p, "i": ctypes.POINTER(integer), "p": ctypes.c_void_p,
+                 "d": ctypes.POINTER(ctypes.c_double)}
         function.restype = None
+        function.argtypes = [types[kind] for kind in _SIGNATURES[routine]] + [ctypes.c_size_t] * 2
         return function, integer
     return None
-
-
-@functools.cache
-def _numpy_dsyevd():
-    """(dsyevd, its integer type) of the LAPACK that numpy.linalg calls,
-    or None when it is not found (``_numpy_lapack``)."""
-    found = _numpy_lapack("dsyevd")
-    if found is not None:
-        dsyevd, integer = found
-        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
-        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info and the
-        # lengths of the two strings that gfortran passes last
-        dsyevd.argtypes = [flag, flag, number, ptr, number, ptr, ptr, number, ptr,
-                           number, number, ctypes.c_size_t, ctypes.c_size_t]
-    return found
-
-
-@functools.cache
-def _numpy_dgeev():
-    """(dgeev, its integer type) of the LAPACK that numpy.linalg calls,
-    or None when it is not found (``_numpy_lapack``)."""
-    found = _numpy_lapack("dgeev")
-    if found is not None:
-        dgeev, integer = found
-        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
-        # jobvl, jobvr, n, a, lda, wr, wi, vl, ldvl, vr, ldvr, work, lwork,
-        # info and the lengths of the two strings
-        dgeev.argtypes = [flag, flag, number, ptr, number, ptr, ptr, ptr, number, ptr,
-                          number, ptr, number, number, ctypes.c_size_t, ctypes.c_size_t]
-    return found
 
 
 def _workspace(X: np.ndarray) -> np.ndarray:
@@ -259,7 +246,7 @@ def _symmetric_eigensolve(G: np.ndarray, jobz: bytes):
     the vectors then overwrite.  Where that dsyevd is not found, or G is
     not a contiguous float64 array, this is eigvalsh or eigh.
     """
-    found = _numpy_dsyevd()
+    found = _lapack("dsyevd")
     if found is None or G.dtype != np.float64 or not G.flags.c_contiguous:
         return np.linalg.eigh(G) if jobz == b"V" else np.linalg.eigvalsh(G)
     dsyevd, integer = found
@@ -308,7 +295,7 @@ def _dgeev(X: np.ndarray, jobvr: bytes):
     """wr, wi and (``jobvr`` b"V") the right vectors R of numpy.linalg's
     dgeev on X's buffer or a copy (``_workspace``), after a workspace
     query; None for R with ``jobvr`` b"N".  dgeev must be found."""
-    dgeev, integer = _numpy_dgeev()
+    dgeev, integer = _lapack("dgeev")
     A = _workspace(X)
     order = len(A)
     vectors = jobvr == b"V"
@@ -345,7 +332,7 @@ def real_eigenvalues(X: np.ndarray) -> np.ndarray:
     non-square or non-finite X or when the QR iteration fails.
     """
     with serial_lapack(len(X)):
-        if _numpy_dgeev() is None:
+        if _lapack("dgeev") is None:
             return np.linalg.eigvals(X)
         wr, wi, _ = _dgeev(X, b"N")
     if not wi.any():
@@ -391,7 +378,7 @@ def _real_eigenvalues_side_by_side(matrices, order: int, threads: int) -> list:
     if controls is None or threads <= 1 or order > SERIAL_LAPACK_ORDER:
         return [item if isinstance(item, Exception) else _eigenvalues_or_error(item)
                 for item in matrices]
-    _numpy_dgeev()  # the lookup, once, before any helper calls it
+    _lapack("dgeev")  # the lookup, once, before any helper calls it
     results, helpers = [], []
     free = threading.Semaphore(threads)
 
@@ -437,7 +424,7 @@ def real_eig(X: np.ndarray):
     iteration fails.
     """
     with serial_lapack(len(X)):
-        if _numpy_dgeev() is not None:
+        if _lapack("dgeev") is not None:
             wr, wi, R = _dgeev(X, b"V")
             return wr + 1j * wi, R
         lam, v = np.linalg.eig(X)
@@ -447,37 +434,6 @@ def real_eig(X: np.ndarray):
     firsts = np.flatnonzero(lam.imag > 0)
     R[:, firsts + 1] = v.imag[:, firsts]
     return lam, R
-
-
-@functools.cache
-def _numpy_dgees():
-    """(dgees, its integer type) of the LAPACK that numpy.linalg calls,
-    or None when it is not found (``_numpy_lapack``)."""
-    found = _numpy_lapack("dgees")
-    if found is not None:
-        dgees, integer = found
-        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
-        # jobvs, sort, select, n, a, lda, sdim, wr, wi, vs, ldvs, work,
-        # lwork, bwork, info and the lengths of the two strings
-        dgees.argtypes = [flag, flag, ptr, number, ptr, number, number, ptr, ptr, ptr,
-                          number, ptr, number, ptr, number, ctypes.c_size_t, ctypes.c_size_t]
-    return found
-
-
-@functools.cache
-def _numpy_dtrsyl():
-    """(dtrsyl, its integer type) of the LAPACK that numpy.linalg calls,
-    or None when it is not found (``_numpy_lapack``)."""
-    found = _numpy_lapack("dtrsyl")
-    if found is not None:
-        dtrsyl, integer = found
-        flag, ptr, number = ctypes.c_char_p, ctypes.c_void_p, ctypes.POINTER(integer)
-        # trana, tranb, isgn, m, n, a, lda, b, ldb, c, ldc, scale, info and
-        # the lengths of the two strings
-        dtrsyl.argtypes = [flag, flag, number, number, number, ptr, number, ptr, number,
-                           ptr, number, ctypes.POINTER(ctypes.c_double), number,
-                           ctypes.c_size_t, ctypes.c_size_t]
-    return found
 
 
 def real_schur(X: np.ndarray):
@@ -494,7 +450,7 @@ def real_schur(X: np.ndarray):
     """
     with serial_lapack(len(X)):
         A = _workspace(X)
-        found = _numpy_dgees()
+        found = _lapack("dgees")
         if found is None:
             import scipy.linalg
 
@@ -535,7 +491,7 @@ def triangular_sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     m, n = C.shape
     if A.shape != (m, m) or B.shape != (n, n):
         raise ValueError(f"shapes {A.shape}, {B.shape}, {C.shape} are not (m, m), (n, n), (m, n)")
-    found = _numpy_dtrsyl()
+    found = _lapack("dtrsyl")
     if found is None:
         from scipy.linalg import lapack
 

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
@@ -49,6 +50,7 @@ from .model import (
 from .ness import NonUniqueNESSError, observable_report, steady_state
 from .spectra import (
     NonDiagonalizableError,
+    ZeroRapidityWarning,
     _gram_eigh_memo,
     _x_matrix,
     normal_modes,
@@ -307,6 +309,10 @@ def _parse_sweep(raw) -> dict:
             raise ConfigError(
                 f"sweep.parameter: {p!r} is not a sweepable field {SWEEPABLE}"
             )
+    if len(set(pars)) < len(pars):
+        raise ConfigError(f"sweep.parameter: {pars[0]!r} is named twice")
+    if "delta_beta" in pars and {"beta_L", "beta_R"} & set(pars):
+        raise ConfigError("sweep.parameter: delta_beta already sets beta_L and beta_R")
     axes = []
     specs = [raw] if len(pars) == 1 else [raw.get("axis1", raw), raw.get("axis2")]
     if len(pars) == 2 and specs[1] is None:
@@ -434,7 +440,8 @@ def write_table(path: Path, header: list[str], blocks, fmt: str) -> None:
     each of its rows, or a 1-D sequence of ints or floats, one per row (see
     ``_block``); a plain row of scalars is a one-row block.  CSV is
     rendered block by block, one ``%`` template per block, and written as
-    it goes; JSON is the list of row objects.
+    it goes; JSON is the list of row objects, with null for a NaN or an
+    infinity, which JSON has no token for.
     """
     with _output_file(path) as out:
         if fmt == "csv":
@@ -451,7 +458,8 @@ def write_table(path: Path, header: list[str], blocks, fmt: str) -> None:
             for block in blocks:
                 _, count, columns = _block(block)
                 columns = [c if isinstance(c, list) else repeat(c, count) for c in columns]
-                payload += [dict(zip(header, row)) for row in zip(*columns)]
+                payload += [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                             for key, v in zip(header, row)} for row in zip(*columns)]
             out.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
@@ -637,9 +645,12 @@ def _task_dynamics(cfg: ExperimentConfig):
     from .dynamics import dynamic_correlator
 
     # X and Y from the model's coupling rows, with no 4n x 4n matrix; the
-    # model, with its complex 2n x 2n H, is released before the correlator
+    # model, with its complex 2n x 2n H, is released before the correlator,
+    # which refuses (one stderr line) every state that normal_modes warns for
     model = build_model(cfg)
-    modes = normal_modes(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroRapidityWarning)
+        modes = normal_modes(model)
     del model
     times = np.linspace(0.0, cfg.t_max, cfg.num_times)
     vals = dynamic_correlator(modes, cfg.pairs[0], cfg.pairs[1], times)

@@ -1,4 +1,5 @@
 
+import ctypes
 import sys
 import threading
 import time
@@ -141,9 +142,15 @@ def test_real_scope_restores_the_previous_count():
 
 
 def clear_lookups():
-    for lookup in (_blas.thread_controls, _blas._numpy_dsyevd, _blas._numpy_dgeev,
-                   _blas._numpy_dgees, _blas._numpy_dtrsyl):
+    for lookup in (_blas.thread_controls, _blas._lapack):
         lookup.cache_clear()
+
+
+def lapack_returns(monkeypatch, routine, found):
+    """Make ``_blas._lapack(routine)`` return ``found``; the lookups of the
+    other routines are left as they were."""
+    lookup = _blas._lapack
+    monkeypatch.setattr(_blas, "_lapack", lambda name: found if name == routine else lookup(name))
 
 
 def missing_library(path):
@@ -168,6 +175,24 @@ def test_failed_lookup_is_a_silent_no_op(monkeypatch, library):
         clear_lookups()
 
 
+# LAPACK's argument count of each routine of the signature table
+LAPACK_ARGUMENTS = {"dsyevd": 11, "dgeev": 14, "dgees": 15, "dtrsyl": 13}
+
+
+@pytest.mark.parametrize("routine", LAPACK_ARGUMENTS)
+def test_each_routine_takes_lapacks_arguments_and_two_string_lengths(routine):
+    # a short or long entry in the table would otherwise pass silently; the
+    # typed function is looked up once
+    assert set(_blas._SIGNATURES) == set(LAPACK_ARGUMENTS)
+    found = _blas._lapack(routine)
+    if found is None:
+        pytest.skip(f"numpy's LAPACK has no {routine}")
+    function, _ = found
+    assert len(function.argtypes) == LAPACK_ARGUMENTS[routine] + 2
+    assert list(function.argtypes[-2:]) == [ctypes.c_size_t] * 2
+    assert _blas._lapack(routine) is found
+
+
 @pytest.mark.parametrize("n, tol", [(53, 1e-12), (253, 1e-10)])
 def test_serial_steady_state_matches_the_threaded_one(monkeypatch, n, tol):
     model = mdl.xy_redfield_model(mdl.ChainParams(n, 0.5, 0.9))
@@ -182,8 +207,8 @@ def test_gram_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
     # one differ in the last bits, against eigvalsh under the same thread
     # scope (the product outside it); a strided view like a block of B,
     # and a float32 matrix, which goes to eigvalsh
-    for found in (_blas._numpy_dsyevd(), None):
-        monkeypatch.setattr(_blas, "_numpy_dsyevd", lambda: found)
+    for found in (_blas._lapack("dsyevd"), None):
+        lapack_returns(monkeypatch, "dsyevd", found)
         for A in gram_cases():
             before = A.copy()
             w = _blas.gram_eigenvalues(A)
@@ -201,8 +226,8 @@ def test_real_eig_is_numpy_eig_split_into_real_pairs(monkeypatch):
     # X is the workspace, a C-ordered one is left as it was
     rng = np.random.default_rng(5)
     S = rng.standard_normal((40, 40))
-    for found in (_blas._numpy_dgeev(), None):
-        monkeypatch.setattr(_blas, "_numpy_dgeev", lambda: found)
+    for found in (_blas._lapack("dgeev"), None):
+        lapack_returns(monkeypatch, "dgeev", found)
         for X in (S + S.T, S, S[:7, :7].copy()):
             ref, v = np.linalg.eig(X)
             pairs = np.flatnonzero(ref.imag > 0)
@@ -240,8 +265,8 @@ def test_gram_eigh_is_eigh_bit_for_bit(monkeypatch):
     # against eigh under the same thread scope (the product inside it), in
     # numpy's dsyevd and without it; the vectors C-ordered, as eigh
     # returns them
-    for found in (_blas._numpy_dsyevd(), None):
-        monkeypatch.setattr(_blas, "_numpy_dsyevd", lambda: found)
+    for found in (_blas._lapack("dsyevd"), None):
+        lapack_returns(monkeypatch, "dsyevd", found)
         for A in gram_cases():
             before = A.copy()
             s, Q = _blas.gram_eigh(A)
@@ -259,8 +284,8 @@ def test_real_eigenvalues_are_eigvals_bit_for_bit(monkeypatch):
     S = rng.standard_normal((96, 96))
     X_gap = np.ascontiguousarray(
         sp._lyapunov_matrices(mdl.xy_redfield_model(mdl.ChainParams(53, 0.5, 0.9)))[0])
-    for found in (_blas._numpy_dgeev(), None):
-        monkeypatch.setattr(_blas, "_numpy_dgeev", lambda: found)
+    for found in (_blas._lapack("dgeev"), None):
+        lapack_returns(monkeypatch, "dgeev", found)
         for X in (S, S + S.T, S[:16, :16].copy(), np.ones((1, 1)), X_gap):
             with _blas.serial_lapack(len(X)):
                 ref = np.linalg.eigvals(X)
@@ -281,12 +306,12 @@ def test_real_eigenvalues_are_eigvals_bit_for_bit(monkeypatch):
 X20 = np.random.default_rng(13).standard_normal((20, 20))
 MODEL10 = mdl.xy_lindblad_model(mdl.ChainParams(10, 0.5, 0.9))  # no eigh in its bath
 RULE_CASES = {
-    "rapidities": (lambda: sp.rapidities(MODEL10), "_numpy_dgeev", np.linalg, "eigvals"),
-    "_gram_eigh": (lambda: sp._gram_eigh(X20), "_numpy_dsyevd", np.linalg, "eigh"),
-    "gram_eigenvalues": (lambda: _blas.gram_eigenvalues(X20), "_numpy_dsyevd",
+    "rapidities": (lambda: sp.rapidities(MODEL10), "dgeev", np.linalg, "eigvals"),
+    "_gram_eigh": (lambda: sp._gram_eigh(X20), "dsyevd", np.linalg, "eigh"),
+    "gram_eigenvalues": (lambda: _blas.gram_eigenvalues(X20), "dsyevd",
                          np.linalg, "eigvalsh"),
-    "real_eig": (lambda: _blas.real_eig(X20), "_numpy_dgeev", np.linalg, "eig"),
-    "real_schur": (lambda: _blas.real_schur(X20), "_numpy_dgees", scipy.linalg, "schur"),
+    "real_eig": (lambda: _blas.real_eig(X20), "dgeev", np.linalg, "eig"),
+    "real_schur": (lambda: _blas.real_schur(X20), "dgees", scipy.linalg, "schur"),
 }
 
 
@@ -305,10 +330,10 @@ def spy_on_lapack(monkeypatch, fake, case, found, action=None):
         return call
 
     if found:
-        routine, integer = getattr(_blas, lookup)()
-        monkeypatch.setattr(_blas, lookup, lambda: (spy(routine), integer))
+        routine, integer = _blas._lapack(lookup)
+        lapack_returns(monkeypatch, lookup, (spy(routine), integer))
     else:
-        monkeypatch.setattr(_blas, lookup, lambda: None)
+        lapack_returns(monkeypatch, lookup, None)
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     return seen
 
@@ -497,8 +522,8 @@ def test_real_schur_overwrites_a_fortran_ordered_x_only(monkeypatch):
     # in numpy's dgees and in scipy's schur when it is not found; a
     # read-only or C-ordered X is copied
     S = np.random.default_rng(7).standard_normal((40, 40))
-    for found in (_blas._numpy_dgees(), None):
-        monkeypatch.setattr(_blas, "_numpy_dgees", lambda: found)
+    for found in (_blas._lapack("dgees"), None):
+        lapack_returns(monkeypatch, "dgees", found)
         frozen = np.asfortranarray(S)
         frozen.flags.writeable = False
         for X, overwritten in ((np.asfortranarray(S), True), (S.copy(), False), (frozen, False)):
@@ -557,7 +582,7 @@ def test_steady_state_falls_back_to_scipys_routines(monkeypatch, model):
 
     counted(scipy.linalg, "schur")
     counted(lapack, "dtrsyl")
-    monkeypatch.setattr(_blas, "_numpy_lapack", lambda routine: None)
+    monkeypatch.setattr(_blas, "_LAPACK_NAMES", ())
     clear_lookups()
     try:
         B = steady_state(model).two_point.B

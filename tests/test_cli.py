@@ -199,6 +199,42 @@ def test_numerical_failure_exit_3(tmp_path):
     assert "NonUniqueNESS" in proc.stderr
 
 
+def test_refused_dynamics_run_writes_one_stderr_line(tmp_path):
+    # normal_modes warns for the vanishing rapidity that the correlator
+    # then refuses: the refusal is the one line
+    cfg = write_config(tmp_path, {"task": "dynamics", "model": {"n": 8, "h": 1e150}})
+    proc = run_cli("run", str(cfg), "--output-dir", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert "NonUniqueNESSError" in proc.stderr
+
+
+@pytest.mark.parametrize("parameters", [["h", "h"], ["beta_L", "delta_beta"],
+                                        ["delta_beta", "beta_R"]])
+def test_sweep_axes_that_would_overwrite_each_other_exit_2(tmp_path, capsys, parameters):
+    # a repeated name, or delta_beta, which resets both temperatures, swept
+    # with one of them: every value of one axis would write the same rows
+    payload = {"task": "sweep", "model": {"n": 4},
+               "sweep": {"parameter": parameters, "values": [0.5, 0.7],
+                         "axis2": {"values": [0.1, 0.2]}}}
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "sweep.parameter" in err, err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_json_output_is_strict_json(tmp_path):
+    # the ness C_res of n = 3 is NaN, which is null in strict JSON
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    primary = cli.run({"task": "ness", "model": {"n": 3}}, output_dir=str(tmp_path), fmt="json")
+    rows = json.loads(primary.read_text(), parse_constant=refuse)
+    (c_res,) = [row["value"] for row in rows if row["quantity"] == "C_res"]
+    assert c_res is None
+
+
 # Config fuzzing.  Numbers stay within [-3, 6] and time counts at most 20,
 # so that every model a run can build has n <= 6 and no example is
 # expensive; the one huge size, 1e300, fails before any array is built.
@@ -339,7 +375,9 @@ def reference_table(header, rows, fmt) -> bytes:
         lines = [",".join(header)]
         lines += [",".join(reference_fmt(v) for v in row) for row in rows]
         return ("\n".join(lines) + "\n").encode()
-    payload = [dict(zip(header, row)) for row in rows]
+    # JSON has no token for a NaN or an infinity: such a cell is null
+    payload = [{key: None if isinstance(v, float) and not np.isfinite(v) else v
+                for key, v in zip(header, row)} for row in rows]
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
 
 
