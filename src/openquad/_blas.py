@@ -2,8 +2,8 @@
 solvers, called in it.
 
 Every LAPACK call of the solvers runs in the OpenBLAS that numpy's wheel
-bundles: numpy.linalg's own routines, and the four below, which call
-that library's LAPACK through ctypes.  ``_lapack`` finds each of those
+bundles: numpy.linalg's own routines, and three more, which call that
+library's LAPACK through ctypes.  ``_lapack`` finds each of those
 routines once and types its arguments from one table, ``_SIGNATURES``,
 so a wrong type raises at the first call.  scipy's wheel bundles a second
 OpenBLAS with a second thread pool as large as the machine.  After a
@@ -20,40 +20,48 @@ order up to ``SERIAL_LAPACK_ORDER``, and each routine applies that rule
 itself (``serial_lapack``): the Schur form of the steady state (dgees),
 the real eigensolves of ``spectra.normal_modes`` and of
 ``spectra.rapidities`` (dgeev with and without vectors), and the
-eigensolves of A^T A of the bath (dsyevd with vectors, with its product
-A^T A) and of the entropies (dsyevd without vectors).  At these orders the
-pool's threads cost more than they save, and a threaded eigensolve right
-after a product sometimes stalls behind the product's spinning workers.
-Above the cutoff the threaded LAPACK wins and nothing is changed.  The
-other BLAS products and the dtrsyl leaves of the Lyapunov solve keep the
-pool's threads.  A forked sweep worker, which runs next to other
-workers, sets the pool to one thread for good (``single_threaded``).
-A gap scan, whose eigensolves are independent, runs them side by side
-on helper threads, each on one thread, under one scope that the
-calling thread holds over the whole section
-(``_real_eigenvalues_side_by_side``): the count is never set while a
-helper is inside BLAS.
+eigensolves of A^T A of the bath (eigh, with its product A^T A) and of
+the entropies (eigvalsh).  At these orders the pool's threads cost more
+than they save, and a threaded eigensolve right after a product
+sometimes stalls behind the product's spinning workers.  Above the
+cutoff the threaded LAPACK wins and nothing is changed.  The other BLAS
+products and the dtrsyl leaves of the Lyapunov solve keep the pool's
+threads.  A forked sweep worker, which runs next to other workers, sets
+the pool to one thread for good (``single_threaded``).  A gap scan,
+whose eigensolves are independent, runs them side by side on helper
+threads, each on one thread, under one scope that the calling thread
+holds over the whole section (``_real_eigenvalues_side_by_side``): the
+count is never set while a helper is inside BLAS.
 The thread controls are looked up by name in the library numpy's
 extension module links (``scipy_openblas_*``, else the plain
 ``openblas_*`` names, with or without the ``64_`` suffix of the ILP64
 build).  Where neither exists (MKL, Accelerate, a system BLAS without
 them) the thread functions do nothing.
 
-``gram_eigenvalues``, ``gram_eigh``, ``real_eigenvalues`` and
-``real_eig`` make the eigensolves of numpy.linalg's ``eigvalsh``,
-``eigh``, ``eigvals`` and ``eig`` (dsyevd, dgeev) on a caller's buffer
-instead of on numpy's copy of it (and, for eig, without its complex
-eigenvectors); ``real_schur`` (dgees) and ``triangular_sylvester``
-(dtrsyl) are the Schur form and the Sylvester leaves that numpy.linalg
-lacks.  Where numpy's LAPACK lacks a routine (MKL or Accelerate builds),
-each falls back to numpy.linalg's or scipy's, under the same thread
-rule.  scipy's are no substitute where numpy's are found: on scipy's
-threads, right after numpy's product, dsyevd doubled the time of a
-25-point sweep at n = 53 (0.27-0.31 s -> 0.56-0.67 s on 2 cores), on one
-thread its bits differ from numpy's threaded solve at order 252 and
-above, and the first scipy LAPACK call of a process that used only
-numpy's sets up scipy's pool (0.9 MB more peak RSS on the benchmark's
-dynamics workload).
+A routine is called through ctypes only where numpy.linalg's own call
+will not do:
+
+- ``real_schur`` (dgees) and ``triangular_sylvester`` (dtrsyl): the
+  Schur form and the Sylvester leaves, which numpy.linalg lacks.
+- ``real_eig`` (dgeev with vectors): numpy's eig would build the 2n x 2n
+  complex eigenvectors, 64 MB at n = 1000 next to a 266 MB budget for
+  that run; dgeev's real vectors are returned as they are.
+- ``real_eigenvalues`` (dgeev without vectors): numpy's eigvals holds
+  the GIL through its LAPACK call, which the side-by-side gap scan needs
+  released.  On 2 cores a spinning Python thread ran about 16 M
+  iterations/s idle, 16 M during this dgeev and 2.6 M during eigvals at
+  order 400.
+
+``gram_eigenvalues`` and ``gram_eigh`` are numpy.linalg's eigvalsh and
+eigh themselves, under the thread rule.  Where numpy's LAPACK lacks a
+routine (MKL or Accelerate builds), each ctypes routine falls back to
+numpy.linalg's or scipy's, under the same thread rule.  scipy's are no
+substitute where numpy's are found: on scipy's threads, right after
+numpy's product, scipy's eigh doubled the time of a 25-point sweep at
+n = 53 (0.27-0.31 s -> 0.56-0.67 s on 2 cores), on one thread its bits
+differ from numpy's threaded solve at order 252 and above, and the first
+scipy LAPACK call of a process that used only numpy's sets up scipy's
+pool (0.9 MB more peak RSS on the benchmark's dynamics workload).
 """
 
 from __future__ import annotations
@@ -91,10 +99,10 @@ __all__ = [
 #   over the processes.  dgeev without vectors (the gap scan): 5.3-7.9 /
 #   6.3-6.9 ms at 128, 25-39 / 30-37 ms at 256, 141-237 / 150-239 ms at
 #   506, 380-462 / 356-363 ms at 800.
-# - dsyevd with vectors, with its product (the bath): 1.3-2.1 / 1.2-1.4 ms
+# - eigh (dsyevd), with its product (the bath): 1.3-2.1 / 1.2-1.4 ms
 #   at 128, where one first call on two threads took 236 ms, 5.5-5.7 /
 #   5.4-5.9 ms at 256, 26-38 / 20-21 ms at 506, 91-102 / 61-76 ms at 800.
-# - dsyevd without vectors (the entropies): 0.7-1.0 / 0.9-1.1 ms at 128,
+# - eigvalsh (dsyevd, no vectors; the entropies): 0.7-1.0 / 0.9-1.1 ms at 128,
 #   3.8-4.4 / 3.3-4.0 ms at 256, 14-18 / 14-16 ms at 506, 47-65 / 35-40 ms
 #   at 800.
 # Up to 256 one thread and two are even or one thread wins, and it avoids
@@ -181,7 +189,7 @@ def single_threaded() -> None:
 # names of a LAPACK routine in the OpenBLAS of numpy.linalg, each with the
 # integer width it implies: the ILP64 OpenBLAS of numpy's wheels (with and
 # without the scipy_ prefix), then the LP64 one.  A plain name such as
-# ``dsyevd_`` is not taken: its integers may be either width
+# ``dgees_`` is not taken: its integers may be either width
 _LAPACK_NAMES = (
     ("scipy_{}_64_", ctypes.c_int64),
     ("{}_64_", ctypes.c_int64),
@@ -193,7 +201,6 @@ _LAPACK_NAMES = (
 # pointer to an integer, p an array, d a pointer to a double.  gfortran
 # passes the lengths of the two flags after them
 _SIGNATURES = {
-    "dsyevd": "ffipippipii",  # jobz uplo n a lda w work lwork iwork liwork info
     "dgeev": "ffipipppipipii",  # jobvl jobvr n a lda wr wi vl ldvl vr ldvr work lwork info
     "dgees": "ffpipiipppipipi",  # jobvs sort select n a lda sdim wr wi vs ldvs work
                                  # lwork bwork info
@@ -235,60 +242,21 @@ def _workspace(X: np.ndarray) -> np.ndarray:
     return A if A.flags.writeable else A.copy(order="F")
 
 
-def _symmetric_eigensolve(G: np.ndarray, jobz: bytes):
-    """numpy.linalg's dsyevd (``jobz`` b"N": eigvalsh, b"V": eigh) of the
-    product G = A^T A, made on G's buffer.
-
-    numpy computes A^T A by syrk and mirrors the triangle, so the product
-    is exactly symmetric and its C-ordered buffer is itself in Fortran
-    order.  eigvalsh's and eigh's call (dsyevd on the lower triangle,
-    with the workspace a query asks for) is made on that buffer, which
-    the vectors then overwrite.  Where that dsyevd is not found, or G is
-    not a contiguous float64 array, this is eigvalsh or eigh.
-    """
-    found = _lapack("dsyevd")
-    if found is None or G.dtype != np.float64 or not G.flags.c_contiguous:
-        return np.linalg.eigh(G) if jobz == b"V" else np.linalg.eigvalsh(G)
-    dsyevd, integer = found
-    order = len(G)
-    w = np.empty(order)
-    info = integer(0)
-
-    def call(lwork: int, liwork: int):
-        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), dtype=integer)
-        dsyevd(jobz, b"L", integer(order), G.ctypes.data, integer(max(order, 1)),
-               w.ctypes.data, work.ctypes.data, integer(lwork),
-               iwork.ctypes.data, integer(liwork), info, 1, 1)
-        return work, iwork
-
-    work, iwork = call(-1, -1)  # the workspace query
-    if info.value == 0:
-        call(int(work[0]), int(iwork[0]))
-    if info.value:
-        raise np.linalg.LinAlgError(f"dsyevd failed: info {info.value}")
-    # the vectors are the columns of the Fortran-ordered buffer; eigh returns
-    # them C-ordered, and the products of a Fortran-ordered Q differ from
-    # those of eigh's in the last bits, so they are copied as eigh does
-    return (w, G.T.copy()) if jobz == b"V" else w
-
-
 def gram_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of A^T A for a real A: bit for bit
+    """Ascending eigenvalues of A^T A for a real A:
     ``np.linalg.eigvalsh(A.T @ A)`` with the eigensolve under
-    ``serial_lapack``, without eigvalsh's copy of A^T A
-    (``_symmetric_eigensolve``).  The product keeps the pool's threads."""
+    ``serial_lapack``.  The product keeps the pool's threads."""
     G = A.T @ A
     with serial_lapack(len(G)):
-        return _symmetric_eigensolve(G, b"N")
+        return np.linalg.eigvalsh(G)
 
 
 def gram_eigh(A: np.ndarray):
     """Ascending eigenvalues s and orthonormal eigenvectors Q (columns) of
-    A^T A for a real A: bit for bit ``np.linalg.eigh(A.T @ A)``, product
-    and eigensolve under ``serial_lapack``, without eigh's copy of A^T A
-    (``_symmetric_eigensolve``)."""
+    A^T A for a real A: ``np.linalg.eigh(A.T @ A)``, product and
+    eigensolve under ``serial_lapack``."""
     with serial_lapack(A.shape[1]):
-        return _symmetric_eigensolve(A.T @ A, b"V")
+        return np.linalg.eigh(A.T @ A)
 
 
 def _dgeev(X: np.ndarray, jobvr: bytes):

@@ -233,7 +233,7 @@ class ExperimentConfig:
         if cfg.fmt not in ("csv", "json"):
             raise ConfigError(f"output.format: expected csv|json, got {cfg.fmt!r}")
         if task == "sweep":
-            cfg.sweep = _parse_sweep(raw.get("sweep"))
+            cfg.sweep = _parse_sweep(raw.get("sweep"), btype)
         if task == "gap_scaling":
             cfg.sizes = _numbers("sizes", raw.get("sizes", list(range(16, 97, 8))), int)
             if len(cfg.sizes) < 4 or not all(2 <= s <= MAX_SITES for s in cfg.sizes):
@@ -297,7 +297,7 @@ def _numbers(field: str, values, kind=float) -> tuple:
     return tuple(_number(field, v, kind) for v in values)
 
 
-def _parse_sweep(raw) -> dict:
+def _parse_sweep(raw, bath_type: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("sweep: object required for task 'sweep'")
     par = raw.get("parameter")
@@ -308,6 +308,10 @@ def _parse_sweep(raw) -> dict:
         if p not in SWEEPABLE:
             raise ConfigError(
                 f"sweep.parameter: {p!r} is not a sweepable field {SWEEPABLE}"
+            )
+        if bath_type == "lindblad" and p in ("beta_L", "beta_R", "lambda", "delta_beta"):
+            raise ConfigError(
+                f"sweep.parameter: {p!r} is a Redfield bath field; a lindblad bath ignores it"
             )
     if len(set(pars)) < len(pars):
         raise ConfigError(f"sweep.parameter: {pars[0]!r} is named twice")

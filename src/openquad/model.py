@@ -37,8 +37,6 @@ __all__ = [
     "stationary_wavenumber",
 ]
 
-ATOL_ANTISYM = 1e-14
-
 # rows per panel where a 2n x 2n check or update goes panel by panel, so
 # that its temporaries are a few rows of the matrix and not the matrix
 _PANEL_ROWS = 256

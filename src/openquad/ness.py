@@ -646,9 +646,8 @@ def correlation_spectrum(two_point: TwoPointMatrix, block) -> np.ndarray:
 
     Read off one real symmetric eigensolve: Bsub^T Bsub = -Bsub^2 has
     each nu_j^2 twice, and nu_j is the square root of every other one.
-    The eigensolve overwrites Bsub^T Bsub (``_blas.gram_eigenvalues``),
-    with the bits of ``np.linalg.eigvalsh`` on one thread and without its
-    copy.
+    The eigensolve is ``np.linalg.eigvalsh`` of Bsub^T Bsub, on one
+    thread up to the cutoff of ``_blas.gram_eigenvalues``.
     nu_j^2 is accurate to eps |Bsub|^2, so nu_j only to about sqrt(eps)
     (1e-8) absolute where it is near 0; the entropies, the mutual
     information and the positivity excess depend smoothly on nu^2 there
@@ -758,7 +757,7 @@ def observable_report(
     gives the total entropy and the positivity excess.
 
     Besides B it holds the n x n C (formed a panel of rows at a time) and
-    one Bsub^T Bsub at a time, which the eigensolve overwrites; no
+    one Bsub^T Bsub at a time, with the eigensolve's copy of it; no
     complex 2n x 2n T is built.
     It needs no model, only ``params``: the CLI releases the model, and
     its complex 2n x 2n H, before calling it.

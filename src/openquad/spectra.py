@@ -440,8 +440,8 @@ def _gram_eigh(K: np.ndarray):
         if key in memo:
             return memo[key]
         memo.clear()
-    # numpy's dsyevd (divide and conquer) on the buffer of the product, both
-    # on one thread at the orders of the shipped configs (``_blas.gram_eigh``):
+    # numpy's eigh (dsyevd, divide and conquer) and its product, both on
+    # one thread at the orders of the shipped configs (``_blas.gram_eigh``):
     # a threaded eigh right after the product once took 236 ms at 2n = 128,
     # against about 2 ms on one thread.  scipy's eigh would run in scipy's
     # own OpenBLAS, whose threads compete with numpy's still-spinning ones
@@ -574,20 +574,12 @@ def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
     Redfield: M = sum_nu x_nu (x) z_nu with the bath vectors of
     ``bath_vectors`` (or passed explicitly).  Lindblad:
     M = sum_{nu,mu} gamma[nu,mu] x_nu (x) x_mu, which is Hermitian.
+    Only the rows that the couplings touch are nonzero (``_bath_rows``).
     """
     two_n = model.H.shape[0]
+    S, MS = _bath_rows(model, z_vectors)
     M = np.zeros((two_n, two_n), dtype=complex)
-    if model.is_lindblad:
-        gamma = model.bath.gamma
-        xs = np.array([c.x for c in model.couplings])
-        M = np.einsum("nm,nj,mk->jk", gamma, xs, xs)
-        return M
-    if z_vectors is None:
-        z_vectors = bath_vectors(model)
-    for c, z in zip(model.couplings, z_vectors):
-        # rows where x vanishes would add only signed zeros to the +0 of M
-        rows = np.flatnonzero(c.x)
-        M[rows] += np.outer(c.x[rows], z)
+    M[S] = MS
     return M
 
 
@@ -650,15 +642,15 @@ def _schur_eigenvalues(R: np.ndarray) -> np.ndarray:
     return evals
 
 
-def _bath_rows(model: QuadraticModel):
+def _bath_rows(model: QuadraticModel, z_vectors=None):
     """The rows S that the couplings touch, and the rows M[S] of the
-    ``bath_matrix``, bit for bit; every other row of M is zero.
+    ``bath_matrix``; every other row of M is zero.
 
     S is the union of the couplings' supports: rows 1, 2, 2n-1 and 2n on
     the chain, every row for dense couplings.  Redfield: the outer
-    products x_nu (x) z_nu added on the rows of each x, in the order
-    ``bath_matrix`` adds them.  Lindblad: the einsum of ``bath_matrix``
-    restricted to S x S.
+    products x_nu (x) z_nu (z from ``bath_vectors`` unless given) added
+    on the rows where x_nu is nonzero.  Lindblad: the einsum of gamma and
+    the couplings on S x S.
     """
     two_n = model.H.shape[0]
     xs = np.array([c.x for c in model.couplings]).reshape(-1, two_n)
@@ -667,7 +659,9 @@ def _bath_rows(model: QuadraticModel):
     if model.is_lindblad:
         MS[:, S] = np.einsum("nm,nj,mk->jk", model.bath.gamma, xs[:, S], xs[:, S])
         return S, MS
-    for x, z in zip(xs, bath_vectors(model)):
+    if z_vectors is None:
+        z_vectors = bath_vectors(model)
+    for x, z in zip(xs, z_vectors):
         rows = np.flatnonzero(x)
         MS[np.searchsorted(S, rows)] += np.outer(x[rows], z)
     return S, MS

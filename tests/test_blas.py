@@ -176,7 +176,7 @@ def test_failed_lookup_is_a_silent_no_op(monkeypatch, library):
 
 
 # LAPACK's argument count of each routine of the signature table
-LAPACK_ARGUMENTS = {"dsyevd": 11, "dgeev": 14, "dgees": 15, "dtrsyl": 13}
+LAPACK_ARGUMENTS = {"dgeev": 14, "dgees": 15, "dtrsyl": 13}
 
 
 @pytest.mark.parametrize("routine", LAPACK_ARGUMENTS)
@@ -202,21 +202,19 @@ def test_serial_steady_state_matches_the_threaded_one(monkeypatch, n, tol):
     assert np.abs(serial - threaded).max() <= tol
 
 
-def test_gram_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
+def test_gram_eigenvalues_are_eigvalsh_bit_for_bit():
     # orders up to 2 x 253, where numpy's threaded solve and a one-thread
     # one differ in the last bits, against eigvalsh under the same thread
     # scope (the product outside it); a strided view like a block of B,
-    # and a float32 matrix, which goes to eigvalsh
-    for found in (_blas._lapack("dsyevd"), None):
-        lapack_returns(monkeypatch, "dsyevd", found)
-        for A in gram_cases():
-            before = A.copy()
-            w = _blas.gram_eigenvalues(A)
-            G = A.T @ A
-            with _blas.serial_lapack(len(G)):
-                ref = np.linalg.eigvalsh(G)
-            assert w.tobytes() == ref.tobytes()
-            assert np.array_equal(A, before)
+    # and a float32 matrix
+    for A in gram_cases():
+        before = A.copy()
+        w = _blas.gram_eigenvalues(A)
+        G = A.T @ A
+        with _blas.serial_lapack(len(G)):
+            ref = np.linalg.eigvalsh(G)
+        assert w.tobytes() == ref.tobytes()
+        assert np.array_equal(A, before)
 
 
 def test_real_eig_is_numpy_eig_split_into_real_pairs(monkeypatch):
@@ -255,25 +253,22 @@ def test_real_eig_is_numpy_eig_split_into_real_pairs(monkeypatch):
 
 def gram_cases():
     """Matrices A of the Gram eigensolves: orders up to 2 x 253, a strided
-    view like a block of B, and a float32 matrix, which goes to numpy."""
+    view like a block of B, and a float32 matrix."""
     B = np.random.default_rng(3).standard_normal((506, 506))
     return [B[:1, :1], B[:7, :5], B[:106, :106], B[:300, :252], B, B[3:259, 3:259],
             B[:50, :40].astype(np.float32)]
 
 
-def test_gram_eigh_is_eigh_bit_for_bit(monkeypatch):
-    # against eigh under the same thread scope (the product inside it), in
-    # numpy's dsyevd and without it; the vectors C-ordered, as eigh
-    # returns them
-    for found in (_blas._lapack("dsyevd"), None):
-        lapack_returns(monkeypatch, "dsyevd", found)
-        for A in gram_cases():
-            before = A.copy()
-            s, Q = _blas.gram_eigh(A)
-            with _blas.serial_lapack(A.shape[1]):
-                s_ref, Q_ref = np.linalg.eigh(A.T @ A)
-            assert s.tobytes() == s_ref.tobytes() and Q.tobytes() == Q_ref.tobytes()
-            assert Q.flags.c_contiguous and np.array_equal(A, before)
+def test_gram_eigh_is_eigh_bit_for_bit():
+    # against eigh under the same thread scope (the product inside it); the
+    # vectors C-ordered, as eigh returns them
+    for A in gram_cases():
+        before = A.copy()
+        s, Q = _blas.gram_eigh(A)
+        with _blas.serial_lapack(A.shape[1]):
+            s_ref, Q_ref = np.linalg.eigh(A.T @ A)
+        assert s.tobytes() == s_ref.tobytes() and Q.tobytes() == Q_ref.tobytes()
+        assert Q.flags.c_contiguous and np.array_equal(A, before)
 
 
 def test_real_eigenvalues_are_eigvals_bit_for_bit(monkeypatch):
@@ -302,14 +297,15 @@ def test_real_eigenvalues_are_eigvals_bit_for_bit(monkeypatch):
 
 
 # each eigensolve of the solvers: a call at order 20, the LAPACK routine it
-# makes in numpy's LAPACK, and the routine it falls back to without it
+# makes in numpy's LAPACK through ctypes, and the routine it falls back to
+# without it; the Gram eigensolves have no ctypes routine (None) and are
+# always numpy.linalg's
 X20 = np.random.default_rng(13).standard_normal((20, 20))
 MODEL10 = mdl.xy_lindblad_model(mdl.ChainParams(10, 0.5, 0.9))  # no eigh in its bath
 RULE_CASES = {
     "rapidities": (lambda: sp.rapidities(MODEL10), "dgeev", np.linalg, "eigvals"),
-    "_gram_eigh": (lambda: sp._gram_eigh(X20), "dsyevd", np.linalg, "eigh"),
-    "gram_eigenvalues": (lambda: _blas.gram_eigenvalues(X20), "dsyevd",
-                         np.linalg, "eigvalsh"),
+    "_gram_eigh": (lambda: sp._gram_eigh(X20), None, np.linalg, "eigh"),
+    "gram_eigenvalues": (lambda: _blas.gram_eigenvalues(X20), None, np.linalg, "eigvalsh"),
     "real_eig": (lambda: _blas.real_eig(X20), "dgeev", np.linalg, "eig"),
     "real_schur": (lambda: _blas.real_schur(X20), "dgees", scipy.linalg, "schur"),
 }
@@ -317,7 +313,9 @@ RULE_CASES = {
 
 def spy_on_lapack(monkeypatch, fake, case, found, action=None):
     """Make the case's LAPACK routine (found) or its fallback record the
-    fake pool's thread count when it is called, then do ``action``."""
+    fake pool's thread count when it is called, then do ``action``.  A
+    case without a ctypes routine spies on its numpy.linalg call either
+    way."""
     _, lookup, module, name = RULE_CASES[case]
     seen = []
 
@@ -329,11 +327,12 @@ def spy_on_lapack(monkeypatch, fake, case, found, action=None):
             return routine(*args, **kwargs)
         return call
 
-    if found:
+    if found and lookup is not None:
         routine, integer = _blas._lapack(lookup)
         lapack_returns(monkeypatch, lookup, (spy(routine), integer))
     else:
-        lapack_returns(monkeypatch, lookup, None)
+        if lookup is not None:
+            lapack_returns(monkeypatch, lookup, None)
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     return seen
 

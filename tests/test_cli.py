@@ -117,6 +117,9 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
         {"task": "ness", "model": {"n": 8},
          "bath": {"type": "lindblad", "rates": [-0.5, 0.3, 0.5, 0.1]}},
         {"task": "dynamics", "model": {"n": 3}, "dynamics": {"t_max": -1.0}},
+        # a Lindblad bath has no temperatures or coupling strength to sweep
+        {"task": "sweep", "model": {"n": 4}, "bath": {"type": "lindblad"},
+         "sweep": {"parameter": "lambda", "values": [0.1, 0.5, 0.9]}},
     ]
     # in-process: a fresh interpreter per case would cost 0.6 s of imports
     for payload in cases:

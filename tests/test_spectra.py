@@ -606,13 +606,26 @@ LYAPUNOV_ROW_MODELS = [
     for n in (2, 5, 53, 253)
     for build in (mdl.xy_redfield_model, mdl.xy_lindblad_model)
 ] + dense_coupling_models()
+LYAPUNOV_ROW_IDS = [f"{b}_n{n}" for n in (2, 5, 53, 253) for b in ("redfield", "lindblad")] + [
+    "redfield_dense", "lindblad_dense"]
 
 
-@pytest.mark.parametrize(
-    "model", LYAPUNOV_ROW_MODELS,
-    ids=[f"{b}_n{n}" for n in (2, 5, 53, 253) for b in ("redfield", "lindblad")]
-    + ["redfield_dense", "lindblad_dense"],
-)
+@pytest.mark.parametrize("model", LYAPUNOV_ROW_MODELS, ids=LYAPUNOV_ROW_IDS)
+def test_bath_matrix_from_the_coupling_rows_is_the_dense_formula(model):
+    # M filled in from its rows S only: the bits, signed zeros included, of
+    # the sums over every row and column
+    xs = np.array([c.x for c in model.couplings])
+    if model.is_lindblad:
+        ref = np.einsum("nm,nj,mk->jk", model.bath.gamma, xs, xs)
+    else:
+        ref = np.zeros((len(model.H), len(model.H)), dtype=complex)
+        for x, z in zip(xs, sp.bath_vectors(model)):
+            ref += np.outer(x, z)
+    M = sp.bath_matrix(model)
+    assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("model", LYAPUNOV_ROW_MODELS, ids=LYAPUNOV_ROW_IDS)
 def test_lyapunov_matrices_from_the_coupling_rows_are_the_dense_formula(model):
     # X and Y from the rows S of M only: the bits, signed zeros included, of
     # the formula on the whole bath matrix
