@@ -503,7 +503,7 @@ def write_metadata(
 
 def _ness_report(cfg: ExperimentConfig, **overrides):
     """Build, solve and report one model: its params and its
-    ``ObservableReport``.  The model, with its complex 2n x 2n H, is
+    ``ObservableReport``.  The model, with its real 2n x 2n K, is
     released before the report, so the two are never alive together."""
     model = build_model(cfg, **overrides)
     params, state = model.params, steady_state(model)
@@ -649,7 +649,7 @@ def _task_dynamics(cfg: ExperimentConfig):
     from .dynamics import dynamic_correlator
 
     # X and Y from the model's coupling rows, with no 4n x 4n matrix; the
-    # model, with its complex 2n x 2n H, is released before the correlator,
+    # model, with its real 2n x 2n K, is released before the correlator,
     # which refuses (one stderr line) every state that normal_modes warns for
     model = build_model(cfg)
     with warnings.catch_warnings():

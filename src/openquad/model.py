@@ -130,53 +130,71 @@ class LindbladRates:
 BathSpec = Union[Mapping[str, RedfieldOhmic], LindbladRates]
 
 
-@dataclass(frozen=True)
-class QuadraticModel:
-    """Full problem definition: H matrix, couplings, and bath specification.
+def _check_hamiltonian(H) -> np.ndarray:
+    """K = Im H, new, read-only and C-contiguous, of a finite 2n x 2n H
+    that is antisymmetric and purely imaginary to 1e-12 of its largest
+    entry, else ValueError naming H; a rounding-level real part is dropped.
+    Extremes by reductions, K + K^T by row panels: no 2n x 2n temporary."""
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 or not H.size:
+        raise ValueError("Hamiltonian matrix H must be 2n x 2n with n >= 1")
+    K = np.ascontiguousarray(H.imag)
+    re_max = max(H.real.max(), -H.real.min())  # NaN if H has one: numpy's max and min are
+    im_max = max(K.max(), -K.min())
+    if not np.isfinite(re_max + im_max):
+        raise ValueError("Hamiltonian matrix H must be finite")
+    tol = 1e-12 * max(1.0, re_max, im_max)
+    for i in range(0, len(K), _PANEL_ROWS):
+        rows = slice(i, i + _PANEL_ROWS)
+        if np.abs(K[rows] + K[:, rows].T).max() > tol:
+            raise ValueError("Hamiltonian matrix H must be antisymmetric")
+    if 2.0 * re_max > tol:
+        raise ValueError("Hamiltonian matrix H must be purely imaginary")
+    K.flags.writeable = False
+    return K
 
+
+@dataclass(frozen=True, init=False)
+class QuadraticModel:
+    """Full problem definition: Hamiltonian, couplings, and bath specification.
+
+    The complex H is checked once and kept as the real antisymmetric
+    K = Im H = -iH, a C-contiguous float array, which every solver reads;
+    ``H`` builds the complex iK anew on each access (oracle, 4n x 4n A).
     ``bath`` is either a mapping bath_id -> RedfieldOhmic (thermal Redfield
     problem, couplings grouped by their bath_id) or a LindbladRates matrix
     over the coupling index.
     """
 
-    H: np.ndarray
+    K: np.ndarray
     couplings: tuple[CouplingOperator, ...]
     bath: BathSpec
     params: ChainParams | None = None
 
-    def __post_init__(self):
-        H = np.asarray(self.H, dtype=complex)
-        if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2:
-            raise ValueError("Hamiltonian matrix must be 2n x 2n")
-        # in real arithmetic: H is purely imaginary and Im H antisymmetric;
-        # the maxima by reductions and Im H + Im H^T by row panels, with no
-        # 2n x 2n temporary
-        re_max = max(H.real.max(), -H.real.min())
-        im_max = max(H.imag.max(), -H.imag.min())
-        tol = 1e-12 * max(1.0, re_max, im_max)
-        for i in range(0, len(H), _PANEL_ROWS):
-            rows = slice(i, i + _PANEL_ROWS)
-            if np.abs(H.imag[rows] + H.imag[:, rows].T).max() > tol:
-                raise ValueError("Hamiltonian matrix must be antisymmetric")
-        if 2.0 * re_max > tol:
-            raise ValueError("Hamiltonian matrix must be purely imaginary")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "couplings", tuple(self.couplings))
-        for c in self.couplings:
-            if c.x.shape != (H.shape[0],):
-                raise ValueError("coupling vector length must match 2n")
-        if isinstance(self.bath, LindbladRates):
-            if self.bath.gamma.shape[0] != len(self.couplings):
+    def __init__(self, H, couplings, bath: BathSpec, params: ChainParams | None = None):
+        K, couplings = _check_hamiltonian(H), tuple(couplings)
+        if any(c.x.shape != (len(K),) for c in couplings):
+            raise ValueError("coupling vector length must match 2n")
+        if isinstance(bath, LindbladRates):
+            if bath.gamma.shape[0] != len(couplings):
                 raise ValueError("rate matrix dimension must match coupling count")
         else:
-            known = set(self.bath)
-            for c in self.couplings:
-                if c.bath_id not in known:
+            for c in couplings:
+                if c.bath_id not in bath:
                     raise ValueError(f"coupling refers to unknown bath {c.bath_id!r}")
+        for name, value in zip(("K", "couplings", "bath", "params"), (K, couplings, bath, params)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def H(self) -> np.ndarray:
+        """The complex 2n x 2n H = iK, a new array on each access."""
+        H = np.zeros(self.K.shape, dtype=complex)
+        H.imag = self.K
+        return H
 
     @property
     def n(self) -> int:
-        return self.H.shape[0] // 2
+        return len(self.K) // 2
 
     @property
     def is_lindblad(self) -> bool:

@@ -296,14 +296,14 @@ def steady_state(
     of the solve.  The 4n x 4n structure matrix is never built.
 
     At most three dense 2n x 2n real buffers are alive at once, besides
-    the model's H: X and Y come from the rows S that
-    the couplings touch (``spectra._lyapunov_rows``), and only Y[S] is
-    kept; the Schur form overwrites X, after a workspace query that
-    copies nothing (``spectra._real_schur``); U^T Y U, of rank 2|S|, is
-    one product of inner dimension 2|S|; the solve writes Z over U^T Y U
-    and B = U Z U^T goes back into that buffer; the residual rebuilds X
-    from H and X[S].  B is handed to the returned ``TwoPointMatrix``,
-    which builds no T.  The traced peak at n = 200 is 3.5 (2n)^2 doubles.
+    the model's K: X and Y come from the rows S that the couplings touch
+    (``spectra._lyapunov_rows``), and only Y[S] is kept; the Schur form
+    overwrites X, after a workspace query that copies nothing
+    (``spectra._real_schur``); U^T Y U, of rank 2|S|, is one product of
+    inner dimension 2|S|; the solve writes Z over U^T Y U and B = U Z U^T
+    goes back into that buffer; the residual rebuilds X from K and X[S].
+    B is handed to the returned ``TwoPointMatrix``, which builds no T.
+    The traced peak at n = 200 is 3.5 (2n)^2 doubles.
 
     Raises NonUniqueNESSError when min Re beta <= ``uniqueness_tol``, as
     ``ness_two_point`` does, and numpy.linalg.LinAlgError when the
@@ -311,7 +311,7 @@ def steady_state(
     norms) exceeds 1e-10.
     """
     S, XS, YS = _lyapunov_rows(model)
-    R, U, betas = _real_schur(_x_from_rows(model.H, S, XS))
+    R, U, betas = _real_schur(_x_from_rows(model.K, S, XS))
     _check_unique(betas, uniqueness_tol)
     # U^T Y U = [U_S^T | -G^T] [G ; U_S] with G = Y[S] U - Y[S, S] U_S / 2,
     # since Y is nonzero only in the rows and columns S
@@ -323,7 +323,7 @@ def steady_state(
     B = np.matmul(U @ C, U.T, out=C)  # B = U Z U^T, over Z
     del U
     _antisymmetrize(B)
-    X = _x_from_rows(model.H, S, XS)
+    X = _x_from_rows(model.K, S, XS)
     norm_x = np.linalg.norm(X)
     XB = X @ B  # B X^T = -(X B)^T for antisymmetric B
     del X
@@ -760,7 +760,7 @@ def observable_report(
     one Bsub^T Bsub at a time, with the eigensolve's copy of it; no
     complex 2n x 2n T is built.
     It needs no model, only ``params``: the CLI releases the model, and
-    its complex 2n x 2n H, before calling it.
+    its real 2n x 2n K, before calling it.
     """
     n = params.n
     C = correlation_matrix(two_point)

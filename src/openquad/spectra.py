@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._blas import gram_eigh, real_eig, real_eigenvalues, real_schur
-from .model import _PANEL_ROWS, QuadraticModel
+from .model import _PANEL_ROWS, QuadraticModel, _check_hamiltonian
 
 __all__ = [
     "HamiltonianEigensystem",
@@ -218,18 +218,6 @@ def symplectic_form(two_n: int) -> np.ndarray:
     return J
 
 
-def _real_antisymmetric(H: np.ndarray) -> np.ndarray:
-    """K = -iH for a purely imaginary antisymmetric H, exactly real
-    antisymmetric; any other H raises ValueError."""
-    H = np.asarray(H, dtype=complex)
-    scale = max(1.0, np.abs(H).max())
-    if np.abs(H + H.T).max() > 1e-12 * scale:
-        raise ValueError("H must be antisymmetric")
-    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
-        raise ValueError("H must be Hermitian (purely imaginary antisymmetric)")
-    return 0.5 * (H.imag - H.imag.T)
-
-
 def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     """Paired eigensystem of a purely imaginary antisymmetric H: the
     paired reference.  No production path calls it; the tests check the
@@ -249,7 +237,7 @@ def hamiltonian_eigensystem(H: np.ndarray) -> HamiltonianEigensystem:
     """
     import scipy.linalg as sla
 
-    K = _real_antisymmetric(H)
+    K = _check_hamiltonian(H)
     two_n = K.shape[0]
     n = two_n // 2
     T, Q = sla.schur(K, output="real")
@@ -425,18 +413,18 @@ def _gram_eigh_memo():
         _GRAM_EIGH_MEMO = previous
 
 
-def _gram_eigh(K: np.ndarray):
-    """s, Q with K^T K = Q diag(s) Q^T.
+def _gram_eigh(K: np.ndarray, diags=None):
+    """s, Q with K^T K = Q diag(s) Q^T, for a C-contiguous K.
 
     Inside ``_gram_eigh_memo`` the pair is looked up by K's nonzero
-    diagonals (``_diagonals``): the order of K and the offsets and bytes
-    of those diagonals determine K, so a hit returns the bits a new eigh
-    would.
+    diagonals (``_diagonals``, found again unless given): the order of K
+    and the offsets and bytes of those diagonals determine K, so a hit
+    returns the bits a new eigh would.
     """
     memo = _GRAM_EIGH_MEMO
     if memo is not None:
         key = (len(K), *((rows.start, cols.start, values.tobytes())
-                         for rows, cols, values in _diagonals(K)[0]))
+                         for rows, cols, values in diags or _diagonals(K)[0]))
         if key in memo:
             return memo[key]
         memo.clear()
@@ -446,17 +434,17 @@ def _gram_eigh(K: np.ndarray):
     # against about 2 ms on one thread.  scipy's eigh would run in scipy's
     # own OpenBLAS, whose threads compete with numpy's still-spinning ones
     # (1.3x slower end to end on the gap scan, 2 cores)
-    s, Q = gram_eigh(np.ascontiguousarray(K))
+    s, Q = gram_eigh(K)
     if memo is not None:
         memo[key] = s, Q
     return s, Q
 
 
-def _gram_function_eigh(K: np.ndarray, betas, X: np.ndarray) -> np.ndarray:
+def _gram_function_eigh(K: np.ndarray, diags, betas, X: np.ndarray) -> np.ndarray:
     """g(K^T K) X, column j at inverse temperature betas[j], from one
-    symmetric eigendecomposition K^T K = Q diag(s) Q^T (``_gram_eigh``),
-    in real arithmetic."""
-    s, Q = _gram_eigh(K)
+    symmetric eigendecomposition K^T K = Q diag(s) Q^T (``_gram_eigh``,
+    keyed by the ``_diagonals`` of K), in real arithmetic."""
+    s, Q = _gram_eigh(K, diags)
     g = {b: _ohmic_g(s, b) for b in set(betas)}
     return Q @ (np.column_stack([g[b] for b in betas]) * (Q.T @ X))
 
@@ -475,7 +463,7 @@ _EIGH_COST = 0.1
 
 def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
     """z = 2 pi lam^2 [g(K^T K) x - i K x] for each coupling x (a row of
-    xs) at its own (beta, lam), on the real antisymmetric K = -iH.
+    xs) at its own (beta, lam), on a C-contiguous K = -iH.
 
     The real and imaginary parts of the couplings form one real 2n x r
     block.  g(K^T K) goes on it by the Chebyshev series when its terms x
@@ -507,7 +495,7 @@ def _ohmic_bath_vectors(K: np.ndarray, xs: np.ndarray, betas, lams) -> list:
     if use_series:
         gX = _gram_function_series(diags, L, col_betas, X)
     else:
-        gX = _gram_function_eigh(K, col_betas, X)
+        gX = _gram_function_eigh(K, diags, col_betas, X)
     KX = _apply(diags, X)
     # with x = a + ib: g x - iK x = (g a + K b) + i (g b - K a)
     re, im = gX[:, :m].copy(), -KX[:, :m]
@@ -534,11 +522,11 @@ def bath_vector(x: np.ndarray, beta: float, lam: float, H: np.ndarray) -> np.nda
     comes from the Chebyshev series of g on [0, |K|_1^2], applied with the
     sparse K, or from one real symmetric eigendecomposition of K^T K,
     whichever a cost rule says is cheaper (see ``bath_vectors``); the two
-    agree to about 1e-15 relative.  H is checked here (antisymmetric and
-    purely imaginary, else ValueError), and so are beta > 0 and the
-    length of x.
+    agree to about 1e-15 relative.  H is checked here as
+    ``QuadraticModel`` checks it (ValueError), and so are beta > 0 and
+    the length of x.
     """
-    K = _real_antisymmetric(H)
+    K = _check_hamiltonian(H)
     x = np.asarray(x, dtype=complex)
     if x.shape != (len(K),):
         raise ValueError(f"coupling vector has shape {x.shape}, H needs ({len(K)},)")
@@ -549,8 +537,8 @@ def bath_vectors(model: QuadraticModel):
     """One bath vector per coupling (Redfield problems only), all from one
     application of g(K^T K) to the block of every coupling.
 
-    K = Im H is read off the model's H, which ``QuadraticModel`` has
-    already checked.  The Chebyshev series of g is summed on the sparse K
+    K = Im H is the model's ``K``, which ``QuadraticModel`` has already
+    checked.  The Chebyshev series of g is summed on the sparse K
     when its terms x (nonzeros of K) x (columns of the block), plus a
     per-step constant, is below the (2n)^3 of a dense eigh: on the chain
     from about n = 125 at the shipped temperatures.  The eigh of K^T K is
@@ -562,10 +550,8 @@ def bath_vectors(model: QuadraticModel):
     if model.is_lindblad:
         raise ValueError("bath vectors are a Redfield concept; model is Lindblad")
     specs = [model.bath[c.bath_id] for c in model.couplings]
-    xs = np.array([c.x for c in model.couplings]).reshape(-1, model.H.shape[0])
-    return _ohmic_bath_vectors(
-        model.H.imag, xs, [s.beta for s in specs], [s.lam for s in specs]
-    )
+    xs = np.array([c.x for c in model.couplings]).reshape(-1, len(model.K))
+    return _ohmic_bath_vectors(model.K, xs, [s.beta for s in specs], [s.lam for s in specs])
 
 
 def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
@@ -576,9 +562,8 @@ def bath_matrix(model: QuadraticModel, z_vectors=None) -> np.ndarray:
     M = sum_{nu,mu} gamma[nu,mu] x_nu (x) x_mu, which is Hermitian.
     Only the rows that the couplings touch are nonzero (``_bath_rows``).
     """
-    two_n = model.H.shape[0]
     S, MS = _bath_rows(model, z_vectors)
-    M = np.zeros((two_n, two_n), dtype=complex)
+    M = np.zeros(model.K.shape, dtype=complex)
     M[S] = MS
     return M
 
@@ -602,15 +587,12 @@ def assemble_structure_matrix(H: np.ndarray, M: np.ndarray) -> StructureMatrix:
         A[even, even] = -2i H - conj(M) + conj(M)^T
         A0 = tr M + tr conj(M)
     """
+    # the M terms of every block pair are antisymmetric, so A is when H is
+    two_n = len(_check_hamiltonian(H))
     H = np.asarray(H, dtype=complex)
     M = np.asarray(M, dtype=complex)
-    two_n = H.shape[0]
     if M.shape != (two_n, two_n):
         raise ValueError("H and M dimensions disagree")
-    # the M terms of every block pair are antisymmetric by construction, so
-    # A is antisymmetric exactly when H is
-    if np.abs(H + H.T).max() > 1e-12 * max(1.0, 2.0 * np.abs(H).max()):
-        raise AssertionError("assembled structure matrix is not antisymmetric")
     A = np.zeros((2 * two_n, 2 * two_n), dtype=complex)
     Mc = M.conj()
     A[0::2, 0::2] = -2j * H - M + M.T
@@ -652,7 +634,7 @@ def _bath_rows(model: QuadraticModel, z_vectors=None):
     on the rows where x_nu is nonzero.  Lindblad: the einsum of gamma and
     the couplings on S x S.
     """
-    two_n = model.H.shape[0]
+    two_n = len(model.K)
     xs = np.array([c.x for c in model.couplings]).reshape(-1, two_n)
     S = np.flatnonzero(xs.any(axis=0))
     MS = np.zeros((len(S), two_n), dtype=complex)
@@ -670,22 +652,22 @@ def _bath_rows(model: QuadraticModel, z_vectors=None):
 def _lyapunov_rows(model: QuadraticModel):
     """S and the rows X[S], Y[S] of the Lyapunov form (``_bath_rows``).
 
-    Off the rows S, M vanishes: X is -4 Im H there, and Y is zero but in
+    Off the rows S, M vanishes: X is -4K there, and Y is zero but in
     the columns S, where antisymmetry gives it (``_x_from_rows``,
     ``_y_rows``).
     """
     S, MS = _bath_rows(model)
-    XS = 4.0 * (MS.real - model.H.imag[S])
+    XS = 4.0 * (MS.real - model.K[S])
     MiT = np.zeros(MS.shape)  # rows S of Im M^T
     MiT[:, S] = MS.imag[:, S].T
     return S, XS, 4.0 * (MS.imag - MiT)
 
 
-def _x_from_rows(H: np.ndarray, S: np.ndarray, XS: np.ndarray) -> np.ndarray:
-    """X = 4 (0 - Im H) with the rows X[S] put in, in Fortran order, so
+def _x_from_rows(K: np.ndarray, S: np.ndarray, XS: np.ndarray) -> np.ndarray:
+    """X = 4 (0 - K) with the rows X[S] put in, in Fortran order, so
     that the Schur form can overwrite it (``_real_schur``)."""
-    X = np.empty(H.shape, order="F")
-    np.subtract(0.0, H.imag, out=X)
+    X = np.empty(K.shape, order="F")
+    np.subtract(0.0, K, out=X)
     X *= 4.0
     X[S] = XS
     return X
@@ -707,13 +689,13 @@ def _lyapunov_matrices(model: QuadraticModel):
     """Real X = 4iH + 2(M + conj M) and Y = -i(4(M + M^dag) - X - X^T).
 
     Never builds the 4n x 4n structure matrix, nor the bath matrix M: H
-    is purely imaginary, so 4iH = -4 Im H, and Y = 4 (Im M - Im M^T), and
+    is purely imaginary, so 4iH = -4K, and Y = 4 (Im M - Im M^T), and
     both come from the rows of M that the couplings touch
     (``_lyapunov_rows``), bit for bit the formula on the whole M.  X is
     in Fortran order.
     """
     S, XS, YS = _lyapunov_rows(model)
-    return _x_from_rows(model.H, S, XS), _y_rows(S, YS)
+    return _x_from_rows(model.K, S, XS), _y_rows(S, YS)
 
 
 def _real_schur(X: np.ndarray):
@@ -736,7 +718,7 @@ def _x_matrix(model: QuadraticModel) -> np.ndarray:
     """X of ``lyapunov_form`` alone, in Fortran order, from the coupling
     rows: the matrix whose eigenvalues are twice the rapidities."""
     S, XS, _ = _lyapunov_rows(model)
-    return _x_from_rows(model.H, S, XS)
+    return _x_from_rows(model.K, S, XS)
 
 
 def rapidities(model: QuadraticModel) -> np.ndarray:

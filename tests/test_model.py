@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from openquad import cli, ness, spectra
 from openquad import model as mdl
 from openquad import oracle as orc
 
@@ -165,6 +167,23 @@ def test_quadratic_model_validation():
     ops = mdl.build_xy_couplings((1, 0, 1, 0), (0, 0, 0, 0), 2)
     with pytest.raises(ValueError):
         mdl.QuadraticModel(H, ops, {"L": mdl.RedfieldOhmic(1.0, 0.1)})  # missing R
+    # a non-finite H, an empty one, and a real one handed to the structure
+    # matrix are refused by the one check with a ValueError naming H, and
+    # no warning
+    bad = []
+    for value in (np.nan, np.inf, -np.inf):
+        for entry in (complex(0.0, value), value):
+            Hb = H.copy()
+            Hb[0, 1] = entry
+            bad.append(lambda Hb=Hb: mdl.QuadraticModel(Hb, (), {}))
+    bad.append(lambda: mdl.QuadraticModel(np.zeros((0, 0)), (), {}))
+    bad.append(lambda: spectra.assemble_structure_matrix(np.eye(4), 0))
+    bad.append(lambda: spectra.assemble_structure_matrix(np.eye(4), np.zeros((4, 4))))
+    for call in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Hamiltonian matrix H must be"):
+                call()
 
 
 def test_hamiltonian_check_in_real_arithmetic():
@@ -176,18 +195,45 @@ def test_hamiltonian_check_in_real_arithmetic():
     bad = H + 1e-6  # a real part
     with pytest.raises(ValueError, match="purely imaginary"):
         mdl.QuadraticModel(bad, (), {})
-    # rounding-level deviations pass, and H is kept as given
+    # rounding-level deviations pass: Im H is kept as given, and the
+    # rounding-level real part is dropped
     noisy = H + 1e-14 * (1 + 1j) * np.random.default_rng(0).normal(size=H.shape)
-    assert np.array_equal(mdl.QuadraticModel(noisy, (), {}).H, noisy)
+    model = mdl.QuadraticModel(noisy, (), {})
+    assert np.array_equal(model.K, noisy.imag)
+    assert np.array_equal(model.H.imag, noisy.imag) and not model.H.real.any()
 
 
 def test_bath_vectors_read_the_checked_hamiltonian(monkeypatch):
     # the model checked H once; bath_vectors does not check it again
-    from openquad import spectra as sp
-
     model = mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))
-    monkeypatch.setattr(sp, "_real_antisymmetric", lambda H: pytest.fail("H checked twice"))
-    assert len(sp.bath_vectors(model)) == 4
+    monkeypatch.setattr(spectra, "_check_hamiltonian", lambda H: pytest.fail("H checked twice"))
+    assert len(spectra.bath_vectors(model)) == 4
+
+
+def test_model_keeps_im_h_and_builds_h_bit_for_bit():
+    for build in (mdl.xy_redfield_model, mdl.xy_lindblad_model):
+        for n in (2, 3, 53):
+            for gamma in (0.5, 1.0):
+                for h in (0.0, 0.9):
+                    params = mdl.ChainParams(n, gamma, h)
+                    model = build(params)
+                    assert model.H.tobytes() == mdl.build_xy_hamiltonian(params).tobytes()
+                    assert model.K.dtype == np.float64 and model.K.flags.c_contiguous
+
+
+def test_solvers_never_read_the_complex_hamiltonian(monkeypatch, tmp_path):
+    # every solver reads the model's real K; only the oracle and the
+    # 4n x 4n structure matrix build the complex H
+    redfield = mdl.xy_redfield_model(mdl.ChainParams(6, 0.5, 0.9))
+    lindblad = mdl.xy_lindblad_model(mdl.ChainParams(6, 0.5, 0.9))
+    monkeypatch.setattr(mdl.QuadraticModel, "H",
+                        property(lambda self: pytest.fail("model.H was read")))
+    for model in (redfield, lindblad):
+        ness.steady_state(model)
+        spectra.normal_modes(model)
+        spectra.rapidities(model)
+    assert len(spectra.bath_vectors(redfield)) == 4
+    assert cli.run({"task": "ness", "model": {"n": 6}}, output_dir=str(tmp_path)).exists()
 
 
 def test_dispersion_and_stationary_point():
